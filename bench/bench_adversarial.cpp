@@ -13,9 +13,10 @@
 //                    reports evictions/rehydrations and the byte gauge.
 //   * stream:        SegTollS over the linear-road generator, windows fed
 //                    through FeedWindowCardinalities into a live
-//                    ReoptSession under a real-clock DeadlinePolicy with a
-//                    polling timer; reports p50/p95/p99 flush latency from
-//                    the exporter's per-flush flush_ms.
+//                    ReoptSession under a real-clock DeadlinePolicy that
+//                    the generator loop drives with Poll() every 1 ms;
+//                    reports p50/p95/p99 flush latency from the
+//                    exporter's per-flush flush_ms.
 //
 // Every class still runs under the full differential contract
 // (RunClassScenario), so a failure here is an oracle divergence, not just
@@ -113,10 +114,20 @@ class CountingSubscriber final : public PlanSubscriber {
   int64_t plan_changes_ = 0;
 };
 
+/// Calls session.Poll() every 1 ms for `d` — the driver loop that lets a
+/// deadline expire without a mutation arriving.
+void PollFor(ReoptSession& session, std::chrono::milliseconds d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+    session.Poll();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 /// The sustained stream-churn driver: linear-road seconds through SegTollS
 /// windows, cardinalities fed to a frozen registry, flushes fired by the
-/// session's own timer under a real-clock deadline. Returns the stream
-/// metrics block.
+/// generator loop's Poll() calls under a real-clock deadline. Returns the
+/// stream metrics block.
 JsonObj RunStreamChurn(TablePrinter* table) {
   constexpr int kSeconds = 60;
   constexpr auto kDeadline = std::chrono::milliseconds(5);
@@ -137,7 +148,6 @@ JsonObj RunStreamChurn(TablePrinter* table) {
   JsonMetricsExporter exporter;
   ReoptSessionOptions so;
   so.flush_policy = std::make_shared<DeadlinePolicy>(kDeadline);
-  so.poll_interval = std::chrono::milliseconds(1);
   so.metrics_exporter = &exporter;
   ReoptSession session(&registry, so);
   CountingSubscriber subscriber;
@@ -152,14 +162,14 @@ JsonObj RunStreamChurn(TablePrinter* table) {
       events += static_cast<int64_t>(batch.size());
       setup->Advance(batch, t);
       mutations += FeedWindowCardinalities(setup->windows, &registry);
-      // Give the deadline a chance to expire between slices — the timer
-      // thread, not this loop, is what flushes.
-      std::this_thread::sleep_for(kDeadline + std::chrono::milliseconds(5));
+      // Give the deadline a chance to expire between slices: the polls,
+      // not the mutations, are what flush.
+      PollFor(session, kDeadline + std::chrono::milliseconds(5));
     }
   });
   // Drain the tail: the last slice's mutations are still inside their
   // deadline window when the loop exits.
-  std::this_thread::sleep_for(kDeadline * 4);
+  PollFor(session, kDeadline * 4);
   session.Flush();
 
   std::vector<double> flush_ms;
@@ -170,7 +180,7 @@ JsonObj RunStreamChurn(TablePrinter* table) {
   const double p99 = Percentile(flush_ms, 0.99);
 
   if (m.flushes <= 0 || flush_ms.empty()) {
-    std::fprintf(stderr, "FAIL stream: no flushes dispatched (timer dead?)\n");
+    std::fprintf(stderr, "FAIL stream: no flushes dispatched (polls dead?)\n");
     g_adversarial_failed = true;
   }
   if (mutations <= 0) {

@@ -85,6 +85,21 @@ bool ValidMutation(const testing::StatMutation& m, int num_relations, int num_ed
   return false;
 }
 
+/// One world's session, configured from the service options — the same
+/// for a freshly built world and one restored from a snapshot.
+std::unique_ptr<ReoptSession> NewWorldSession(StatsRegistry* registry,
+                                              const ShardedServiceOptions& options) {
+  ReoptSessionOptions so;
+  so.per_query_work_budget = options.per_query_work_budget;
+  so.memo_byte_budget = options.memo_byte_budget;
+  if (options.auto_flush_count > 0) {
+    so.flush_policy = std::make_shared<CountPolicy>(options.auto_flush_count);
+  } else if (options.flush_deadline.count() > 0) {
+    so.flush_policy = std::make_shared<DeadlinePolicy>(options.flush_deadline);
+  }
+  return std::make_unique<ReoptSession>(registry, so);
+}
+
 }  // namespace
 
 /// Relays one session's notifications for one query to its current
@@ -281,15 +296,7 @@ ShardedService::RegisterResult ShardedService::RegisterOnShard(
     fresh->scenario.catalog = catalog;
     fresh->scenario.query = query;
     fresh->world = testing::BuildScenarioWorld(fresh->scenario);
-    ReoptSessionOptions so;
-    so.per_query_work_budget = options_.per_query_work_budget;
-    so.memo_byte_budget = options_.memo_byte_budget;
-    if (options_.auto_flush_count > 0) {
-      so.flush_policy = std::make_shared<CountPolicy>(options_.auto_flush_count);
-    } else if (options_.flush_deadline.count() > 0) {
-      so.flush_policy = std::make_shared<DeadlinePolicy>(options_.flush_deadline);
-    }
-    fresh->session = std::make_unique<ReoptSession>(&fresh->world->registry, so);
+    fresh->session = NewWorldSession(&fresh->world->registry, options_);
     group = fresh.get();
     shard->groups.emplace(world_key, std::move(fresh));
   }
@@ -622,15 +629,7 @@ size_t ShardedService::LoadSnapshots() {
         }
         const uint32_t nqueries = r.GetU32();
         group->world = testing::BuildScenarioWorld(group->scenario);
-        ReoptSessionOptions so;
-        so.per_query_work_budget = options_.per_query_work_budget;
-        so.memo_byte_budget = options_.memo_byte_budget;
-        if (options_.auto_flush_count > 0) {
-          so.flush_policy = std::make_shared<CountPolicy>(options_.auto_flush_count);
-        } else if (options_.flush_deadline.count() > 0) {
-          so.flush_policy = std::make_shared<DeadlinePolicy>(options_.flush_deadline);
-        }
-        group->session = std::make_unique<ReoptSession>(&group->world->registry, so);
+        group->session = NewWorldSession(&group->world->registry, options_);
         std::vector<DeclarativeOptimizer*> optimizers;
         optimizers.reserve(nqueries);
         for (uint32_t qi = 0; qi < nqueries; ++qi) {

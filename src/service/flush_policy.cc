@@ -1,7 +1,5 @@
 #include "service/flush_policy.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace iqro {
@@ -61,73 +59,6 @@ void DeadlinePolicy::OnFlush(const FlushOptStats& stats, int64_t changes,
   } else {
     armed_ = false;
   }
-}
-
-CostGatedPolicy::CostGatedPolicy(double work_budget, double smoothing)
-    : work_budget_(work_budget), smoothing_(smoothing) {
-  IQRO_CHECK(work_budget_ > 0);
-  IQRO_CHECK(smoothing_ > 0 && smoothing_ <= 1.0);
-}
-
-bool CostGatedPolicy::ShouldFlush(const FlushPolicyContext& ctx) {
-  if (ctx.mutations_since_flush <= 0 && ctx.pending_stats == 0) return false;
-  // No history: flush eagerly to calibrate (header comment).
-  if (!has_history_) return true;
-  const double estimate = static_cast<double>(ctx.pending_stats) * work_per_change();
-  return estimate >= work_budget_;
-}
-
-void CostGatedPolicy::OnFlush(const FlushOptStats& stats, int64_t changes,
-                              size_t pending_after) {
-  (void)stats;               // per-query observations arrive via OnQueryPassWork
-  (void)pending_after;       // work estimation keys on history, not survivors
-  if (changes <= 0) return;  // absorbed batch: no work observation to learn from
-  // A dispatched flush — even one whose every pass was prefiltered away,
-  // leaving no OnQueryPassWork observation — ends calibration. The
-  // work_per_change() floor (max(1.0, sum)) then makes zero-work history
-  // converge to batching ~work_budget pending statistics instead of
-  // wedging auto-flush at an estimate of 0 or staying in eager
-  // per-mutation mode forever; real observations take over as soon as a
-  // pass does actual work.
-  has_history_ = true;
-}
-
-void CostGatedPolicy::OnQueryPassWork(int query_id, int64_t fixpoint_work,
-                                      int64_t changes) {
-  if (changes <= 0) return;
-  const double observed =
-      static_cast<double>(fixpoint_work) / static_cast<double>(changes);
-  for (auto& entry : per_query_) {
-    if (entry.first != query_id) continue;
-    const double next = (1.0 - smoothing_) * entry.second + smoothing_ * observed;
-    ewma_sum_ += next - entry.second;
-    entry.second = next;
-    return;
-  }
-  per_query_.emplace_back(query_id, observed);
-  ewma_sum_ += observed;
-}
-
-void CostGatedPolicy::OnQueryUnregistered(int query_id) {
-  for (auto it = per_query_.begin(); it != per_query_.end(); ++it) {
-    if (it->first != query_id) continue;
-    ewma_sum_ -= it->second;
-    per_query_.erase(it);
-    break;
-  }
-  if (per_query_.empty()) ewma_sum_ = 0;  // shed accumulated float drift
-}
-
-double CostGatedPolicy::work_per_change() const {
-  if (!has_history_) return 0;
-  return std::max(1.0, ewma_sum_);
-}
-
-double CostGatedPolicy::query_work_per_change(int query_id) const {
-  for (const auto& entry : per_query_) {
-    if (entry.first == query_id) return entry.second;
-  }
-  return 0;
 }
 
 }  // namespace iqro

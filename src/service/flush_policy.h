@@ -1,12 +1,10 @@
 // FlushPolicy: when does a ReoptSession turn its pending mutation stream
 // into a flush?
 //
-// PR 3 hard-coded one answer (a raw mutation count, `auto_flush_after`).
-// Production feedback loops want different trade-offs: bound the staleness
-// *window* (a deadline), or bound the *work* a flush will cost (a batch
-// that has grown to cover half the memo re-fixpoints no cheaper than two
-// batches — flush before the estimate crosses the budget). This header
-// makes the trigger a strategy object; the session evaluates it on the
+// The simplest answer is a raw mutation count. Feedback loops that care
+// about latency want to bound the staleness *window* instead (a deadline).
+// This header makes the trigger a strategy object; the session evaluates
+// it on the
 // same re-entrancy-safe subscriber path the old counter used
 // (ReoptSession::OnStatsMutated), plus on demand via ReoptSession::Poll()
 // for time-based policies that must fire without a mutation arriving.
@@ -42,8 +40,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "service/session_metrics.h"
 
@@ -69,7 +65,7 @@ struct FlushPolicyContext {
   int64_t mutations_since_flush = 0;
   /// Distinct statistics with a pending delta — the pending-scope mask
   /// size. From the under-lock mutation snapshot (mutation path) or a
-  /// locked registry probe (Poll). The CostGatedPolicy input.
+  /// locked registry probe (Poll).
   size_t pending_stats = 0;
   /// Registry epoch after the triggering mutation; 0 on a Poll() probe.
   uint64_t epoch = 0;
@@ -94,29 +90,11 @@ class FlushPolicy {
     (void)pending_after;
   }
 
-  /// Per-query work observation: called once per *affected* pass of a
-  /// dispatched flush — before that flush's OnFlush, under the same policy
-  /// mutex. `query_id` is the session-stable QueryHandle id,
-  /// `fixpoint_work` the pass's fixpoint_steps + eps_seeded, `changes` the
-  /// dispatched StatChange count (>= 1). Default: stateless policies
-  /// ignore per-query history.
-  virtual void OnQueryPassWork(int query_id, int64_t fixpoint_work, int64_t changes) {
-    (void)query_id;
-    (void)fixpoint_work;
-    (void)changes;
-  }
-
-  /// `query_id` left the session (unregistered): drop any per-query state
-  /// so a long-lived session doesn't accumulate dead entries. Default:
-  /// no-op.
-  virtual void OnQueryUnregistered(int query_id) { (void)query_id; }
-
   /// Stable identifier for logs and metrics export.
   virtual const char* name() const = 0;
 };
 
-/// PR 3's `auto_flush_after` as a policy: flush once N value-changing
-/// mutations accumulated. The latency/batching knob when mutation *count*
+/// Flush once N value-changing mutations accumulated. The latency/batching knob when mutation *count*
 /// is the right proxy for staleness.
 class CountPolicy final : public FlushPolicy {
  public:
@@ -133,9 +111,8 @@ class CountPolicy final : public FlushPolicy {
 /// mutation has waited `deadline`. Arms on the first mutation after a
 /// flush; disarms on OnFlush. Deadlines are only *observed* when the
 /// session consults the policy — on the next mutation or on Poll() — so a
-/// deadline-driven deployment either calls Poll() from its event loop or
-/// enables the session-owned timer thread
-/// (ReoptSessionOptions::poll_interval), which polls for it
+/// deadline-driven deployment calls Poll() from its driver loop at a
+/// granularity finer than the deadline, as reoptd's shard loop does
 /// (docs/API.md "Policy contract").
 class DeadlinePolicy final : public FlushPolicy {
  public:
@@ -156,49 +133,6 @@ class DeadlinePolicy final : public FlushPolicy {
   const Clock* clock_;
   bool armed_ = false;
   std::chrono::steady_clock::time_point batch_opened_{};
-};
-
-/// Bounded *work* per flush: estimate the re-fixpoint cost of the pending
-/// batch as (pending-scope mask size) x (expected work per change, summed
-/// over the registered queries), and flush once the estimate reaches
-/// `work_budget` (in fixpoint-step units, the FlushOptStats::
-/// fixpoint_steps + eps_seeded scale). The expectation is a *per-query*
-/// EWMA fed by OnQueryPassWork — one runaway query inflates only its own
-/// term, not a shared average that would distort gating for every cheap
-/// query sharing the session. Until a first flush seeds the history the
-/// policy flushes eagerly (every mutation): an estimate of zero history is
-/// an estimate of nothing, and one eager flush is the cheapest possible
-/// calibration run.
-class CostGatedPolicy final : public FlushPolicy {
- public:
-  /// `work_budget` must be > 0. `smoothing` in (0, 1]: EWMA weight of the
-  /// newest per-query observation.
-  explicit CostGatedPolicy(double work_budget, double smoothing = 0.3);
-  bool ShouldFlush(const FlushPolicyContext& ctx) override;
-  void OnFlush(const FlushOptStats& stats, int64_t changes, size_t pending_after) override;
-  void OnQueryPassWork(int query_id, int64_t fixpoint_work, int64_t changes) override;
-  void OnQueryUnregistered(int query_id) override;
-  const char* name() const override { return "cost_gated"; }
-
-  /// Effective expected-work-per-change estimate the gate multiplies the
-  /// pending count by: the sum of the per-query EWMAs, floored at 1 work
-  /// unit per change (so zero-work flushes — every query prefiltered away
-  /// — neither wedge the estimate at 0 nor perpetuate eager mode). 0
-  /// until the first non-empty flush. Exposed for tests and metrics.
-  double work_per_change() const;
-
-  /// One query's EWMA (0 when it has no observations yet).
-  double query_work_per_change(int query_id) const;
-
- private:
-  double work_budget_;
-  double smoothing_;
-  /// (query id, EWMA of its per-change fixpoint work). Linear scan: a
-  /// session holds dozens of queries, not thousands, and the policy mutex
-  /// serializes access anyway.
-  std::vector<std::pair<int, double>> per_query_;
-  double ewma_sum_ = 0;  // cached sum of per_query_ values
-  bool has_history_ = false;
 };
 
 }  // namespace iqro

@@ -12,31 +12,6 @@
 
 namespace iqro {
 
-namespace {
-
-/// Conditionally engaged lock on the registration gate. Only sessions with
-/// a poll timer have cross-thread Register/Unregister/Subscribe traffic to
-/// serialize; everyone else skips the mutex entirely. The flushing thread
-/// itself also skips it (callback-reentrant handle operations during a
-/// timer-driven flush would otherwise self-deadlock on the gate the timer
-/// already holds).
-class GateLock {
- public:
-  GateLock(std::mutex& gate, bool engage) : gate_(engage ? &gate : nullptr) {
-    if (gate_ != nullptr) gate_->lock();
-  }
-  ~GateLock() {
-    if (gate_ != nullptr) gate_->unlock();
-  }
-  GateLock(const GateLock&) = delete;
-  GateLock& operator=(const GateLock&) = delete;
-
- private:
-  std::mutex* gate_;
-};
-
-}  // namespace
-
 ReoptSession::ReoptSession(StatsRegistry* registry, ReoptSessionOptions options)
     : registry_(registry), options_(std::move(options)),
       alive_(std::make_shared<bool>(true)) {
@@ -47,7 +22,6 @@ ReoptSession::ReoptSession(StatsRegistry* registry, ReoptSessionOptions options)
   IQRO_CHECK(options_.quarantine_backoff_base_ticks >= 1);
   IQRO_CHECK(options_.quarantine_backoff_cap_ticks >=
              options_.quarantine_backoff_base_ticks);
-  IQRO_CHECK(options_.poll_interval.count() >= 0);
   if (options_.worker_threads >= 1) {
     pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
   }
@@ -55,23 +29,9 @@ ReoptSession::ReoptSession(StatsRegistry* registry, ReoptSessionOptions options)
     registry_->SetPendingLimit(options_.pending_hard_watermark);
   }
   registry_->Subscribe(this);
-  // The timer starts last: everything it can reach is initialized.
-  if (options_.poll_interval.count() > 0) {
-    timer_ = std::thread([this] { TimerLoop(); });
-  }
 }
 
 ReoptSession::~ReoptSession() {
-  // Stop the timer FIRST: its polls walk queries_ and flush; nothing else
-  // may be torn down while it can still fire.
-  if (timer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(timer_mu_);
-      timer_stop_ = true;
-    }
-    timer_cv_.notify_all();
-    timer_.join();
-  }
   // Registered optimizers outlive the session, the summary store does not:
   // detach every remaining calculator before it goes away.
   for (Slot& slot : queries_) slot.optimizer->AttachSharedSummaryCache(nullptr);
@@ -84,21 +44,6 @@ ReoptSession::~ReoptSession() {
   if (options_.pending_hard_watermark > 0) registry_->SetPendingLimit(0);
   // pool_ (if any) drains and joins in its destructor: a dispatched pass
   // never outlives the session that owns its optimizers' slots.
-}
-
-void ReoptSession::TimerLoop() {
-  std::unique_lock<std::mutex> lk(timer_mu_);
-  while (!timer_stop_) {
-    timer_cv_.wait_for(lk, options_.poll_interval);
-    if (timer_stop_) break;
-    lk.unlock();
-    {
-      // Unconditional gate: this thread is never the flush owner here.
-      GateLock gate(reg_gate_, true);
-      PollTick();
-    }
-    lk.lock();
-  }
 }
 
 ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer,
@@ -161,9 +106,6 @@ ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer
 
 QueryHandle ReoptSession::Register(DeclarativeOptimizer& optimizer,
                                    PlanSubscriber* subscriber) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
   const QueryId id = RegisterImpl(&optimizer, subscriber);
   return QueryHandle(this, id, &optimizer, alive_);
 }
@@ -219,11 +161,6 @@ void ReoptSession::UnregisterImpl(QueryId id) {
   if (queries_.size() == 1) {
     queries_.front().optimizer->AttachSharedSummaryCache(nullptr);
   }
-  if (options_.flush_policy != nullptr) {
-    // Per-query policy state (CostGatedPolicy EWMAs) dies with the query.
-    std::lock_guard<std::mutex> lock(policy_mu_);
-    options_.flush_policy->OnQueryUnregistered(id);
-  }
   // Shrink the resident gauge NOW, not at the next dispatched flush: a
   // release followed by a coalesced-to-empty flush used to leave the dead
   // query's memo counted until the next real dispatch ran budget
@@ -231,20 +168,6 @@ void ReoptSession::UnregisterImpl(QueryId id) {
   // on the strength of bytes that no longer exist).
   metrics_.resident_memo_bytes = static_cast<int64_t>(ComputeResidentBytes());
   RefreshQuarantineIndex();
-}
-
-void ReoptSession::HandleRelease(QueryId id) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
-  UnregisterImpl(id);
-}
-
-void ReoptSession::HandleSubscribe(QueryId id, PlanSubscriber* subscriber) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
-  SetSubscriber(id, subscriber);
 }
 
 void ReoptSession::SetSubscriber(QueryId id, PlanSubscriber* subscriber) {
@@ -557,9 +480,6 @@ void ReoptSession::EnforceMemoBudget(int64_t* evictions_this_flush) {
 }
 
 bool ReoptSession::EvictQuery(QueryId id) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
   IQRO_CHECK(!notifying_);
   Slot* slot = FindSlot(id);
   IQRO_CHECK(slot != nullptr);
@@ -573,9 +493,6 @@ bool ReoptSession::EvictQuery(QueryId id) {
 }
 
 bool ReoptSession::RehydrateQuery(QueryId id) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
   IQRO_CHECK(!notifying_);
   Slot* slot = FindSlot(id);
   IQRO_CHECK(slot != nullptr);
@@ -613,9 +530,6 @@ constexpr uint8_t kQueryWarm = 1;  // u64 stats epoch + length-prefixed seed
 }  // namespace
 
 void ReoptSession::SaveSnapshot(const std::string& path) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
   IQRO_CHECK(!notifying_);
   // Settle first: drain whatever is pending so the snapshot captures a
   // fixpoint state (every warm query exact w.r.t. the drained epoch).
@@ -655,9 +569,6 @@ void ReoptSession::SaveSnapshot(const std::string& path) {
 
 std::vector<QueryHandle> ReoptSession::LoadSnapshot(
     const std::string& path, const std::vector<DeclarativeOptimizer*>& optimizers) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
   IQRO_CHECK(!notifying_);
   IQRO_CHECK(queries_.empty());
   // The reader checksums and frames every section before returning, and
@@ -761,16 +672,12 @@ size_t ReoptSession::Flush() {
   // Timed from here (drain through delivery and budget enforcement); the
   // epilogue stamps the elapsed wall time into the FlushReport.
   const auto flush_started = std::chrono::steady_clock::now();
-  flush_owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
   // RAII: an exception escaping the flush (a subscriber callback's throw)
   // must not leave in_flush_ stuck true — that would silently turn every
   // later Flush() into a no-op.
   struct InFlushGuard {
     ReoptSession* s;
-    ~InFlushGuard() {
-      s->flush_owner_.store(std::thread::id{}, std::memory_order_relaxed);
-      s->in_flush_.store(false);
-    }
+    ~InFlushGuard() { s->in_flush_.store(false); }
   } in_flush_guard{this};
   // One tick of the retry clock per flush (quarantine backoffs count in
   // these).
@@ -837,7 +744,6 @@ size_t ReoptSession::Flush() {
     // does no fixpoint work and must leave last_flush() describing the
     // most recent NON-EMPTY flush, per its contract.
     last_flush_ = FlushOptStats{};
-    last_pass_work_.clear();
     // Rehab-phase events were built before the flush counter advanced:
     // restamp so they carry the same index this flush's plan events will.
     for (ServiceEvent& se : service_events) {
@@ -1070,9 +976,6 @@ size_t ReoptSession::Flush() {
     AggregatePass(r);
     if (r.affected) {
       slot.last_active_tick = ticks_.load(std::memory_order_relaxed);
-      // The CostGatedPolicy per-query feed (PolicyOnFlush hands these to
-      // OnQueryPassWork at epilogue time).
-      last_pass_work_.emplace_back(slot.id, r.fixpoint_steps + r.eps_seeded);
     } else {
       ++skipped_this_flush;
     }
@@ -1102,7 +1005,7 @@ size_t ReoptSession::Flush() {
     }
   }
   // Dispatch-phase strikes changed the quarantine set: refresh the
-  // timer-readable index before delivery can re-enter anything.
+  // Poll-readable index before delivery can re-enter anything.
   RefreshQuarantineIndex();
   // Every slot's baseline/rediff state is now consistent; delivery-phase
   // throws are handled by settle-before-fire, not by the unwind guard.
@@ -1200,13 +1103,6 @@ void ReoptSession::PolicyOnFlush(const FlushOptStats& stats, int64_t changes) {
   // reset-before-drain over-count.
   const size_t pending_after =
       std::max(probed, mutations_since_flush_ > 0 ? size_t{1} : size_t{0});
-  if (changes > 0) {
-    // Per-query observations before the flush summary: a history-keeping
-    // policy's OnFlush sees this flush's per-query state already applied.
-    for (const auto& work : last_pass_work_) {
-      options_.flush_policy->OnQueryPassWork(work.first, work.second, changes);
-    }
-  }
   options_.flush_policy->OnFlush(stats, changes, pending_after);
 }
 
@@ -1259,13 +1155,6 @@ size_t ReoptSession::MaybePolicyFlush(const StatsMutationEvent* event) {
 }
 
 size_t ReoptSession::Poll() {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
-  return PollTick();
-}
-
-size_t ReoptSession::PollTick() {
   // A poll while a flush runs has nothing to add: the flush ticks, rehabs,
   // and re-arms the policy itself.
   if (in_flush_.load()) return 0;
@@ -1318,14 +1207,14 @@ void QueryHandle::Subscribe(PlanSubscriber* subscriber) {
   // Session already destroyed: the registration died with it — defined
   // no-op, consistent with Release() and the destructor.
   if (alive_ == nullptr || !*alive_) return;
-  session_->HandleSubscribe(id_, subscriber);
+  session_->SetSubscriber(id_, subscriber);
 }
 
 void QueryHandle::Release() {
   if (session_ == nullptr) return;
   // A handle outliving its session is legal (the token flipped): nothing
   // left to unregister — the dead session already dropped every slot.
-  if (alive_ != nullptr && *alive_) session_->HandleRelease(id_);
+  if (alive_ != nullptr && *alive_) session_->UnregisterImpl(id_);
   session_ = nullptr;
   optimizer_ = nullptr;
   alive_.reset();

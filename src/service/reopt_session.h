@@ -42,10 +42,9 @@
 //
 // Flush triggering is a pluggable FlushPolicy (service/flush_policy.h):
 // CountPolicy flushes every N mutations, DeadlinePolicy bounds wall-clock
-// staleness (drive it via Poll() or the built-in timer, below),
-// CostGatedPolicy bounds the expected re-fixpoint work of a pending batch
-// using per-query work history. Session metrics stream out through a
-// MetricsExporter (service/metrics_exporter.h).
+// staleness (observed on the next mutation or Poll() — the application's
+// driver loop calls Poll(), as reoptd's shard loop does). Session metrics
+// stream out through a MetricsExporter (service/metrics_exporter.h).
 //
 // ## Notification semantics (the exactness contract)
 //
@@ -137,7 +136,7 @@
 //
 // ## Threading model
 //
-// Three independent degrees of concurrency, all off by default:
+// Two independent degrees of concurrency, both off by default:
 //
 //  * **Parallel dispatch** (`ReoptSessionOptions::worker_threads >= 1`):
 //    Flush() drains one epoch-versioned batch, then dispatches the
@@ -165,31 +164,22 @@
 //    (tests/concurrency_test.cpp). Between the drain and the next flush it
 //    simply sits pending — the same staleness window as always. FlushPolicy
 //    evaluation is serialized under the session's policy mutex whatever
-//    thread mutates.
+//    thread mutates, and a policy-triggered flush on a mutator thread
+//    excludes the owner's Flush()/Poll() via `in_flush_`.
 //
-//  * **Timer-driven polling** (`ReoptSessionOptions::poll_interval > 0`):
-//    the session owns one background thread that calls Poll() every
-//    interval, so DeadlinePolicy deadlines and quarantine-backoff
-//    expirations fire without the application running a driver loop. The
-//    timer serializes against Register/Unregister/Subscribe through an
-//    internal gate (those calls remain owner-thread operations; they just
-//    briefly block while a timer poll runs), and its flushes exclude
-//    manual ones via `in_flush_` like any other. Policies still see
-//    injected Clocks; the timer only decides *when to ask*, never what
-//    time it is.
-//
-// Register/Unregister/Subscribe and session destruction remain
-// single-threaded calls: do them from the thread that owns the session,
-// with no flush in flight on a *mutator* thread (the two exceptions:
-// the timer thread, gated as above, and Unregister from inside a
+// The session owns no driver thread. Poll() and Flush() are owner-thread
+// calls from the application's driver loop (reoptd's shard loop polls
+// every idle session): Poll() is what makes DeadlinePolicy deadlines and
+// quarantine-backoff expirations fire without a mutation arriving.
+// Register/Unregister/Subscribe, the memo-lifecycle calls and session
+// destruction are owner-thread calls too, made with no flush in flight on
+// a *mutator* thread (the one exception: Unregister from inside a
 // subscriber callback, which defers). docs/ARCHITECTURE.md has the full
 // ownership/epoch lifecycle.
 #ifndef IQRO_SERVICE_REOPT_SESSION_H_
 #define IQRO_SERVICE_REOPT_SESSION_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <limits>
@@ -197,7 +187,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -276,11 +265,6 @@ struct ReoptSessionOptions {
   /// session's memory under mutation storms. 0: unbounded.
   size_t pending_hard_watermark = 0;
 
-  /// > 0: start a session-owned timer thread that calls Poll() at this
-  /// interval (deadline policies and quarantine backoffs fire without an
-  /// application driver loop). 0: no thread; drive Poll() yourself.
-  std::chrono::milliseconds poll_interval{0};
-
   // ---- memo lifecycle ----
 
   /// > 0: session-wide memo residency budget in (estimated) bytes. After
@@ -302,9 +286,8 @@ class ReoptSession final : public StatsSubscriber {
  public:
   using QueryId = int;
 
-  /// `registry` must outlive the session. Subscribes immediately; applies
-  /// `pending_hard_watermark` to the registry and starts the poll timer
-  /// (if configured) before returning.
+  /// `registry` must outlive the session. Subscribes immediately and
+  /// applies `pending_hard_watermark` to the registry before returning.
   explicit ReoptSession(StatsRegistry* registry, ReoptSessionOptions options = {});
   ~ReoptSession() override;
 
@@ -355,10 +338,10 @@ class ReoptSession final : public StatsSubscriber {
   size_t Flush();
 
   /// Consults the flush policy and the quarantine retry schedule without a
-  /// mutation having arrived — the driver-loop hook for time-based
-  /// policies and backoff expiry (the session's poll timer calls exactly
-  /// this). Flushes and returns the dispatched change count when either
-  /// says so; otherwise 0.
+  /// mutation having arrived — the owner thread's driver-loop call for
+  /// time-based policies and backoff expiry (reoptd's shard loop calls it
+  /// on every idle session). Flushes and returns the dispatched change
+  /// count when either says so; otherwise 0.
   size_t Poll();
 
   // ---- memo lifecycle (docs/ARCHITECTURE.md "Memo lifecycle") ----
@@ -410,8 +393,8 @@ class ReoptSession final : public StatsSubscriber {
   /// Flush() (one that drained, not one that returned 0 because another
   /// thread's flush held `in_flush_` — backing off does not synchronize
   /// with that flush's writes), or after every mutator thread has joined.
-  /// With a policy + a mutator thread (or the poll timer), a flush may be
-  /// running on *their* thread at any moment — quiesce first.
+  /// With a policy + a mutator thread, a flush may be running on *its*
+  /// thread at any moment — quiesce first.
   const ReoptSessionMetrics& metrics() const { return metrics_; }
 
   /// OptMetrics aggregate of the most recent non-empty flush (read rules
@@ -533,11 +516,6 @@ class ReoptSession final : public StatsSubscriber {
   Slot* FindSlot(QueryId id);
   const Slot* FindSlot(QueryId id) const;
 
-  /// Timer-gated QueryHandle entry points (lock reg_gate_ unless called
-  /// from the flushing thread itself — i.e. from inside a callback).
-  void HandleRelease(QueryId id);
-  void HandleSubscribe(QueryId id, PlanSubscriber* subscriber);
-
   /// Rebuilds every quarantined query whose backoff expired; appends the
   /// resulting service events and updates the per-flush strike/rehab
   /// counters. Coordinator only, called at flush start.
@@ -547,7 +525,7 @@ class ReoptSession final : public StatsSubscriber {
   /// needed, schedule/park, emit the event). Bumps *strikes.
   void RecordStrike(Slot& slot, const std::exception_ptr& err, uint64_t epoch,
                     std::vector<ServiceEvent>* events, int64_t* strikes);
-  /// Recomputes the timer-readable quarantine atomics from queries_.
+  /// Recomputes the Poll-readable quarantine atomics from queries_.
   void RefreshQuarantineIndex();
   /// Spills `slot`'s memo to its seed and tears the optimizer down
   /// (requires healthy + optimized + not evicted).
@@ -564,17 +542,14 @@ class ReoptSession final : public StatsSubscriber {
   /// `memo_byte_budget` (no-op without a budget) and refreshes the
   /// resident_memo_bytes gauge either way.
   void EnforceMemoBudget(int64_t* evictions_this_flush);
-  /// Poll body (caller holds the registration gate when one is needed).
-  size_t PollTick();
-  void TimerLoop();
 
   /// Evaluates the policy and the soft watermark under `policy_mu_` and
   /// flushes on demand. `event` is null for Poll() probes.
   size_t MaybePolicyFlush(const StatsMutationEvent* event);
   /// The one OnFlush protocol (empty and dispatched flushes alike): read
-  /// the post-drain pending count, then hand the per-query work
-  /// observations and the flush summary to the policy under `policy_mu_`.
-  /// Registry reads always happen BEFORE the policy mutex.
+  /// the post-drain pending count, then hand the flush summary to the
+  /// policy under `policy_mu_`. Registry reads always happen BEFORE the
+  /// policy mutex.
   void PolicyOnFlush(const FlushOptStats& stats, int64_t changes);
 
   StatsRegistry* registry_;
@@ -597,33 +572,19 @@ class ReoptSession final : public StatsSubscriber {
   /// is coordinator-only).
   std::mutex policy_mu_;
   int64_t mutations_since_flush_ = 0;
-  /// (query id, fixpoint work) of the most recent dispatched flush's
-  /// affected passes — the OnQueryPassWork feed. Written by the
-  /// coordinator during aggregation, read in PolicyOnFlush under
-  /// policy_mu_ on the same thread.
-  std::vector<std::pair<QueryId, int64_t>> last_pass_work_;
   /// Mutual exclusion + reentrancy guard for Flush (policy-triggered
   /// callbacks, racing mutator-thread flushes).
   std::atomic<bool> in_flush_{false};
-  /// The thread driving the current flush (id{} when none): lets the
-  /// registration gate recognize callback-reentrant handle operations on
-  /// the timer thread and skip re-locking the gate it already holds.
-  std::atomic<std::thread::id> flush_owner_{};
-  /// The retry clock (see ticks()). Relaxed: a lower-bound logical clock;
-  /// backoffs are "at least N ticks".
+  /// The retry clock (see ticks()). Atomic because a policy flush on a
+  /// mutator thread advances it while the owner's Poll() does too.
+  /// Relaxed: a lower-bound logical clock; backoffs are "at least N ticks".
   std::atomic<int64_t> ticks_{0};
-  /// Timer-readable quarantine index (the timer must never walk queries_,
-  /// which the coordinator resizes): count of kQuarantined slots and the
-  /// earliest eligible_at_tick among them (INT64_MAX when none).
+  /// Poll-readable quarantine index: count of kQuarantined slots and the
+  /// earliest eligible_at_tick among them (INT64_MAX when none). Poll()
+  /// reads it without walking queries_ while a mutator-thread flush may be
+  /// refreshing it.
   std::atomic<int64_t> quarantined_count_{0};
   std::atomic<int64_t> next_rehab_tick_{std::numeric_limits<int64_t>::max()};
-  /// Serializes the timer thread's Poll against owner-thread
-  /// Register/Unregister/Subscribe. Only engaged when a timer exists.
-  std::mutex reg_gate_;
-  std::thread timer_;
-  std::mutex timer_mu_;
-  std::condition_variable timer_cv_;
-  bool timer_stop_ = false;
   /// True while events are being delivered (coordinator thread only):
   /// Unregister defers, Register checks.
   bool notifying_ = false;

@@ -107,8 +107,8 @@ struct StatsMutationEvent {
   /// Registry epoch after this mutation.
   uint64_t epoch = 0;
   /// Distinct statistics with a pending (possibly net-zero) delta,
-  /// including this one — the pending-scope mask size a CostGatedPolicy
-  /// weighs against its expected-refixpoint-work estimate.
+  /// including this one — the pending-scope mask size the session's soft
+  /// watermark and flush policy read (FlushPolicyContext::pending_stats).
   size_t pending_stats = 0;
 };
 

@@ -756,7 +756,26 @@ TEST(PlanSubscriberTest, ThrowingSubscriberDoesNotWedgeTheSession) {
   opt.Optimize();
   watched.Optimize();
   JsonMetricsExporter exporter;
-  auto policy = std::make_shared<CostGatedPolicy>(/*work_budget=*/1e12);
+  // Flushes on the first mutation only (so the throw escapes the Set call
+  // itself), then leaves flushing to Flush(); counts its OnFlush calls.
+  class FirstMutationPolicy final : public FlushPolicy {
+   public:
+    bool ShouldFlush(const FlushPolicyContext& ctx) override {
+      return on_flush_calls_ == 0 && ctx.mutations_since_flush > 0;
+    }
+    void OnFlush(const FlushOptStats& stats, int64_t changes, size_t pending_after) override {
+      (void)stats;
+      (void)changes;
+      (void)pending_after;
+      ++on_flush_calls_;
+    }
+    const char* name() const override { return "first_mutation"; }
+    int on_flush_calls() const { return on_flush_calls_; }
+
+   private:
+    int on_flush_calls_ = 0;
+  };
+  auto policy = std::make_shared<FirstMutationPolicy>();
   ReoptSessionOptions so;
   so.metrics_exporter = &exporter;
   so.flush_policy = policy;
@@ -781,17 +800,17 @@ TEST(PlanSubscriberTest, ThrowingSubscriberDoesNotWedgeTheSession) {
   QueryHandle watched_handle = session.Register(watched, &recording);
   const double watched_cost0 = watched.BestCost();
 
-  // The policy (no history yet) flushes eagerly on the first mutation, so
-  // the subscriber's exception propagates out of the Set call itself.
+  // The policy flushes on the first mutation, so the subscriber's
+  // exception propagates out of the Set call itself.
   EXPECT_THROW(world->registry.SetBaseRows(0, world->registry.base_rows(0) * 1000),
                std::runtime_error);
   EXPECT_EQ(session.num_queries(), 1);  // the deferred release applied
   // The flush DID dispatch: the exporter got its report and the policy its
-  // history sample, despite the throwing subscriber (flush epilogue) —
-  // and the thrower's own event is counted as delivered (at-most-once).
+  // OnFlush, despite the throwing subscriber (flush epilogue) — and the
+  // thrower's own event is counted as delivered (at-most-once).
   ASSERT_EQ(exporter.num_reports(), 1);
   EXPECT_EQ(exporter.reports()[0].plan_changes, 1);
-  EXPECT_GT(policy->work_per_change(), 0.0);
+  EXPECT_EQ(policy->on_flush_calls(), 1);
   // watched's event was dropped by the unwind — not delivered, not lost:
   EXPECT_TRUE(recording.events.empty());
 
@@ -1070,99 +1089,6 @@ TEST(FlushPolicyTest, DeadlineRearmsOnMutationsThatRacedTheFlush) {
   EXPECT_GT(session.Poll(), 0u);
   EXPECT_EQ(session.metrics().flushes, 2);
   EXPECT_FALSE(session.HasPending());
-  opt.ValidateInvariants();
-  EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
-}
-
-// CostGatedPolicy: with no flush history it flushes eagerly (calibration);
-// with history and a huge budget it batches; with a tiny budget the
-// estimate crosses immediately and every mutation flushes.
-TEST(FlushPolicyTest, CostGatedPolicyBatchesUnderItsWorkBudget) {
-  auto world = ChainWorld();
-  DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
-                           &world->registry);
-  opt.Optimize();
-  auto policy = std::make_shared<CostGatedPolicy>(/*work_budget=*/1e12);
-  ReoptSessionOptions so;
-  so.flush_policy = policy;
-  ReoptSession session(&world->registry, so);
-  QueryHandle handle = session.Register(opt);
-
-  world->registry.SetBaseRows(0, 999);  // no history yet: eager calibration
-  EXPECT_EQ(session.metrics().flushes, 1);
-  EXPECT_GT(policy->work_per_change(), 0.0);
-
-  // History exists, budget is astronomical: mutations accumulate.
-  world->registry.SetBaseRows(1, 888);
-  world->registry.SetBaseRows(2, 777);
-  world->registry.SetScanCostMultiplier(0, 3.0);
-  EXPECT_EQ(session.metrics().flushes, 1);
-  EXPECT_TRUE(session.HasPending());
-  EXPECT_GT(session.Flush(), 0u);  // manual flush still drains
-  EXPECT_EQ(session.metrics().flushes, 2);
-
-  opt.ValidateInvariants();
-  EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
-}
-
-// A dispatched-but-zero-work flush (every registered query prefiltered
-// away) is floored to one work unit per change: it must neither wedge the
-// estimate at 0 (auto-flush would never fire again) nor keep the policy
-// in eager per-mutation mode forever. Real observations take over as soon
-// as a pass does actual work.
-TEST(FlushPolicyTest, CostGatedFloorsZeroWorkCalibration) {
-  CostGatedPolicy policy(/*work_budget=*/100);
-  FlushPolicyContext ctx;
-  ctx.mutations_since_flush = 1;
-  ctx.pending_stats = 1;
-  EXPECT_TRUE(policy.ShouldFlush(ctx));  // no history: eager
-
-  // A dispatched flush with no per-query observations (every pass
-  // prefiltered away): calibration ends, estimate floored at 1 work/change.
-  policy.OnFlush(FlushOptStats{}, /*changes=*/3, /*pending_after=*/0);
-  EXPECT_EQ(policy.work_per_change(), 1.0);  // floored, not 0, not skipped
-  EXPECT_FALSE(policy.ShouldFlush(ctx));     // 1 * 1 < 100: batches now
-  ctx.pending_stats = 200;
-  EXPECT_TRUE(policy.ShouldFlush(ctx));  // 200 * 1 >= 100: still bounded
-
-  // Real work arrives per query: first observation seeds that query's EWMA.
-  policy.OnQueryPassWork(/*query_id=*/7, /*fixpoint_work=*/60, /*changes=*/1);
-  policy.OnFlush(FlushOptStats{}, /*changes=*/1, /*pending_after=*/0);
-  EXPECT_EQ(policy.query_work_per_change(7), 60.0);
-  EXPECT_EQ(policy.work_per_change(), 60.0);  // sum over the one query
-  ctx.pending_stats = 1;
-  EXPECT_FALSE(policy.ShouldFlush(ctx));  // 1 * 60 < 100
-  ctx.pending_stats = 2;
-  EXPECT_TRUE(policy.ShouldFlush(ctx));  // 2 * 60 >= 100
-
-  // Second observation blends: 0.7 * 60 + 0.3 * 20 = 48.
-  policy.OnQueryPassWork(7, /*fixpoint_work=*/20, /*changes=*/1);
-  EXPECT_NEAR(policy.query_work_per_change(7), 48.0, 1e-9);
-
-  // A second query's work ADDS to the estimate (every registered query
-  // pays its own fixpoint per flush), and unregistration sheds it.
-  policy.OnQueryPassWork(/*query_id=*/9, /*fixpoint_work=*/12, /*changes=*/1);
-  EXPECT_NEAR(policy.work_per_change(), 60.0, 1e-9);  // 48 + 12
-  policy.OnQueryUnregistered(9);
-  EXPECT_NEAR(policy.work_per_change(), 48.0, 1e-9);
-  policy.OnQueryUnregistered(7);
-  EXPECT_EQ(policy.work_per_change(), 1.0);  // history kept; floor applies
-}
-
-TEST(FlushPolicyTest, CostGatedPolicyTinyBudgetFlushesPerMutation) {
-  auto world = ChainWorld();
-  DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
-                           &world->registry);
-  opt.Optimize();
-  ReoptSessionOptions so;
-  so.flush_policy = std::make_shared<CostGatedPolicy>(/*work_budget=*/1e-6);
-  ReoptSession session(&world->registry, so);
-  QueryHandle handle = session.Register(opt);
-
-  world->registry.SetBaseRows(0, 999);  // calibration flush
-  world->registry.SetBaseRows(1, 888);  // estimate >= budget instantly
-  world->registry.SetBaseRows(2, 777);
-  EXPECT_EQ(session.metrics().flushes, 3);
   opt.ValidateInvariants();
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
 }
@@ -1487,36 +1413,16 @@ TEST(OverloadTest, HardWatermarkRejectsNewStatsAndRegistrations) {
   EXPECT_EQ(b.CanonicalDumpState(), a.CanonicalDumpState());
 }
 
-TEST(TimerTest, TimerThreadDrivesDeadlinePolicyWithoutManualPolls) {
+// Idle Poll() ticks alone — no mutation, no manual Flush() — age a
+// quarantine backoff out, and the poll that reaches the eligible tick
+// flushes and rehabilitates the query.
+TEST(PollTest, IdlePollsRetryQuarantineBackoff) {
   auto world = ChainWorld();
   DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
                            &world->registry);
   opt.Optimize();
   ReoptSessionOptions so;
-  so.flush_policy = std::make_shared<DeadlinePolicy>(std::chrono::milliseconds(20));
-  so.poll_interval = std::chrono::milliseconds(5);
-  ReoptSession session(&world->registry, so);
-  QueryHandle handle = session.Register(opt);
-
-  world->registry.SetBaseRows(1, 4321);
-  EXPECT_EQ(session.metrics().flushes, 0);  // inside the deadline window
-  // No Poll() calls: the session-owned timer must age the deadline out.
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (session.metrics().flushes == 0 && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(session.metrics().flushes, 1);
-  EXPECT_FALSE(session.HasPending());
-  EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
-}
-
-TEST(TimerTest, TimerRetriesQuarantineBackoffWithoutManualPolls) {
-  auto world = ChainWorld();
-  DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
-                           &world->registry);
-  opt.Optimize();
-  ReoptSessionOptions so;
-  so.poll_interval = std::chrono::milliseconds(5);
+  so.quarantine_backoff_base_ticks = 4;
   ReoptSession session(&world->registry, so);
   QueryHandle handle = session.Register(opt);
 
@@ -1526,24 +1432,27 @@ TEST(TimerTest, TimerRetriesQuarantineBackoffWithoutManualPolls) {
     spec.site = "service.pass";
     ScopedFaultArm arm(spec);
     world->registry.SetBaseRows(1, 98765);
-    FaultedFlush(session);
+    FaultedFlush(session);  // tick 1: strike 1, eligible at tick 5
     ASSERT_EQ(handle.state(), QueryState::kQuarantined);
-    // Disarm before waiting: the timer's own flushes run outside any
-    // counting window anyway, but leave the injector clean for the wait.
   }
-  // No Poll() calls: timer ticks age the backoff out and its flush rehabs.
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (session.num_quarantined() > 0 && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_FALSE(session.HasPending());
+  for (int64_t tick = 2; tick <= 4; ++tick) {
+    EXPECT_EQ(session.Poll(), 0u);
+    EXPECT_EQ(session.ticks(), tick);
+    EXPECT_EQ(handle.state(), QueryState::kQuarantined) << "rehab before tick 5";
   }
+  // Tick 5: the backoff expired; the poll flushes (tick 6) and rehabs.
+  session.Poll();
+  EXPECT_EQ(session.ticks(), 6);
   EXPECT_EQ(handle.state(), QueryState::kHealthy);
   EXPECT_EQ(session.metrics().rehabilitations, 1);
+  EXPECT_EQ(session.metrics().flushes, 1);  // only the faulted one dispatched
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
 }
 
-/// FakeClock is single-threaded by design; the timer storm below advances
-/// time while the session's timer thread reads it, so this variant keeps
-/// the instant in an atomic.
+/// FakeClock is single-threaded by design; the poll storm below advances
+/// time on the mutator thread while the owner's Poll() loop reads it, so
+/// this variant keeps the instant in an atomic.
 class AtomicFakeClock final : public Clock {
  public:
   std::chrono::steady_clock::time_point Now() const override {
@@ -1559,84 +1468,91 @@ class AtomicFakeClock final : public Clock {
   std::atomic<int64_t> nanos_{0};
 };
 
-// Adversarial timer storm: a 1ms timer thread hammers Poll() while a
-// mutator pushes burst after burst through a 50ms DeadlinePolicy on a
-// hand-advanced clock. Per epoch the deadline must fire EXACTLY one flush:
-// no starvation (every epoch's flush arrives once its window expires — the
-// next epoch's mid-window assertion then proves the count never crept
-// further, i.e. no double-flush) and no spurious fire inside the window no
-// matter how many timer ticks land there.
-TEST(TimerTest, TimerStormFiresExactlyOneFlushPerDeadlineEpoch) {
+/// Counts dispatched flushes from whichever thread runs them.
+class CountingExporter final : public MetricsExporter {
+ public:
+  void OnFlushMetrics(const FlushReport& report) override {
+    (void)report;
+    reports_.fetch_add(1, std::memory_order_relaxed);
+  }
+  int64_t reports() const { return reports_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<int64_t> reports_{0};
+};
+
+// Adversarial poll storm: the owner thread hammers Poll() in a tight
+// driver loop while a mutator thread pushes burst after burst through a
+// 50ms DeadlinePolicy on a hand-advanced clock. Per epoch the deadline
+// must fire EXACTLY one flush: no spurious fire inside the window however
+// many polls land there, no starvation once it expires, and no second
+// flush after it (the next epoch's mid-window check sees the count
+// unchanged). Every flush must come from a Poll() on the owner thread:
+// the mutations arrive inside fresh windows, so none may flush on the
+// mutator thread.
+TEST(PollTest, PollStormFiresExactlyOneFlushPerDeadlineEpoch) {
   auto world = ChainWorld(6, 23);
   DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
                            &world->registry);
   opt.Optimize();
   AtomicFakeClock clock;
+  CountingExporter exporter;
   ReoptSessionOptions so;
   so.flush_policy = std::make_shared<DeadlinePolicy>(std::chrono::milliseconds(50), &clock);
-  so.poll_interval = std::chrono::milliseconds(1);
+  so.metrics_exporter = &exporter;
   ReoptSession session(&world->registry, so);
   QueryHandle handle = session.Register(opt);
 
-  const double rows0 = world->registry.base_rows(0);
   const int kEpochs = 25;
-  for (int e = 0; e < kEpochs; ++e) {
-    // Burst: three mutations land inside the window; thousands of timer
-    // polls see an unexpired deadline and must do nothing.
-    world->registry.SetBaseRows(0, rows0 * (2.0 + e));
-    world->registry.SetScanCostMultiplier(1 + (e % 4), 1.0 + 0.25 * (e + 1));
-    world->registry.SetLocalSelectivity(5, e % 2 == 0 ? 0.4 : 0.7);
-    clock.Advance(std::chrono::milliseconds(10));  // mid-window
-    ASSERT_EQ(session.metrics().flushes, e) << "fired inside the window, epoch " << e;
-    // Age the window out — advancing INSIDE the wait loop: the flushes
-    // counter ticks mid-flush, so this epoch's mutations can race the
-    // previous flush's epilogue, whose pending_after probe re-arms the
-    // deadline at the clock's current instant. A single up-front advance
-    // could land before that re-arm and starve the epoch forever (the
-    // fake clock would never move again); repeated advances age any
-    // re-armed window out within two iterations.
-    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (session.metrics().flushes == e && std::chrono::steady_clock::now() < give_up) {
-      clock.Advance(std::chrono::milliseconds(30));
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const double rows0 = world->registry.base_rows(0);
+  std::atomic<int64_t> polled_flushes{0};  // owner Polls that dispatched
+  std::atomic<bool> stop{false};
+  std::string failure;  // written by the mutator, read after join
+  std::thread mutator([&] {
+    auto wait_for_polls = [&](int64_t target) {
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (polled_flushes.load() < target && std::chrono::steady_clock::now() < give_up) {
+        clock.Advance(std::chrono::milliseconds(30));
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+    for (int e = 0; e < kEpochs && failure.empty(); ++e) {
+      // Burst: three mutations open a window while the owner polls.
+      world->registry.SetBaseRows(0, rows0 * (2.0 + e));
+      world->registry.SetScanCostMultiplier(1 + (e % 4), 1.0 + 0.25 * (e + 1));
+      world->registry.SetLocalSelectivity(5, e % 2 == 0 ? 0.4 : 0.7);
+      clock.Advance(std::chrono::milliseconds(10));  // mid-window
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (exporter.reports() != e) {
+        failure = "fired inside the window, epoch " + std::to_string(e);
+        break;
+      }
+      // Age the window out; the Poll that sees it expired flushes once.
+      wait_for_polls(e + 1);
+      if (polled_flushes.load() != e + 1) {
+        failure = "flush starved at epoch " + std::to_string(e);
+      }
     }
-    ASSERT_EQ(session.metrics().flushes, e + 1) << "flush starved at epoch " << e;
-    EXPECT_FALSE(session.HasPending());
+    // The last flush disarmed the policy: with nothing pending, an hour of
+    // fake time and thousands more polls fire nothing.
+    clock.Advance(std::chrono::hours(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    stop.store(true);
+  });
+  while (!stop.load()) {
+    if (session.Poll() > 0) polled_flushes.fetch_add(1);
+    std::this_thread::yield();
   }
-  // The last flush disarmed the policy: with nothing pending, an hour of
-  // fake time and dozens more real timer ticks fire nothing.
-  clock.Advance(std::chrono::hours(1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  mutator.join();
+
+  ASSERT_TRUE(failure.empty()) << failure;
+  EXPECT_EQ(polled_flushes.load(), kEpochs);
+  EXPECT_EQ(exporter.reports(), kEpochs);  // none ran on the mutator thread
   EXPECT_EQ(session.metrics().flushes, kEpochs);
   EXPECT_EQ(session.metrics().empty_flushes, 0);  // every flush carried changes
+  EXPECT_FALSE(session.HasPending());
   opt.ValidateInvariants();
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
-}
-
-TEST(FlushPolicyTest, CostGatedLearnsPerQueryEwmasThroughTheSession) {
-  auto world = ChainWorld();
-  DeclarativeOptimizer a(world->enumerator.get(), world->cost_model.get(), &world->registry);
-  DeclarativeOptimizer b(world->enumerator.get(), world->cost_model.get(), &world->registry);
-  a.Optimize();
-  b.Optimize();
-  ReoptSessionOptions so;
-  auto policy = std::make_shared<CostGatedPolicy>(/*work_budget=*/1e9);  // never auto-fires
-  so.flush_policy = policy;
-  ReoptSession session(&world->registry, so);
-  QueryHandle ha = session.Register(a);  // query id 0
-  {
-    QueryHandle hb = session.Register(b);  // query id 1
-
-    world->registry.SetBaseRows(1, world->registry.base_rows(1) * 64);
-    session.Flush();  // calibration flush observes BOTH queries' pass work
-    EXPECT_GT(policy->query_work_per_change(0), 0.0);
-    EXPECT_GT(policy->query_work_per_change(1), 0.0);
-    EXPECT_NEAR(policy->work_per_change(),
-                policy->query_work_per_change(0) + policy->query_work_per_change(1), 1e-9);
-  }  // hb released: its EWMA must leave the estimate with it
-  EXPECT_EQ(policy->query_work_per_change(1), 0.0);
-  EXPECT_NEAR(policy->work_per_change(),
-              std::max(1.0, policy->query_work_per_change(0)), 1e-9);
 }
 
 // ---------------------------------------------------------------------------
