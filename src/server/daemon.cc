@@ -25,6 +25,26 @@ void SetNonBlocking(int fd) {
   if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// Pokes the loop's wakeup pipe. A full pipe means a wakeup is already
+/// pending, so dropping the byte is fine.
+void Wake(int wake_fd) {
+  const char b = 'w';
+  [[maybe_unused]] ssize_t n = write(wake_fd, &b, 1);
+}
+
+/// The response to a request that completed with `error` (a ServiceError
+/// answers kError; anything else is a daemon bug and propagates), or
+/// `ok()` when it succeeded.
+template <typename F>
+std::string Answer(uint64_t request_id, const std::exception_ptr& error, F ok) {
+  if (!error) return ok();
+  try {
+    std::rethrow_exception(error);
+  } catch (const ServiceError& e) {
+    return EncodeError(request_id, e.code, e.what());
+  }
+}
+
 std::string HttpMetricsResponse(const std::string& body) {
   std::string out = "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: ";
   out += std::to_string(body.size());
@@ -36,21 +56,26 @@ std::string HttpMetricsResponse(const std::string& body) {
 }  // namespace
 
 /// Appends event frames to the connection's outbox from shard threads.
-/// Owned by the Conn; SetSink(nullptr) runs synchronously on the shard
-/// thread before the Conn dies, so the sink can never be called after
-/// destruction.
+/// Owned by the Conn; CloseConn detaches it (SetSink(nullptr), which runs
+/// on the shard thread) from every query before the Conn dies, so the
+/// sink can never be called after destruction.
 class Daemon::ConnSink final : public EventSink {
  public:
-  ConnSink(Daemon* daemon, Conn* conn) : daemon_(daemon), conn_(conn) {}
+  explicit ConnSink(Conn* conn) : conn_(conn) {}
   void OnServerEvent(const ServerEvent& event) override;
 
  private:
-  Daemon* daemon_;
   Conn* conn_;
 };
 
+/// One client connection. The loop thread owns the socket side; shard
+/// threads append events (through the sink) and the completion of the
+/// in-flight request (through Finish). Shared with that completion: the
+/// loop may close the connection the moment in_flight clears, while
+/// Finish is still on its way out.
 struct Daemon::Conn {
   int fd = -1;
+  int wake_fd = -1;
   FrameDecoder decoder;
   /// First-byte protocol sniff: 'G' = HTTP scrape, anything else = frames.
   bool sniffed = false;
@@ -58,13 +83,57 @@ struct Daemon::Conn {
   std::string http_buf;
   /// True once the connection should close as soon as the outbox drains.
   bool close_after_write = false;
-  /// Bytes queued for the socket. Shard threads append event frames via
-  /// the sink; the loop thread appends responses and drains to the fd.
-  std::mutex outbox_mu;
+  /// The connection is finished (EOF, socket error, decode error, HTTP
+  /// done): the loop stops polling it and closes it once no request is in
+  /// flight.
+  bool closing = false;
+  std::unique_ptr<ConnSink> sink;
+
+  /// Guards the fields below, which shard threads write.
+  std::mutex mu;
+  /// Bytes queued for the socket; the loop drains them to the fd.
   std::string outbox;
+  /// A shard-bound request is running: the connection is parked — the
+  /// loop neither reads its socket nor decodes its next frame.
+  bool in_flight = false;
   /// Queries whose events are currently routed to this connection.
   std::vector<uint64_t> queries;
-  std::unique_ptr<ConnSink> sink;
+
+  void Push(const std::string& frame) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      outbox += frame;
+    }
+    Wake(wake_fd);  // the loop arms POLLOUT
+  }
+
+  bool InFlight() {
+    std::lock_guard<std::mutex> lk(mu);
+    return in_flight;
+  }
+
+  void Park() {
+    std::lock_guard<std::mutex> lk(mu);
+    in_flight = true;
+  }
+
+  /// Completes the in-flight request from whichever thread ran it: `edit`
+  /// updates the query list, the response joins the outbox behind every
+  /// event the request produced, and the loop wakes to unpark the
+  /// connection.
+  template <typename Edit>
+  void Finish(const std::string& response, Edit edit) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      edit(queries);
+      outbox += response;
+      in_flight = false;
+    }
+    Wake(wake_fd);
+  }
+  void Finish(const std::string& response) {
+    Finish(response, [](std::vector<uint64_t>&) {});
+  }
 };
 
 void Daemon::ConnSink::OnServerEvent(const ServerEvent& event) {
@@ -91,14 +160,7 @@ void Daemon::ConnSink::OnServerEvent(const ServerEvent& event) {
     m.message = event.message;
     frame = EncodeQuarantineEvent(m);
   }
-  {
-    std::lock_guard<std::mutex> lk(conn_->outbox_mu);
-    conn_->outbox += frame;
-  }
-  // Poke the poll loop so it arms POLLOUT. A full pipe means a wakeup is
-  // already pending — dropping the byte is fine.
-  const char b = 'e';
-  [[maybe_unused]] ssize_t n = write(daemon_->wake_fds_[1], &b, 1);
+  conn_->Push(frame);
 }
 
 Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
@@ -107,6 +169,8 @@ Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
 
 Daemon::~Daemon() {
   Stop();
+  // Shard threads go first: nothing can poke the wakeup pipe once it closes.
+  service_.reset();
   if (listen_fd_ >= 0) close(listen_fd_);
   if (wake_fds_[0] >= 0) close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) close(wake_fds_[1]);
@@ -167,10 +231,7 @@ void Daemon::Start() {
 
 void Daemon::RequestShutdown() {
   stop_requested_.store(true, std::memory_order_relaxed);
-  if (wake_fds_[1] >= 0) {
-    const char b = 'q';
-    [[maybe_unused]] ssize_t n = write(wake_fds_[1], &b, 1);
-  }
+  if (wake_fds_[1] >= 0) Wake(wake_fds_[1]);
 }
 
 void Daemon::Stop() {
@@ -188,15 +249,17 @@ void Daemon::AcceptPending() {
     const int fd = accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;
     SetNonBlocking(fd);
-    auto conn = std::make_unique<Conn>();
+    auto conn = std::make_shared<Conn>();
     conn->fd = fd;
-    conn->sink = std::make_unique<ConnSink>(this, conn.get());
+    conn->wake_fd = wake_fds_[1];
+    conn->sink = std::make_unique<ConnSink>(conn.get());
     conns_.emplace(fd, std::move(conn));
   }
 }
 
-void Daemon::HandleRequest(Conn* conn, const std::string& payload) {
-  const Request req = DecodeRequest(payload);  // SerializeError -> caller closes
+void Daemon::HandleRequest(const std::shared_ptr<Conn>& conn, const std::string& payload) {
+  Request req = DecodeRequest(payload);  // SerializeError -> caller closes
+  const uint64_t id = req.request_id;
   std::string response;
   try {
     switch (req.type) {
@@ -204,57 +267,81 @@ void Daemon::HandleRequest(Conn* conn, const std::string& payload) {
         if (stop_requested_.load(std::memory_order_relaxed)) {
           throw ServiceError(WireErrorCode::kShuttingDown, "daemon is draining");
         }
-        const RegisterQueryReq& r = req.register_query;
+        RegisterQueryReq& r = req.register_query;
         EventSink* sink = r.want_events ? conn->sink.get() : nullptr;
-        const ShardedService::RegisterResult res =
-            service_->RegisterQuery(r.world_key, r.catalog, r.query, r.options_name, sink);
-        if (sink != nullptr) conn->queries.push_back(res.query_id);
-        RegisteredResp resp;
-        resp.query_id = res.query_id;
-        resp.shard = res.shard;
-        resp.best_cost = res.best_cost;
-        response = EncodeRegistered(req.request_id, resp);
-        break;
+        conn->Park();
+        service_->RegisterQueryAsync(
+            r.world_key, std::move(r.catalog), std::move(r.query), std::move(r.options_name),
+            sink, [conn, id, sink](ShardedService::RegisterResult res, std::exception_ptr error) {
+              conn->Finish(Answer(id, error,
+                                  [&] {
+                                    RegisteredResp resp;
+                                    resp.query_id = res.query_id;
+                                    resp.shard = res.shard;
+                                    resp.best_cost = res.best_cost;
+                                    return EncodeRegistered(id, resp);
+                                  }),
+                           [&](std::vector<uint64_t>& queries) {
+                             if (!error && sink != nullptr) queries.push_back(res.query_id);
+                           });
+            });
+        return;
       }
-      case MsgType::kReleaseQuery: {
-        const uint64_t id = req.release_query.query_id;
-        if (!service_->ReleaseQuery(id)) {
-          throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(id));
-        }
-        std::erase(conn->queries, id);
-        response = EncodeOk(req.request_id, 0);
-        break;
-      }
+      case MsgType::kReleaseQuery:
       case MsgType::kSubscribeQuery: {
-        const uint64_t id = req.subscribe_query.query_id;
-        if (!service_->SetSink(id, conn->sink.get())) {
-          throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(id));
+        const bool release = req.type == MsgType::kReleaseQuery;
+        const uint64_t query_id =
+            release ? req.release_query.query_id : req.subscribe_query.query_id;
+        auto done = [conn, id, query_id, release](bool known, std::exception_ptr error) {
+          if (!error && !known) {
+            error = std::make_exception_ptr(ServiceError(
+                WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id)));
+          }
+          conn->Finish(Answer(id, error, [&] { return EncodeOk(id, 0); }),
+                       [&](std::vector<uint64_t>& queries) {
+                         if (error) return;
+                         if (release) {
+                           std::erase(queries, query_id);
+                         } else {
+                           queries.push_back(query_id);
+                         }
+                       });
+        };
+        conn->Park();
+        if (release) {
+          service_->ReleaseQueryAsync(query_id, std::move(done));
+        } else {
+          service_->SetSinkAsync(query_id, conn->sink.get(), std::move(done));
         }
-        conn->queries.push_back(id);
-        response = EncodeOk(req.request_id, 0);
-        break;
+        return;
       }
       case MsgType::kRecordStatBatch: {
         const size_t accepted =
             service_->RecordStatBatch(req.record_stat_batch.world_key,
                                       req.record_stat_batch.mutations);
-        response = EncodeOk(req.request_id, accepted);
+        response = EncodeOk(id, accepted);
         break;
       }
       case MsgType::kFlush: {
-        const size_t changes =
-            req.flush.all ? service_->FlushAll() : service_->Flush(req.flush.world_key);
-        response = EncodeOk(req.request_id, changes);
-        break;
+        if (req.flush.all) {
+          response = EncodeOk(id, service_->FlushAll());
+          break;
+        }
+        conn->Park();
+        service_->FlushAsync(req.flush.world_key, [conn, id](size_t changes,
+                                                             std::exception_ptr error) {
+          conn->Finish(Answer(id, error, [&] { return EncodeOk(id, changes); }));
+        });
+        return;
       }
       case MsgType::kSnapshot:
-        response = EncodeOk(req.request_id, service_->SaveSnapshots());
+        response = EncodeOk(id, service_->SaveSnapshots());
         break;
       case MsgType::kGetMetrics:
-        response = EncodeMetricsText(req.request_id, service_->MetricsText());
+        response = EncodeMetricsText(id, service_->MetricsText());
         break;
       case MsgType::kShutdown:
-        response = EncodeOk(req.request_id, 0);
+        response = EncodeOk(id, 0);
         stop_requested_.store(true, std::memory_order_relaxed);
         break;
       default:
@@ -262,15 +349,29 @@ void Daemon::HandleRequest(Conn* conn, const std::string& payload) {
                            std::string("unexpected message type ") + MsgTypeName(req.type));
     }
   } catch (const ServiceError& e) {
-    response = EncodeError(req.request_id, e.code, e.what());
+    response = EncodeError(id, e.code, e.what());
   }
-  std::lock_guard<std::mutex> lk(conn->outbox_mu);
+  std::lock_guard<std::mutex> lk(conn->mu);
   conn->outbox += response;
 }
 
-bool Daemon::HandleReadable(Conn* conn) {
+bool Daemon::HandleFrames(const std::shared_ptr<Conn>& conn) {
+  std::string payload;
+  try {
+    while (!conn->InFlight() && conn->decoder.Next(&payload)) HandleRequest(conn, payload);
+  } catch (const SerializeError&) {
+    // Malformed frame: this connection dies; its peers and its queries
+    // (sinks detached in CloseConn) are untouched.
+    return false;
+  }
+  return true;
+}
+
+bool Daemon::HandleReadable(const std::shared_ptr<Conn>& conn) {
   char buf[16384];
-  for (;;) {
+  // A parked connection reads nothing more: its unread requests wait in
+  // the socket buffer, which pushes back on the client.
+  while (!conn->InFlight()) {
     const ssize_t n = read(conn->fd, buf, sizeof(buf));
     if (n == 0) return false;  // EOF
     if (n < 0) {
@@ -284,21 +385,14 @@ bool Daemon::HandleReadable(Conn* conn) {
     if (conn->http) {
       conn->http_buf.append(buf, static_cast<size_t>(n));
       if (conn->http_buf.find("\r\n\r\n") != std::string::npos || conn->http_buf.size() > 8192) {
-        std::lock_guard<std::mutex> lk(conn->outbox_mu);
+        std::lock_guard<std::mutex> lk(conn->mu);
         conn->outbox += HttpMetricsResponse(service_->MetricsText());
         conn->close_after_write = true;
       }
       continue;
     }
-    try {
-      conn->decoder.Feed(buf, static_cast<size_t>(n));
-      std::string payload;
-      while (conn->decoder.Next(&payload)) HandleRequest(conn, payload);
-    } catch (const SerializeError&) {
-      // Malformed frame: this connection dies; its peers and its queries
-      // (sinks detached in CloseConn) are untouched.
-      return false;
-    }
+    conn->decoder.Feed(buf, static_cast<size_t>(n));
+    if (!HandleFrames(conn)) return false;
   }
   return true;
 }
@@ -306,7 +400,7 @@ bool Daemon::HandleReadable(Conn* conn) {
 bool Daemon::HandleWritable(Conn* conn) {
   std::string pending;
   {
-    std::lock_guard<std::mutex> lk(conn->outbox_mu);
+    std::lock_guard<std::mutex> lk(conn->mu);
     pending.swap(conn->outbox);
   }
   size_t off = 0;
@@ -321,10 +415,10 @@ bool Daemon::HandleWritable(Conn* conn) {
   if (off < pending.size()) {
     // Put the unwritten tail back in front of anything a shard thread
     // appended meanwhile.
-    std::lock_guard<std::mutex> lk(conn->outbox_mu);
+    std::lock_guard<std::mutex> lk(conn->mu);
     conn->outbox.insert(0, pending, off, pending.size() - off);
   } else if (conn->close_after_write) {
-    std::lock_guard<std::mutex> lk(conn->outbox_mu);
+    std::lock_guard<std::mutex> lk(conn->mu);
     if (conn->outbox.empty()) return false;
   }
   return true;
@@ -333,9 +427,16 @@ bool Daemon::HandleWritable(Conn* conn) {
 void Daemon::CloseConn(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  // Detach synchronously BEFORE the Conn (and its sink) is destroyed: after
-  // SetSink returns, no shard thread can be inside OnServerEvent.
-  for (const uint64_t id : it->second->queries) service_->SetSink(id, nullptr);
+  // Only an unparked connection closes, so every query registered with
+  // its sink is listed. Detach synchronously BEFORE the Conn (and its
+  // sink) is destroyed: after SetSink returns, no shard thread can be
+  // inside OnServerEvent.
+  std::vector<uint64_t> queries;
+  {
+    std::lock_guard<std::mutex> lk(it->second->mu);
+    queries = it->second->queries;
+  }
+  for (const uint64_t id : queries) service_->SetSink(id, nullptr);
   close(fd);
   conns_.erase(it);
 }
@@ -360,9 +461,11 @@ void Daemon::EventLoop() {
     fds.push_back({wake_fds_[0], POLLIN, 0});
     if (listen_fd_ >= 0) fds.push_back({listen_fd_, POLLIN, 0});
     for (auto& [fd, conn] : conns_) {
-      short events = POLLIN;
+      if (conn->closing) continue;  // waits for its in-flight request
+      short events = 0;
       {
-        std::lock_guard<std::mutex> lk(conn->outbox_mu);
+        std::lock_guard<std::mutex> lk(conn->mu);
+        if (!conn->in_flight) events |= POLLIN;
         if (!conn->outbox.empty()) events |= POLLOUT;
       }
       fds.push_back({fd, events, 0});
@@ -387,36 +490,39 @@ void Daemon::EventLoop() {
       if (fds[idx].revents & POLLIN) AcceptPending();
       ++idx;
     }
-    dead.clear();
     for (; idx < fds.size(); ++idx) {
       auto it = conns_.find(fds[idx].fd);
       if (it == conns_.end()) continue;
-      Conn* conn = it->second.get();
-      bool alive = true;
-      if (fds[idx].revents & (POLLERR | POLLHUP | POLLNVAL)) {
-        // Half-close still lets us flush the outbox on POLLHUP-free errors;
-        // keep it simple: flush what we can, then drop.
-        alive = HandleWritable(conn) && !(fds[idx].revents & (POLLERR | POLLNVAL));
-        if (fds[idx].revents & POLLHUP) alive = false;
-      } else {
-        if (alive && (fds[idx].revents & POLLIN)) alive = HandleReadable(conn);
-        // Always try to drain the outbox: responses generated this
-        // iteration should not wait for the next poll round.
-        if (alive) alive = HandleWritable(conn);
+      const std::shared_ptr<Conn>& conn = it->second;
+      const short revents = fds[idx].revents;
+      if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
+        HandleWritable(conn.get());  // best effort, then drop
+        conn->closing = true;
+      } else if (revents & POLLIN) {
+        conn->closing = !HandleReadable(conn);
       }
-      if (!alive) dead.push_back(fds[idx].fd);
+    }
+    // Every connection, polled or not: an unparked one runs the requests
+    // its decoder already holds, and every outbox drains as far as the
+    // socket takes it — responses made this round do not wait a round.
+    dead.clear();
+    for (auto& [fd, conn] : conns_) {
+      if (!conn->closing) conn->closing = !HandleFrames(conn) || !HandleWritable(conn.get());
+      if (conn->closing && !conn->InFlight()) dead.push_back(fd);
     }
     for (const int fd : dead) CloseConn(fd);
 
     if (shutting_down) {
-      bool outboxes_empty = true;
+      bool idle = true;
       for (auto& [fd, conn] : conns_) {
-        std::lock_guard<std::mutex> lk(conn->outbox_mu);
-        if (!conn->outbox.empty()) outboxes_empty = false;
+        std::lock_guard<std::mutex> lk(conn->mu);
+        if (conn->in_flight || !conn->outbox.empty()) idle = false;
       }
-      if (outboxes_empty || std::chrono::steady_clock::now() >= drain_deadline) break;
+      if (idle || std::chrono::steady_clock::now() >= drain_deadline) break;
     }
   }
+  // Let every in-flight request complete before its connection closes.
+  service_->Drain();
   while (!conns_.empty()) CloseConn(conns_.begin()->first);
   if (!options_.unix_path.empty()) unlink(options_.unix_path.c_str());
   running_.store(false);

@@ -5,16 +5,31 @@
 // ## Threading shape
 //
 // The event loop is ONE thread. It accepts connections, reassembles
-// frames (FrameDecoder), and executes each request synchronously against
-// the service — registration and flush block the loop on the owning shard
-// (Call), mutation batches validate synchronously and apply
-// asynchronously. Plan-change/quarantine events are appended to the
-// owning connection's outbox *by the shard threads* (ConnSink locks the
-// outbox, then pokes the loop's wakeup pipe); because a synchronous Flush
-// runs its subscriber callbacks before returning, every event a flush
-// produces is in the outbox BEFORE that flush's response frame — a client
-// measuring flush-to-event latency sees events first, response second,
-// in one socket read.
+// frames (FrameDecoder), and dispatches each request; it never waits on a
+// shard for a single-world request:
+//
+// * Shard-bound requests finish on the shard. kRegisterQuery,
+//   kReleaseQuery, kSubscribeQuery and a one-world kFlush go through
+//   ShardedService's async forms; the shard thread encodes the response,
+//   appends it to the connection's outbox and pokes the loop's wakeup
+//   pipe. Plan-change/quarantine events reach the outbox the same way
+//   (ConnSink), and a flush's subscriber callbacks run before its
+//   completion, so every event a flush produces is in the outbox BEFORE
+//   that flush's response frame — a client measuring flush-to-event
+//   latency sees events first, response second, in one socket read.
+// * A connection with a request in flight is parked: the loop neither
+//   arms POLLIN for it nor decodes its next buffered frame until the
+//   completion clears the flag, so one connection's requests still run
+//   strictly in order and its socket buffer pushes back on the client,
+//   while every other connection keeps being served. The connection
+//   (outbox, in-flight flag, query list) is shared with the completion,
+//   and a connection that hangs up mid-request closes only once that
+//   request completed, so its sink is detached from every query it got.
+// * kRecordStatBatch stays inline: it validates on the loop and only
+//   posts the mutations to the shard.
+// * Fan-out admin requests still block the loop: kFlush with the all-flag
+//   (FlushAll), kSnapshot, kGetMetrics, the HTTP scrape, and CloseConn's
+//   synchronous sink detach.
 //
 // ## Connection semantics
 //
@@ -99,10 +114,14 @@ class Daemon {
 
   void EventLoop();
   void AcceptPending();
-  /// Reads and processes everything available on a connection; returns
-  /// false when the connection must close (EOF, decode error, HTTP done).
-  bool HandleReadable(Conn* conn);
-  void HandleRequest(Conn* conn, const std::string& payload);
+  /// Reads and processes what a connection has available until a request
+  /// parks it; returns false when the connection must close (EOF, read or
+  /// decode error).
+  bool HandleReadable(const std::shared_ptr<Conn>& conn);
+  /// Runs the connection's decoded requests in order until one parks it;
+  /// false on a decode error.
+  bool HandleFrames(const std::shared_ptr<Conn>& conn);
+  void HandleRequest(const std::shared_ptr<Conn>& conn, const std::string& payload);
   /// Writes as much buffered outbox as the socket accepts; false = dead.
   bool HandleWritable(Conn* conn);
   void CloseConn(int fd);
@@ -117,7 +136,7 @@ class Daemon {
   size_t restored_queries_ = 0;
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_;
+  std::unordered_map<int, std::shared_ptr<Conn>> conns_;
 };
 
 }  // namespace iqro::server

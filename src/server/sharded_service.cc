@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "core/declarative_optimizer.h"
@@ -83,6 +84,11 @@ bool ValidMutation(const testing::StatMutation& m, int num_relations, int num_ed
       return m.scope != 0 && (m.scope & ~all) == 0;
   }
   return false;
+}
+
+ServiceError UnknownWorld(uint64_t world_key) {
+  return ServiceError(WireErrorCode::kUnknownWorld,
+                      "no world registered under key " + std::to_string(world_key));
 }
 
 /// One world's session, configured from the service options — the same
@@ -213,16 +219,18 @@ uint32_t ShardedService::ShardOfWorld(uint64_t world_key, RelSet scope_mask, int
 }
 
 void ShardedService::ShardLoop(Shard* shard) {
-  const bool poll_idle = options_.flush_deadline.count() > 0 && options_.auto_flush_count <= 0;
+  using Clock = std::chrono::steady_clock;
+  const bool poll = options_.flush_deadline.count() > 0 && options_.auto_flush_count <= 0;
+  Clock::time_point last_poll = Clock::now();
   for (;;) {
     std::function<void()> cmd;
     {
       std::unique_lock<std::mutex> lk(shard->mu);
-      if (poll_idle) {
-        shard->cv.wait_for(lk, options_.poll_granularity,
-                           [shard] { return shard->stop || !shard->queue.empty(); });
+      const auto ready = [shard] { return shard->stop || !shard->queue.empty(); };
+      if (poll) {
+        shard->cv.wait_for(lk, options_.poll_granularity, ready);
       } else {
-        shard->cv.wait(lk, [shard] { return shard->stop || !shard->queue.empty(); });
+        shard->cv.wait(lk, ready);
       }
       if (!shard->queue.empty()) {
         cmd = std::move(shard->queue.front());
@@ -231,11 +239,15 @@ void ShardedService::ShardLoop(Shard* shard) {
         return;
       }
     }
-    if (cmd) {
-      cmd();
-    } else if (poll_idle) {
-      // Idle tick: let deadline policies and quarantine backoffs fire.
+    if (cmd) cmd();
+    // Let deadline policies and quarantine backoffs fire: on an idle tick,
+    // which lands a whole granularity after the command that armed a
+    // deadline, and also between commands once a granularity has passed
+    // since the last poll — a shard that receives a command more often
+    // than poll_granularity must not starve its quiet worlds' deadlines.
+    if (poll && (!cmd || Clock::now() - last_poll >= options_.poll_granularity)) {
       for (auto& [key, group] : shard->groups) group->session->Poll();
+      last_poll = Clock::now();
     }
   }
 }
@@ -249,24 +261,66 @@ void ShardedService::Post(uint32_t shard, std::function<void()> fn) {
   s->cv.notify_all();
 }
 
-template <typename F>
-auto ShardedService::Call(uint32_t shard, F&& fn) -> decltype(fn()) {
-  using R = decltype(fn());
-  std::promise<R> promise;
-  std::future<R> future = promise.get_future();
-  Post(shard, [&promise, fn = std::forward<F>(fn)]() mutable {
+template <typename R, typename F>
+void ShardedService::PostDone(uint32_t shard, F fn, Done<R> done) {
+  Post(shard, [fn = std::move(fn), done = std::move(done)]() mutable {
+    R result{};
+    std::exception_ptr error;
     try {
-      if constexpr (std::is_void_v<R>) {
-        fn();
-        promise.set_value();
-      } else {
-        promise.set_value(fn());
-      }
+      result = fn();
     } catch (...) {
-      promise.set_exception(std::current_exception());
+      error = std::current_exception();
     }
+    done(std::move(result), std::move(error));
   });
-  return future.get();
+}
+
+namespace {
+
+/// Runs an async form to completion: `start` receives the Done to hand
+/// it, and the caller blocks until that Done ran. Exceptions propagate.
+/// The Done moves its result and exception into the caller's frame, so
+/// the shard keeps no reference to either once the caller wakes.
+template <typename R, typename Start>
+R Wait(Start start) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool ready = false;
+  R result{};
+  std::exception_ptr error;
+  start(ShardedService::Done<R>([&](R r, std::exception_ptr e) {
+    std::lock_guard<std::mutex> lk(mu);
+    result = std::move(r);
+    error = std::move(e);
+    ready = true;
+    cv.notify_one();
+  }));
+  std::unique_lock<std::mutex> lk(mu);
+  cv.wait(lk, [&] { return ready; });
+  if (error) std::rethrow_exception(error);
+  return result;
+}
+
+}  // namespace
+
+template <typename F>
+auto ShardedService::Call(uint32_t shard, F fn) -> decltype(fn()) {
+  using R = decltype(fn());
+  return Wait<R>([&](Done<R> done) { PostDone<R>(shard, std::move(fn), std::move(done)); });
+}
+
+std::optional<ShardedService::WorldInfo> ShardedService::FindWorld(uint64_t world_key) const {
+  std::lock_guard<std::mutex> lk(index_mu_);
+  auto it = worlds_.find(world_key);
+  if (it == worlds_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::optional<ShardedService::QueryLoc> ShardedService::FindQuery(uint64_t query_id) const {
+  std::lock_guard<std::mutex> lk(index_mu_);
+  auto it = queries_.find(query_id);
+  if (it == queries_.end()) return std::nullopt;
+  return it->second;
 }
 
 ShardedService::RegisterResult ShardedService::RegisterOnShard(
@@ -339,33 +393,54 @@ ShardedService::RegisterResult ShardedService::RegisterQuery(uint64_t world_key,
                                                              const QuerySpec& query,
                                                              const std::string& options_name,
                                                              EventSink* sink) {
-  if (FindOptionSet(options_name) == nullptr) {
-    throw ServiceError(WireErrorCode::kUnknownOptions, "unknown option set " + options_name);
-  }
-  ValidateSpecs(catalog, query);
-  uint32_t shard;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = worlds_.find(world_key);
-    shard = it != worlds_.end()
-                ? it->second.shard
-                : ShardOfWorld(world_key, query.AllRelations(), num_shards());
-  }
-  return Call(shard, [&] {
-    return RegisterOnShard(shard, world_key, catalog, query, options_name, sink);
+  return Wait<RegisterResult>([&](Done<RegisterResult> done) {
+    RegisterQueryAsync(world_key, catalog, query, options_name, sink, std::move(done));
   });
 }
 
+void ShardedService::RegisterQueryAsync(uint64_t world_key, testing::CatalogSpec catalog,
+                                        QuerySpec query, std::string options_name,
+                                        EventSink* sink, Done<RegisterResult> done) {
+  try {
+    if (FindOptionSet(options_name) == nullptr) {
+      throw ServiceError(WireErrorCode::kUnknownOptions, "unknown option set " + options_name);
+    }
+    ValidateSpecs(catalog, query);
+  } catch (const ServiceError&) {
+    done(RegisterResult{}, std::current_exception());
+    return;
+  }
+  const std::optional<WorldInfo> world = FindWorld(world_key);
+  const uint32_t shard =
+      world ? world->shard : ShardOfWorld(world_key, query.AllRelations(), num_shards());
+  PostDone<RegisterResult>(
+      shard,
+      [this, shard, world_key, catalog = std::move(catalog), query = std::move(query),
+       options_name = std::move(options_name), sink] {
+        return RegisterOnShard(shard, world_key, catalog, query, options_name, sink);
+      },
+      std::move(done));
+}
+
 bool ShardedService::ReleaseQuery(uint64_t query_id) {
-  QueryLoc loc;
+  return Wait<bool>([&](Done<bool> done) { ReleaseQueryAsync(query_id, std::move(done)); });
+}
+
+void ShardedService::ReleaseQueryAsync(uint64_t query_id, Done<bool> done) {
+  std::optional<QueryLoc> loc;
   {
     std::lock_guard<std::mutex> lk(index_mu_);
     auto it = queries_.find(query_id);
-    if (it == queries_.end()) return false;
-    loc = it->second;
-    queries_.erase(it);
+    if (it != queries_.end()) {
+      loc = it->second;
+      queries_.erase(it);
+    }
   }
-  return Call(loc.shard, [this, loc, query_id] {
+  if (!loc) {
+    done(false, nullptr);
+    return;
+  }
+  PostDone<bool>(loc->shard, [this, loc = *loc, query_id] {
     Shard* shard = shards_[loc.shard].get();
     auto git = shard->groups.find(loc.world_key);
     if (git == shard->groups.end()) return false;
@@ -377,18 +452,20 @@ bool ShardedService::ReleaseQuery(uint64_t query_id) {
       }
     }
     return false;
-  });
+  }, std::move(done));
 }
 
 bool ShardedService::SetSink(uint64_t query_id, EventSink* sink) {
-  QueryLoc loc;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) return false;
-    loc = it->second;
+  return Wait<bool>([&](Done<bool> done) { SetSinkAsync(query_id, sink, std::move(done)); });
+}
+
+void ShardedService::SetSinkAsync(uint64_t query_id, EventSink* sink, Done<bool> done) {
+  const std::optional<QueryLoc> loc = FindQuery(query_id);
+  if (!loc) {
+    done(false, nullptr);
+    return;
   }
-  return Call(loc.shard, [this, loc, query_id, sink] {
+  PostDone<bool>(loc->shard, [this, loc = *loc, query_id, sink] {
     Shard* shard = shards_[loc.shard].get();
     auto git = shard->groups.find(loc.world_key);
     if (git == shard->groups.end()) return false;
@@ -399,21 +476,14 @@ bool ShardedService::SetSink(uint64_t query_id, EventSink* sink) {
       }
     }
     return false;
-  });
+  }, std::move(done));
 }
 
 size_t ShardedService::RecordStatBatch(uint64_t world_key,
                                        const std::vector<testing::StatMutation>& mutations) {
-  WorldInfo info;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = worlds_.find(world_key);
-    if (it == worlds_.end()) {
-      throw ServiceError(WireErrorCode::kUnknownWorld,
-                         "no world registered under key " + std::to_string(world_key));
-    }
-    info = it->second;
-  }
+  const std::optional<WorldInfo> world = FindWorld(world_key);
+  if (!world) throw UnknownWorld(world_key);
+  const WorldInfo& info = *world;
   std::vector<testing::StatMutation> accepted;
   accepted.reserve(mutations.size());
   size_t rejected = 0;
@@ -443,22 +513,21 @@ size_t ShardedService::RecordStatBatch(uint64_t world_key,
 }
 
 size_t ShardedService::Flush(uint64_t world_key) {
-  uint32_t shard_idx;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = worlds_.find(world_key);
-    if (it == worlds_.end()) {
-      throw ServiceError(WireErrorCode::kUnknownWorld,
-                         "no world registered under key " + std::to_string(world_key));
-    }
-    shard_idx = it->second.shard;
+  return Wait<size_t>([&](Done<size_t> done) { FlushAsync(world_key, std::move(done)); });
+}
+
+void ShardedService::FlushAsync(uint64_t world_key, Done<size_t> done) {
+  const std::optional<WorldInfo> world = FindWorld(world_key);
+  if (!world) {
+    done(0, std::make_exception_ptr(UnknownWorld(world_key)));
+    return;
   }
-  return Call(shard_idx, [this, shard_idx, world_key]() -> size_t {
+  PostDone<size_t>(world->shard, [this, shard_idx = world->shard, world_key]() -> size_t {
     Shard* shard = shards_[shard_idx].get();
     auto it = shard->groups.find(world_key);
     if (it == shard->groups.end()) return 0;
     return it->second->session->Flush();
-  });
+  }, std::move(done));
 }
 
 size_t ShardedService::FlushAll() {
@@ -491,16 +560,11 @@ void ShardedService::Drain() {
 }
 
 std::string ShardedService::QueryCanonicalDump(uint64_t query_id) {
-  QueryLoc loc;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
-    }
-    loc = it->second;
+  const std::optional<QueryLoc> loc = FindQuery(query_id);
+  if (!loc) {
+    throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
   }
-  return Call(loc.shard, [this, loc, query_id]() -> std::string {
+  return Call(loc->shard, [this, loc = *loc, query_id]() -> std::string {
     Shard* shard = shards_[loc.shard].get();
     auto git = shard->groups.find(loc.world_key);
     if (git == shard->groups.end()) {
@@ -514,16 +578,11 @@ std::string ShardedService::QueryCanonicalDump(uint64_t query_id) {
 }
 
 double ShardedService::QueryBestCost(uint64_t query_id) {
-  QueryLoc loc;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
-    }
-    loc = it->second;
+  const std::optional<QueryLoc> loc = FindQuery(query_id);
+  if (!loc) {
+    throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
   }
-  return Call(loc.shard, [this, loc, query_id]() -> double {
+  return Call(loc->shard, [this, loc = *loc, query_id]() -> double {
     Shard* shard = shards_[loc.shard].get();
     auto git = shard->groups.find(loc.world_key);
     if (git == shard->groups.end()) {
@@ -688,7 +747,7 @@ std::string ShardedService::MetricsText() {
   std::vector<size_t> shard_queries(shards_.size(), 0);
   size_t worlds = 0;
   for (uint32_t i = 0; i < shards_.size(); ++i) {
-    Call(i, [this, i, &sum, &shard_queries, &worlds] {
+    worlds += Call(i, [this, i, &sum, &shard_queries] {
       for (auto& [key, group] : shards_[i]->groups) {
         const ReoptSessionMetrics& m = group->session->metrics();
         sum.mutations_observed += m.mutations_observed;
@@ -707,8 +766,8 @@ std::string ShardedService::MetricsText() {
         sum.rehydrations += m.rehydrations;
         sum.resident_memo_bytes += m.resident_memo_bytes;
         shard_queries[i] += group->queries.size();
-        ++worlds;
       }
+      return shards_[i]->groups.size();
     });
   }
   std::string out = PrometheusSessionText(sum, "");
@@ -733,10 +792,9 @@ std::string ShardedService::MetricsText() {
 ShardedServiceStats ShardedService::Stats() {
   ShardedServiceStats stats;
   for (uint32_t i = 0; i < shards_.size(); ++i) {
-    Call(i, [this, i, &stats] {
+    stats.worlds += Call(i, [this, i, &stats] {
       for (auto& [key, group] : shards_[i]->groups) {
         const ReoptSessionMetrics& m = group->session->metrics();
-        ++stats.worlds;
         stats.queries += static_cast<int64_t>(group->queries.size());
         stats.flushes += m.flushes;
         stats.changes_flushed += m.changes_flushed;
@@ -744,6 +802,7 @@ ShardedServiceStats ShardedService::Stats() {
         stats.mutations_observed += m.mutations_observed;
         stats.quarantines += m.quarantines;
       }
+      return static_cast<int64_t>(shards_[i]->groups.size());
     });
   }
   std::lock_guard<std::mutex> lk(index_mu_);

@@ -40,10 +40,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -104,8 +106,9 @@ struct ShardedServiceOptions {
   /// (CountPolicy). 0: manual Flush()/FlushAll() only.
   int auto_flush_count = 0;
   /// > 0: every world's session bounds mutation staleness by wall clock
-  /// (DeadlinePolicy); shard threads then poll idle sessions at
-  /// `poll_granularity`. Ignored when auto_flush_count > 0.
+  /// (DeadlinePolicy); shard threads then poll their sessions after
+  /// `poll_granularity` idle, and at least that often while commands keep
+  /// arriving. Ignored when auto_flush_count > 0.
   std::chrono::milliseconds flush_deadline{0};
   std::chrono::milliseconds poll_granularity{2};
   /// Per-session failure-domain / lifecycle knobs (see ReoptSessionOptions).
@@ -150,6 +153,18 @@ class ShardedService {
   /// spread.
   static uint32_t ShardOfWorld(uint64_t world_key, RelSet scope_mask, int num_shards);
 
+  /// Completion of a single-world request's async form: called exactly
+  /// once, with the result or with the exception the request threw
+  /// (ServiceError for a rejection, `result` then value-initialized). It
+  /// runs on the world's shard thread right after the request executed
+  /// there — after every EventSink call the request caused — or on the
+  /// caller's thread when the request is rejected before it is queued
+  /// (unknown id or world, bad specs). Same rules as EventSink: quick, and
+  /// never waiting on the service. Each synchronous method below is its
+  /// async form plus a wait.
+  template <typename R>
+  using Done = std::function<void(R result, std::exception_ptr error)>;
+
   /// Registers one optimizer configuration. The first registration under
   /// `world_key` builds the world on its shard (catalog, statistics, join
   /// graph, session); later ones must present byte-identical specs
@@ -161,17 +176,22 @@ class ShardedService {
   RegisterResult RegisterQuery(uint64_t world_key, const testing::CatalogSpec& catalog,
                                const QuerySpec& query, const std::string& options_name,
                                EventSink* sink);
+  void RegisterQueryAsync(uint64_t world_key, testing::CatalogSpec catalog, QuerySpec query,
+                          std::string options_name, EventSink* sink,
+                          Done<RegisterResult> done);
 
   /// Unregisters a query (its session handle is released on the shard
   /// thread). Returns false for an unknown id. The world stays resident —
   /// worlds die with the service, not with their last query.
   bool ReleaseQuery(uint64_t query_id);
+  void ReleaseQueryAsync(uint64_t query_id, Done<bool> done);
 
   /// Replaces a query's event sink (null detaches) — the daemon's
   /// reconnect / connection-teardown path. Synchronous: after it returns,
-  /// the old sink is guaranteed to receive no further calls. Returns
-  /// false for an unknown id.
+  /// the old sink is guaranteed to receive no further calls (async form:
+  /// once `done` runs). Returns false for an unknown id.
   bool SetSink(uint64_t query_id, EventSink* sink);
+  void SetSinkAsync(uint64_t query_id, EventSink* sink, Done<bool> done);
 
   /// Validates and applies a mutation batch to a world's registry, in
   /// arrival order on its shard thread (asynchronously — a following
@@ -182,9 +202,11 @@ class ShardedService {
   /// unregistered key.
   size_t RecordStatBatch(uint64_t world_key, const std::vector<testing::StatMutation>& mutations);
 
-  /// Flushes one world's session (synchronous; returns dispatched
-  /// StatChanges). ServiceError{kUnknownWorld} for an unregistered key.
+  /// Flushes one world's session (returns dispatched StatChanges; the
+  /// flush's events reach their sinks before it returns, or before `done`
+  /// runs). ServiceError{kUnknownWorld} for an unregistered key.
   size_t Flush(uint64_t world_key);
+  void FlushAsync(uint64_t world_key, Done<size_t> done);
 
   /// Flushes every world on every shard (shards in parallel); returns the
   /// summed dispatched change count.
@@ -245,9 +267,16 @@ class ShardedService {
 
   void ShardLoop(Shard* shard);
   void Post(uint32_t shard, std::function<void()> fn);
+  /// Posts `fn`; its result or exception goes to `done` on the shard.
+  template <typename R, typename F>
+  void PostDone(uint32_t shard, F fn, Done<R> done);
   /// Posts `fn` and waits for its result; exceptions propagate.
   template <typename F>
-  auto Call(uint32_t shard, F&& fn) -> decltype(fn());
+  auto Call(uint32_t shard, F fn) -> decltype(fn());
+
+  /// Index lookups; nullopt for an unknown key or id.
+  std::optional<WorldInfo> FindWorld(uint64_t world_key) const;
+  std::optional<QueryLoc> FindQuery(uint64_t query_id) const;
 
   /// Shard-thread body of RegisterQuery (group lookup/create + session
   /// registration). `loc_out` receives the created query's id.

@@ -4,19 +4,29 @@
 // ReoptSession oracle must land every query in byte-identical
 // CanonicalDumpState — snapshot fan-out across a service restart, and the
 // daemon end-to-end over a Unix socket (register, churn, events, metrics
-// scrape, snapshot, warm-restart, malformed-frame isolation).
+// scrape, snapshot, warm-restart, malformed-frame isolation), and the
+// daemon's concurrency contract: a flush held on one shard blocks neither
+// other connections nor deadline polling, pipelined requests on one
+// connection answer in order with each flush's events first, and a client
+// hanging up mid-flush leaves the daemon serving.
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/declarative_optimizer.h"
@@ -42,6 +52,7 @@ using server::DaemonOptions;
 using server::EventSink;
 using server::MsgType;
 using server::ServerEvent;
+using server::ServerMessage;
 using server::ServiceError;
 using server::ShardedService;
 using server::ShardedServiceOptions;
@@ -82,6 +93,64 @@ class CountingSink final : public EventSink {
   std::mutex mu_;
   std::map<uint64_t, int> plan_changes_;
   int quarantines_ = 0;
+};
+
+/// A sink that blocks the shard thread inside its first event until
+/// Release() — holds one shard mid-flush.
+class LatchSink final : public EventSink {
+ public:
+  void OnServerEvent(const ServerEvent&) override {
+    std::unique_lock<std::mutex> lk(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lk, [this] { return released_; });
+  }
+  bool WaitEntered(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lk(mu_);
+    return cv_.wait_for(lk, timeout, [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lk(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+/// Releases a LatchSink on scope exit, so a failed assertion cannot leave
+/// a shard blocked while the daemon shuts down. Declare it after the
+/// daemon and after anything that waits on the held shard.
+struct ReleaseOnExit {
+  LatchSink& latch;
+  ~ReleaseOnExit() { latch.Release(); }
+};
+
+/// Records when the first event arrived.
+class FirstEventSink final : public EventSink {
+ public:
+  void OnServerEvent(const ServerEvent&) override {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!seen_) first_ = std::chrono::steady_clock::now();
+    seen_ = true;
+    cv_.notify_all();
+  }
+  bool Wait(std::chrono::milliseconds timeout, std::chrono::steady_clock::time_point* at) {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (!cv_.wait_for(lk, timeout, [this] { return seen_; })) return false;
+    *at = first_;
+    return true;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool seen_ = false;
+  std::chrono::steady_clock::time_point first_;
 };
 
 /// Oracle-side plan-change counter.
@@ -134,6 +203,14 @@ QuerySpec SmallChainQuery() {
   j12.right_rel = 2;
   q.joins.push_back(j12);
   return q;
+}
+
+/// Swings SmallChainQuery's statistics by orders of magnitude so its join
+/// order flips; consecutive rounds alternate between the two extremes.
+std::vector<testing::StatMutation> FlipBatch(int round) {
+  const bool even = round % 2 == 0;
+  return {{testing::StatMutation::Kind::kBaseRows, 0, 0, even ? 5e6 : 20.0},
+          {testing::StatMutation::Kind::kJoinSelectivity, 0, 0, even ? 1e-4 : 0.5}};
 }
 
 // ---- wire codec ------------------------------------------------------------
@@ -549,6 +626,36 @@ TEST(ShardedServiceTest, SnapshotFanOutSurvivesRestart) {
   EXPECT_THROW(restored.LoadSnapshots(), ServiceError);
 }
 
+TEST(ShardedServiceTest, DeadlineFlushFiresWhileShardIsBusy) {
+  // One shard, two worlds: a busy one whose commands arrive back to back
+  // (far more often than poll_granularity) and a quiet one that gets a
+  // single batch and must still flush on its deadline.
+  ShardedServiceOptions opts;
+  opts.flush_deadline = std::chrono::milliseconds(20);
+  opts.poll_granularity = std::chrono::milliseconds(2);
+  ShardedService svc(opts);
+  FirstEventSink quiet_sink;
+  svc.RegisterQuery(1, SmallCatalog(), SmallChainQuery(), "all", &quiet_sink);
+  const auto busy = svc.RegisterQuery(2, SmallCatalog(), SmallChainQuery(), "all", nullptr);
+
+  std::atomic<bool> stop{false};
+  std::thread stream([&] {
+    while (!stop.load()) svc.QueryBestCost(busy.query_id);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto sent = std::chrono::steady_clock::now();
+  ASSERT_EQ(svc.RecordStatBatch(1, FlipBatch(0)), 2u);
+  std::chrono::steady_clock::time_point fired_at;
+  const bool fired = quiet_sink.Wait(std::chrono::seconds(2), &fired_at);
+  stop.store(true);
+  stream.join();
+
+  ASSERT_TRUE(fired) << "the quiet world's deadline flush never ran while its shard was busy";
+  // deadline + granularity, plus slack for a loaded (or sanitized) host.
+  EXPECT_LE(fired_at - sent, opts.flush_deadline + opts.poll_granularity +
+                                 std::chrono::milliseconds(150));
+}
+
 // ---- daemon end-to-end -----------------------------------------------------
 
 std::string TestSocketPath(const char* tag) {
@@ -584,12 +691,7 @@ TEST(DaemonTest, EndToEndRegisterChurnEventsMetrics) {
 
   int socket_plan_changes = 0;
   for (int round = 0; round < 6; ++round) {
-    std::vector<testing::StatMutation> batch;
-    // Swing base rows by orders of magnitude so join orders actually flip.
-    const double rows = round % 2 == 0 ? 5e6 : 20.0;
-    batch.push_back({testing::StatMutation::Kind::kBaseRows, 0, 0, rows});
-    batch.push_back({testing::StatMutation::Kind::kJoinSelectivity, 0, 0,
-                     round % 2 == 0 ? 1e-4 : 0.5});
+    const std::vector<testing::StatMutation> batch = FlipBatch(round);
     ASSERT_EQ(client.RecordStatBatch(7, batch), batch.size());
     mirror.RecordStatBatch(7, batch);
     const uint64_t changes = client.Flush(7);
@@ -712,6 +814,246 @@ TEST(DaemonTest, SnapshotShutdownWarmRestartResubscribe) {
   }
   EXPECT_GT(plan_changes, 0) << "re-subscribed connection received no events";
   daemon2.Stop();
+}
+
+/// A raw frame-level connection: sends arbitrary bytes, reads decoded
+/// server messages one at a time (events and responses alike, in wire
+/// order).
+class RawConn {
+ public:
+  explicit RawConn(const std::string& path) {
+    fd_ = socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  }
+  ~RawConn() { Close(); }
+
+  void Close() {
+    if (fd_ >= 0) close(fd_);
+    fd_ = -1;
+  }
+
+  /// One write(2) for the whole byte string.
+  void Send(const std::string& bytes) {
+    ASSERT_EQ(write(fd_, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
+  }
+
+  /// The next message, or false when none arrives within `timeout`.
+  bool Next(ServerMessage* msg, std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+    std::string payload;
+    while (!decoder_.Next(&payload)) {
+      pollfd p{fd_, POLLIN, 0};
+      if (poll(&p, 1, static_cast<int>(timeout.count())) <= 0) return false;
+      char buf[16384];
+      const ssize_t n = read(fd_, buf, sizeof(buf));
+      if (n <= 0) return false;
+      decoder_.Feed(buf, static_cast<size_t>(n));
+    }
+    *msg = server::DecodeServerMessage(payload);
+    return true;
+  }
+
+  uint64_t Register(uint64_t request_id, uint64_t world_key) {
+    server::RegisterQueryReq req;
+    req.world_key = world_key;
+    req.want_events = true;
+    req.catalog = SmallCatalog();
+    req.query = SmallChainQuery();
+    req.options_name = "all";
+    Send(server::EncodeRegisterQuery(request_id, req));
+    ServerMessage msg;
+    EXPECT_TRUE(Next(&msg));
+    EXPECT_EQ(msg.type, MsgType::kRegistered);
+    EXPECT_EQ(msg.request_id, request_id);
+    return msg.registered.query_id;
+  }
+
+ private:
+  int fd_ = -1;
+  server::FrameDecoder decoder_;
+};
+
+std::string RecordFrame(uint64_t request_id, uint64_t world_key, int round) {
+  server::RecordStatBatchReq req;
+  req.world_key = world_key;
+  req.mutations = FlipBatch(round);
+  return server::EncodeRecordStatBatch(request_id, req);
+}
+
+std::string FlushFrame(uint64_t request_id, uint64_t world_key) {
+  server::FlushReq req;
+  req.all = false;
+  req.world_key = world_key;
+  return server::EncodeFlush(request_id, req);
+}
+
+/// Two world keys that SmallChainQuery routes to different shards.
+std::pair<uint64_t, uint64_t> WorldsOnTwoShards(int num_shards) {
+  const RelSet mask = SmallChainQuery().AllRelations();
+  uint64_t y = 2;
+  while (ShardedService::ShardOfWorld(y, mask, num_shards) ==
+         ShardedService::ShardOfWorld(1, mask, num_shards)) {
+    ++y;
+  }
+  return {1, y};
+}
+
+TEST(DaemonTest, PipelinedRequestsAnswerInOrderWithEventsBeforeEachOk) {
+  const std::string sock = TestSocketPath("pipe");
+  DaemonOptions options;
+  options.unix_path = sock;
+  options.service.num_shards = 2;
+  Daemon daemon(options);
+  daemon.Start();
+
+  RawConn raw(sock);
+  const uint64_t query_id = raw.Register(1, 7);
+  // Five requests in ONE write: the daemon has them all buffered at once
+  // and must still answer request n before it reads request n+1.
+  raw.Send(RecordFrame(2, 7, 0) + FlushFrame(3, 7) + RecordFrame(4, 7, 1) + FlushFrame(5, 7) +
+           server::EncodeSubscribeQuery(6, query_id));
+  std::map<uint64_t, int> events_before;  // response id -> events since the previous response
+  std::map<uint64_t, ServerMessage> responses;
+  int events = 0;
+  for (uint64_t expect = 2; expect <= 6;) {
+    ServerMessage msg;
+    ASSERT_TRUE(raw.Next(&msg)) << "no answer to request " << expect;
+    if (msg.type == MsgType::kPlanChange) {
+      EXPECT_EQ(msg.plan_change.query_id, query_id);
+      ++events;
+      continue;
+    }
+    ASSERT_EQ(msg.request_id, expect) << "responses out of request order";
+    ASSERT_EQ(msg.type, MsgType::kOk) << "request " << expect;
+    events_before[expect] = events;
+    responses[expect] = msg;
+    events = 0;
+    ++expect;
+  }
+  EXPECT_EQ(responses[2].ok.value, 2u);
+  EXPECT_EQ(responses[4].ok.value, 2u);
+  EXPECT_GT(responses[3].ok.value, 0u);
+  EXPECT_GT(responses[5].ok.value, 0u);
+  // Each flush's plan change arrives before its kOk, never after it.
+  EXPECT_EQ(events_before[2], 0);
+  EXPECT_GT(events_before[3], 0);
+  EXPECT_EQ(events_before[4], 0);
+  EXPECT_GT(events_before[5], 0);
+  EXPECT_EQ(events_before[6], 0);
+  ServerMessage trailing;
+  EXPECT_FALSE(raw.Next(&trailing, std::chrono::milliseconds(100)))
+      << "unexpected frame " << MsgTypeName(trailing.type) << " after the last response";
+  daemon.Stop();
+}
+
+TEST(DaemonTest, SlowFlushOnOneShardDoesNotBlockOtherConnections) {
+  LatchSink latch;
+  const std::string sock = TestSocketPath("slow");
+  DaemonOptions options;
+  options.unix_path = sock;
+  options.service.num_shards = 4;
+  Daemon daemon(options);
+  daemon.Start();
+  const auto [x, y] = WorldsOnTwoShards(4);
+
+  Client a;
+  Client b;
+  a.ConnectUnix(sock);
+  b.ConnectUnix(sock);
+  const uint64_t a_query = a.RegisterQuery(x, SmallCatalog(), SmallChainQuery(), "all").query_id;
+  const uint64_t b_query = b.RegisterQuery(y, SmallCatalog(), SmallChainQuery(), "all").query_id;
+  daemon.service().RegisterQuery(x, SmallCatalog(), SmallChainQuery(), "all", &latch);
+  ASSERT_EQ(a.RecordStatBatch(x, FlipBatch(0)), 2u);
+
+  std::vector<server::ReceivedEvent> b_events;
+  std::future<uint64_t> a_flush;
+  std::future<void> b_work;
+  ReleaseOnExit release{latch};
+  a_flush = std::async(std::launch::async, [&] { return a.Flush(x); });
+  ASSERT_TRUE(latch.WaitEntered(std::chrono::seconds(10))) << "X's flush never reached the latch";
+
+  // X's shard is held inside a.Flush(x). Another connection on another
+  // shard gets its mutations acknowledged, its flush answered and its
+  // events delivered all the same.
+  b_work = std::async(std::launch::async, [&] {
+    EXPECT_EQ(b.RecordStatBatch(y, FlipBatch(0)), 2u);
+    EXPECT_GT(b.Flush(y), 0u);
+    b_events = b.TakeEvents();
+  });
+  const bool b_served = b_work.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  const bool a_held = a_flush.wait_for(std::chrono::seconds(0)) != std::future_status::ready;
+  latch.Release();
+  EXPECT_TRUE(b_served) << "a flush held on one shard blocked another connection";
+  EXPECT_TRUE(a_held) << "X's flush was answered while its shard was still inside it";
+  b_work.get();
+  EXPECT_FALSE(b_events.empty());
+  for (const auto& ev : b_events) EXPECT_EQ(ev.msg.plan_change.query_id, b_query);
+
+  // Released: X's client gets its events, then its kOk.
+  EXPECT_GT(a_flush.get(), 0u);
+  const std::vector<server::ReceivedEvent> a_events = a.TakeEvents();
+  EXPECT_FALSE(a_events.empty());
+  for (const auto& ev : a_events) EXPECT_EQ(ev.msg.plan_change.query_id, a_query);
+  daemon.Stop();
+}
+
+TEST(DaemonTest, ClientHangingUpMidFlushLeavesDaemonServing) {
+  LatchSink latch;
+  const std::string sock = TestSocketPath("hup");
+  DaemonOptions options;
+  options.unix_path = sock;
+  options.service.num_shards = 4;
+  Daemon daemon(options);
+  daemon.Start();
+  const auto [x, y] = WorldsOnTwoShards(4);
+
+  Client peer;
+  peer.ConnectUnix(sock);
+  peer.RegisterQuery(y, SmallCatalog(), SmallChainQuery(), "all");
+  daemon.service().RegisterQuery(x, SmallCatalog(), SmallChainQuery(), "all", &latch);
+  auto raw = std::make_unique<RawConn>(sock);
+  const uint64_t raw_query = raw->Register(1, x);
+
+  std::future<void> peer_work;
+  ReleaseOnExit release{latch};
+  raw->Send(RecordFrame(2, x, 0) + FlushFrame(3, x));
+  ASSERT_TRUE(latch.WaitEntered(std::chrono::seconds(10))) << "X's flush never reached the latch";
+  raw.reset();  // hang up while the flush is in flight
+
+  // The daemon sees the hang-up and keeps serving the peer meanwhile.
+  peer_work = std::async(std::launch::async, [&] {
+    EXPECT_EQ(peer.RecordStatBatch(y, FlipBatch(0)), 2u);
+    EXPECT_GT(peer.Flush(y), 0u);
+  });
+  EXPECT_TRUE(peer_work.wait_for(std::chrono::seconds(10)) == std::future_status::ready)
+      << "a client hanging up mid-flush stopped the daemon serving its peer";
+  latch.Release();
+  peer_work.get();
+
+  // The abandoned flush completes into the closed connection's outbox;
+  // two more round trips later the loop has closed that connection and
+  // detached its sink.
+  daemon.service().Drain();
+  for (int round = 1; round <= 2; ++round) {
+    EXPECT_EQ(peer.RecordStatBatch(y, FlipBatch(round)), 2u);
+  }
+  // Another flip on X reaches every sink still attached to it; a dangling
+  // one would be a use-after-free (the sanitizer job's check).
+  EXPECT_EQ(daemon.service().RecordStatBatch(x, FlipBatch(1)), 2u);
+  EXPECT_GT(daemon.service().Flush(x), 0u);
+
+  // The query outlived its connection; a new one re-attaches it.
+  EXPECT_EQ(daemon.service().num_queries(), 3u);
+  Client again;
+  again.ConnectUnix(sock);
+  again.SubscribeQuery(raw_query);
+  EXPECT_EQ(again.RecordStatBatch(x, FlipBatch(0)), 2u);
+  EXPECT_GT(again.Flush(x), 0u);
+  EXPECT_FALSE(again.TakeEvents().empty());
+  daemon.Stop();
 }
 
 // ---- Prometheus text rendering --------------------------------------------
