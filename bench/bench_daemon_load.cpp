@@ -31,7 +31,7 @@
 #include "bench_util/bench_util.h"
 #include "server/client.h"
 #include "server/daemon.h"
-#include "testing/differential.h"
+#include "workload/world.h"
 
 namespace iqro::bench {
 namespace {
@@ -47,10 +47,10 @@ struct LoadConfig {
 
 /// Per-world synthetic 4-relation chain; hist_seed varies per world so the
 /// worlds are not byte-identical.
-testing::CatalogSpec LoadCatalog(uint64_t world) {
-  testing::CatalogSpec catalog;
+CatalogSpec LoadCatalog(uint64_t world) {
+  CatalogSpec catalog;
   for (int i = 0; i < 4; ++i) {
-    testing::SyntheticTableSpec t;
+    SyntheticTableSpec t;
     t.name = "t" + std::to_string(i);
     t.rows = 1000.0 * (i + 1);
     t.width = 16;
@@ -82,10 +82,10 @@ QuerySpec LoadQuery() {
 
 /// Alternating statistics swing: orders-of-magnitude base-row and
 /// selectivity moves so the cheapest join order actually flips.
-std::vector<testing::StatMutation> RoundBatch(int round) {
-  using Kind = testing::StatMutation::Kind;
+std::vector<StatMutation> RoundBatch(int round) {
+  using Kind = StatMutation::Kind;
   const bool hi = round % 2 == 0;
-  std::vector<testing::StatMutation> batch;
+  std::vector<StatMutation> batch;
   batch.push_back({Kind::kBaseRows, 0, 0, hi ? 5e6 : 20.0});
   batch.push_back({Kind::kJoinSelectivity, 0, 0, hi ? 1e-4 : 0.6});
   batch.push_back({Kind::kBaseRows, 2, 0, hi ? 4e5 : 800.0});
@@ -110,7 +110,7 @@ void RunClient(const LoadConfig& cfg, const std::string& socket_path, int thread
   client.ConnectUnix(socket_path);
 
   const QuerySpec query = LoadQuery();
-  const auto& option_sets = testing::ScenarioOptionSets();
+  const auto& option_sets = NamedOptionSets();
   // Worlds are partitioned across client threads; each thread registers
   // and churns only its own, on its own connection (events go to the
   // registering connection).
@@ -121,7 +121,7 @@ void RunClient(const LoadConfig& cfg, const std::string& socket_path, int thread
 
   const auto reg_start = Clock::now();
   for (const uint64_t world : my_worlds) {
-    const testing::CatalogSpec catalog = LoadCatalog(world);
+    const CatalogSpec catalog = LoadCatalog(world);
     for (int k = 0; k < cfg.configs; ++k) {
       client.RegisterQuery(world, catalog, query, option_sets[k % option_sets.size()].first);
       ++out->registered;
@@ -133,7 +133,7 @@ void RunClient(const LoadConfig& cfg, const std::string& socket_path, int thread
 
   const auto churn_start = Clock::now();
   for (int round = 0; round < cfg.rounds; ++round) {
-    const std::vector<testing::StatMutation> batch = RoundBatch(round);
+    const std::vector<StatMutation> batch = RoundBatch(round);
     for (const uint64_t world : my_worlds) {
       out->mutations += static_cast<int64_t>(client.RecordStatBatch(world, batch));
       const auto flush_sent = Clock::now();

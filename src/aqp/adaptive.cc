@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "exec/feedback.h"
-#include "query/bind_stats.h"
 
 namespace iqro {
 
@@ -17,17 +16,12 @@ double ElapsedMs(std::chrono::steady_clock::time_point start) {
 
 AdaptiveStreamProcessor::AdaptiveStreamProcessor(SegTollSetup* setup, AqpOptions options)
     : setup_(setup), options_(options) {
-  graph_ = std::make_unique<JoinGraph>(setup_->query);
   // "Zero statistical information" start (§5.4): bind against the (empty)
   // windows; defaults apply everywhere.
-  BindStats(setup_->query, CollectCatalogStats(setup_->catalog), &registry_);
-  registry_.Freeze();
-  summaries_ = std::make_unique<SummaryCalculator>(&registry_);
-  cost_model_ = std::make_unique<CostModel>(summaries_.get());
-  enumerator_ = std::make_unique<PlanEnumerator>(&setup_->query, graph_.get(),
-                                                 &setup_->catalog, &props_);
-  optimizer_ = std::make_unique<DeclarativeOptimizer>(enumerator_.get(), cost_model_.get(),
-                                                      &registry_, options_.optimizer_options);
+  world_ = MakeQueryContext(&setup_->catalog, setup_->query, CollectCatalogStats(setup_->catalog));
+  optimizer_ = std::make_unique<DeclarativeOptimizer>(
+      world_->enumerator.get(), world_->cost_model.get(), &world_->registry,
+      options_.optimizer_options);
 }
 
 AdaptiveStreamProcessor::~AdaptiveStreamProcessor() = default;
@@ -43,7 +37,7 @@ void AdaptiveStreamProcessor::RefreshWindowStatistics() {
   for (int r = 0; r < setup_->query.num_relations(); ++r) {
     const Table& t = setup_->windows[static_cast<size_t>(r)]->table();
     const double rows = std::max<double>(1.0, t.num_rows());
-    if (rows != registry_.base_rows(r)) registry_.SetBaseRows(r, rows);
+    if (rows != world_->registry.base_rows(r)) world_->registry.SetBaseRows(r, rows);
     const auto locals = setup_->query.LocalsOf(r);
     if (!locals.empty() && t.num_rows() > 0) {
       int64_t pass = 0;
@@ -62,8 +56,8 @@ void AdaptiveStreamProcessor::RefreshWindowStatistics() {
         if (ok) ++pass;
       }
       double sel = std::max(1e-6, static_cast<double>(pass) / static_cast<double>(rows));
-      if (std::abs(sel - registry_.local_selectivity(r)) > 1e-9) {
-        registry_.SetLocalSelectivity(r, sel);
+      if (std::abs(sel - world_->registry.local_selectivity(r)) > 1e-9) {
+        world_->registry.SetLocalSelectivity(r, sel);
       }
     }
   }
@@ -93,22 +87,22 @@ SliceReport AdaptiveStreamProcessor::ProcessSlice(const std::vector<CarLocEvent>
       break;
     }
     case AqpOptions::ReoptMode::kScratch: {
-      registry_.TakePending();  // a full re-optimization consumes all deltas
-      VolcanoOptimizer volcano(enumerator_.get(), cost_model_.get());
+      world_->registry.TakePending();  // a full re-optimization consumes all deltas
+      VolcanoOptimizer volcano(world_->enumerator.get(), world_->cost_model.get());
       volcano.Optimize();
       new_plan = volcano.GetBestPlan();
       break;
     }
     case AqpOptions::ReoptMode::kScratchDeclarative: {
-      registry_.TakePending();
-      DeclarativeOptimizer fresh(enumerator_.get(), cost_model_.get(), &registry_,
-                                 options_.optimizer_options);
+      world_->registry.TakePending();
+      DeclarativeOptimizer fresh(world_->enumerator.get(), world_->cost_model.get(),
+                                 &world_->registry, options_.optimizer_options);
       fresh.Optimize();
       new_plan = fresh.GetBestPlan();
       break;
     }
     case AqpOptions::ReoptMode::kNone: {
-      registry_.TakePending();
+      world_->registry.TakePending();
       IQRO_CHECK(current_plan_ != nullptr);  // SetFixedPlan first
       break;
     }
@@ -126,7 +120,7 @@ SliceReport AdaptiveStreamProcessor::ProcessSlice(const std::vector<CarLocEvent>
 
   // ---- execute the slice over the current windows ----
   auto exec_start = std::chrono::steady_clock::now();
-  Executor executor(&setup_->catalog, &setup_->query, graph_.get(), &props_);
+  Executor executor(&setup_->catalog, &setup_->query, world_->graph.get(), &world_->props);
   ExecutionResult result = executor.Execute(*current_plan_, /*collect_rows=*/false);
   report.exec_ms = ElapsedMs(exec_start);
   report.output_rows = result.root_rows;
@@ -134,7 +128,7 @@ SliceReport AdaptiveStreamProcessor::ProcessSlice(const std::vector<CarLocEvent>
   // ---- statistics feedback for the next split point ----
   const double blend =
       options_.cumulative_stats ? 1.0 / static_cast<double>(slice_count_ + 1) : 1.0;
-  ApplyObservedCardinalities(result.observed, &registry_, blend,
+  ApplyObservedCardinalities(result.observed, &world_->registry, blend,
                              options_.feedback_deadband);
 
   ++slice_count_;

@@ -68,20 +68,15 @@ class AdaptiveStreamProcessor {
 
   const PlanTree* current_plan() const { return current_plan_.get(); }
   const DeclarativeOptimizer* optimizer() const { return optimizer_.get(); }
-  StatsRegistry& registry() { return registry_; }
-  const PropTable& props() const { return props_; }
+  StatsRegistry& registry() { return world_->registry; }
+  const PropTable& props() const { return world_->props; }
 
  private:
   void RefreshWindowStatistics();
 
   SegTollSetup* setup_;
   AqpOptions options_;
-  std::unique_ptr<JoinGraph> graph_;
-  StatsRegistry registry_;
-  std::unique_ptr<SummaryCalculator> summaries_;
-  std::unique_ptr<CostModel> cost_model_;
-  PropTable props_;
-  std::unique_ptr<PlanEnumerator> enumerator_;
+  std::unique_ptr<QueryContext> world_;
   std::unique_ptr<DeclarativeOptimizer> optimizer_;
   std::unique_ptr<PlanTree> current_plan_;
   int64_t slice_count_ = 0;

@@ -89,19 +89,6 @@ double Percentile(std::vector<double> v, double p) {
   return v[std::min(idx, v.size() - 1)];
 }
 
-std::unique_ptr<TpchFixture> MakeTpchFixture(double scale_factor, double zipf_theta,
-                                             uint32_t partition, uint64_t seed) {
-  auto fixture = std::make_unique<TpchFixture>();
-  TpchConfig cfg;
-  cfg.scale_factor = scale_factor;
-  cfg.zipf_theta = zipf_theta;
-  cfg.partition = partition;
-  cfg.seed = seed;
-  GenerateTpch(&fixture->catalog, cfg);
-  fixture->stats = CollectCatalogStats(fixture->catalog);
-  return fixture;
-}
-
 std::unique_ptr<QueryContext> MakeContext(const TpchFixture& fixture,
                                           const std::string& query_name) {
   // MakeTpchQuery interns string literals; the catalog is logically const

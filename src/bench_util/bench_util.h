@@ -1,5 +1,5 @@
 // Shared helpers for the figure/table reproduction binaries: aligned table
-// printing, repetition timing, and TPC-H fixture construction.
+// printing, repetition timing, and TPC-H query contexts.
 #ifndef IQRO_BENCH_UTIL_BENCH_UTIL_H_
 #define IQRO_BENCH_UTIL_BENCH_UTIL_H_
 
@@ -13,6 +13,7 @@
 #include "workload/context.h"
 #include "workload/queries.h"
 #include "workload/tpch_gen.h"
+#include "workload/world.h"
 
 namespace iqro::bench {
 
@@ -53,16 +54,6 @@ double Percentile(std::vector<double> v, double p);
 
 /// Wall time of one run of `fn`, in milliseconds.
 double OnceMs(const std::function<void()>& fn);
-
-/// A generated TPC-H catalog plus its collected statistics.
-struct TpchFixture {
-  Catalog catalog;
-  std::vector<TableStats> stats;
-};
-
-/// Builds (and caches nothing — call once per binary) a TPC-H fixture.
-std::unique_ptr<TpchFixture> MakeTpchFixture(double scale_factor, double zipf_theta = 0.0,
-                                             uint32_t partition = 0, uint64_t seed = 42);
 
 /// Wires a QueryContext for `query_name` over the fixture.
 std::unique_ptr<QueryContext> MakeContext(const TpchFixture& fixture,

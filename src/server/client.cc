@@ -126,7 +126,7 @@ ServerMessage Client::ExpectOkLike(const std::string& frame, uint64_t request_id
   return resp;
 }
 
-RegisteredResp Client::RegisterQuery(uint64_t world_key, const testing::CatalogSpec& catalog,
+RegisteredResp Client::RegisterQuery(uint64_t world_key, const CatalogSpec& catalog,
                                      const QuerySpec& query, const std::string& options_name,
                                      bool want_events) {
   RegisterQueryReq req;
@@ -155,7 +155,7 @@ void Client::SubscribeQuery(uint64_t query_id) {
 }
 
 uint64_t Client::RecordStatBatch(uint64_t world_key,
-                                 const std::vector<testing::StatMutation>& mutations) {
+                                 const std::vector<StatMutation>& mutations) {
   RecordStatBatchReq req;
   req.world_key = world_key;
   req.mutations = mutations;

@@ -52,14 +52,14 @@ class Client {
   // ---- requests (each blocks for its response; events seen on the way
   // are queued into events()) ----
 
-  RegisteredResp RegisterQuery(uint64_t world_key, const testing::CatalogSpec& catalog,
+  RegisteredResp RegisterQuery(uint64_t world_key, const CatalogSpec& catalog,
                                const QuerySpec& query, const std::string& options_name,
                                bool want_events = true);
   void ReleaseQuery(uint64_t query_id);
   void SubscribeQuery(uint64_t query_id);
   /// Returns the number of mutations the server accepted.
   uint64_t RecordStatBatch(uint64_t world_key,
-                           const std::vector<testing::StatMutation>& mutations);
+                           const std::vector<StatMutation>& mutations);
   /// Returns the dispatched change count.
   uint64_t Flush(uint64_t world_key);
   uint64_t FlushAll();

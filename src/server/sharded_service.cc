@@ -1,7 +1,10 @@
 #include "server/sharded_service.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -13,7 +16,6 @@
 #include "service/reopt_session.h"
 #include "service/snapshot.h"
 #include "stats/summary.h"
-#include "testing/differential.h"
 
 namespace iqro::server {
 
@@ -23,87 +25,56 @@ namespace {
 /// configurations) per section.
 constexpr uint32_t kManifestWorldSection = 1;
 
-const OptimizerOptions* FindOptionSet(const std::string& name) {
-  for (const auto& [set_name, options] : testing::ScenarioOptionSets()) {
-    if (set_name == name) return &options;
+const OptimizerOptions& OptionSetOrThrow(const std::string& name) {
+  const OptimizerOptions* options = FindOptionSet(name);
+  if (options == nullptr) {
+    throw ServiceError(WireErrorCode::kUnknownOptions, "unknown option set " + name);
   }
-  return nullptr;
-}
-
-/// Structural validation of a registration's specs — the wire codec caps
-/// sizes, but cross-references (relation slots, table ids, column ranges)
-/// are the service's to check before a world is built from them.
-void ValidateSpecs(const testing::CatalogSpec& catalog, const QuerySpec& query) {
-  const int nrel = query.num_relations();
-  if (nrel < 1 || nrel > kMaxRelations) {
-    throw ServiceError(WireErrorCode::kBadRequest, "query must have 1.." +
-                                                       std::to_string(kMaxRelations) +
-                                                       " relations, has " + std::to_string(nrel));
-  }
-  if (!catalog.use_tpch && catalog.tables.empty()) {
-    throw ServiceError(WireErrorCode::kBadRequest, "synthetic catalog has no tables");
-  }
-  for (const QueryRelation& rel : query.relations) {
-    if (!catalog.use_tpch &&
-        (rel.table < 0 || rel.table >= static_cast<int>(catalog.tables.size()))) {
-      throw ServiceError(WireErrorCode::kBadRequest,
-                         "relation references table " + std::to_string(rel.table) + " of " +
-                             std::to_string(catalog.tables.size()));
-    }
-  }
-  auto check_rel = [nrel](int rel, const char* what) {
-    if (rel < 0 || rel >= nrel) {
-      throw ServiceError(WireErrorCode::kBadRequest,
-                         std::string(what) + " references relation " + std::to_string(rel));
-    }
-  };
-  for (const JoinPredicate& j : query.joins) {
-    check_rel(j.left_rel, "join");
-    check_rel(j.right_rel, "join");
-  }
-  for (const LocalPredicate& l : query.locals) check_rel(l.rel, "local predicate");
-  for (const ColRef& c : query.projections) check_rel(c.rel, "projection");
-  for (const ColRef& c : query.group_by) check_rel(c.rel, "group-by");
+  return *options;
 }
 
 /// A mutation the registry would reject or that targets state outside the
 /// world is dropped at the door — a hostile client must not be able to
 /// crash a shard or poison a world it shares.
-bool ValidMutation(const testing::StatMutation& m, int num_relations, int num_edges) {
+bool ValidMutation(const StatMutation& m, int num_relations, int num_edges) {
   if (!std::isfinite(m.value) || m.value <= 0) return false;
   const RelSet all = num_relations >= 32 ? ~RelSet{0} : (RelSet{1} << num_relations) - 1;
   switch (m.kind) {
-    case testing::StatMutation::Kind::kBaseRows:
-    case testing::StatMutation::Kind::kLocalSelectivity:
-    case testing::StatMutation::Kind::kRowWidth:
-    case testing::StatMutation::Kind::kScanCost:
+    case StatMutation::Kind::kBaseRows:
+    case StatMutation::Kind::kLocalSelectivity:
+    case StatMutation::Kind::kRowWidth:
+    case StatMutation::Kind::kScanCost:
       return m.target >= 0 && m.target < num_relations;
-    case testing::StatMutation::Kind::kJoinSelectivity:
+    case StatMutation::Kind::kJoinSelectivity:
       return m.target >= 0 && m.target < num_edges;
-    case testing::StatMutation::Kind::kCardMultiplier:
+    case StatMutation::Kind::kCardMultiplier:
       return m.scope != 0 && (m.scope & ~all) == 0;
   }
   return false;
 }
 
+/// Adds every counter of `m`, and its resident-bytes gauge, to `sum`.
+void AddSessionMetrics(ReoptSessionMetrics* sum, const ReoptSessionMetrics& m) {
+  sum->mutations_observed += m.mutations_observed;
+  sum->flushes += m.flushes;
+  sum->empty_flushes += m.empty_flushes;
+  sum->changes_flushed += m.changes_flushed;
+  sum->reopt_passes += m.reopt_passes;
+  sum->queries_skipped += m.queries_skipped;
+  sum->eps_seeded += m.eps_seeded;
+  sum->plan_changes += m.plan_changes;
+  sum->quarantines += m.quarantines;
+  sum->rehabilitations += m.rehabilitations;
+  sum->queries_parked += m.queries_parked;
+  sum->watermark_flushes += m.watermark_flushes;
+  sum->evictions += m.evictions;
+  sum->rehydrations += m.rehydrations;
+  sum->resident_memo_bytes += m.resident_memo_bytes;
+}
+
 ServiceError UnknownWorld(uint64_t world_key) {
   return ServiceError(WireErrorCode::kUnknownWorld,
                       "no world registered under key " + std::to_string(world_key));
-}
-
-/// One world's session, configured from the service options — the same
-/// for a freshly built world and one restored from a snapshot.
-std::unique_ptr<ReoptSession> NewWorldSession(StatsRegistry* registry,
-                                              const ShardedServiceOptions& options) {
-  ReoptSessionOptions so;
-  so.per_query_work_budget = options.per_query_work_budget;
-  so.memo_byte_budget = options.memo_byte_budget;
-  if (options.auto_flush_count > 0) {
-    so.flush_policy = std::make_shared<CountPolicy>(options.auto_flush_count);
-  } else if (options.flush_deadline.count() > 0) {
-    so.flush_policy = std::make_shared<DeadlinePolicy>(options.flush_deadline);
-  }
-  return std::make_unique<ReoptSession>(registry, so);
 }
 
 }  // namespace
@@ -154,21 +125,25 @@ struct ShardedService::GroupQuery final : public PlanSubscriber {
   }
 };
 
-/// One world: the spec-owned scenario (the enumerator borrows its query),
-/// the wired optimization world, the session, and the registered
+/// One world: its catalog spec (kept for snapshots), the built world
+/// (which owns the query), the session, and the registered
 /// configurations. Destruction order matters: queries release their
 /// handles first, then the session unsubscribes from the registry, then
 /// the world dies.
 struct ShardedService::Group {
   uint64_t world_key = 0;
   uint64_t fingerprint = 0;
-  RelSet scope_mask = 0;
-  /// Owns catalog + query for the world's lifetime (BuildScenarioWorld's
-  /// enumerator keeps a pointer to scenario.query).
-  testing::Scenario scenario;
-  std::unique_ptr<testing::ScenarioWorld> world;
+  CatalogSpec catalog;
+  std::unique_ptr<QueryContext> world;
   std::unique_ptr<ReoptSession> session;
   std::vector<std::unique_ptr<GroupQuery>> queries;  // registration order
+};
+
+/// One shard's worlds, summed on its thread.
+struct ShardedService::ShardTotals {
+  ReoptSessionMetrics sessions;
+  size_t worlds = 0;
+  size_t queries = 0;
 };
 
 struct ShardedService::Shard {
@@ -303,12 +278,6 @@ R Wait(Start start) {
 
 }  // namespace
 
-template <typename F>
-auto ShardedService::Call(uint32_t shard, F fn) -> decltype(fn()) {
-  using R = decltype(fn());
-  return Wait<R>([&](Done<R> done) { PostDone<R>(shard, std::move(fn), std::move(done)); });
-}
-
 std::optional<ShardedService::WorldInfo> ShardedService::FindWorld(uint64_t world_key) const {
   std::lock_guard<std::mutex> lk(index_mu_);
   auto it = worlds_.find(world_key);
@@ -323,57 +292,125 @@ std::optional<ShardedService::QueryLoc> ShardedService::FindQuery(uint64_t query
   return it->second;
 }
 
-ShardedService::RegisterResult ShardedService::RegisterOnShard(
-    uint32_t shard_idx, uint64_t world_key, const testing::CatalogSpec& catalog,
-    const QuerySpec& query, const std::string& options_name, EventSink* sink) {
-  const OptimizerOptions* options = FindOptionSet(options_name);
-  // Checked by RegisterQuery already; re-checked here because
-  // LoadSnapshots funnels through this path too.
-  if (options == nullptr) {
-    throw ServiceError(WireErrorCode::kUnknownOptions, "unknown option set " + options_name);
-  }
-  Shard* shard = shards_[shard_idx].get();
-  const uint64_t fingerprint = WorldFingerprint(catalog, query);
-  Group* group = nullptr;
-  auto it = shard->groups.find(world_key);
-  if (it != shard->groups.end()) {
-    group = it->second.get();
-    if (group->fingerprint != fingerprint) {
-      throw ServiceError(WireErrorCode::kSpecMismatch,
-                         "world key reused with different catalog/query specs");
+template <typename F>
+auto ShardedService::OnEveryShard(F fn) {
+  using R = decltype(fn(0u));
+  std::vector<R> results(shards_.size());
+  std::vector<std::exception_ptr> errors(shards_.size());
+  // Post to every shard first, then wait for the last one: shards run in
+  // parallel, and each writes only its own slot.
+  Wait<bool>([&](Done<bool> all_done) {
+    auto pending = std::make_shared<std::atomic<size_t>>(shards_.size());
+    for (uint32_t i = 0; i < shards_.size(); ++i) {
+      PostDone<R>(i, [&fn, i] { return fn(i); },
+                  [&results, &errors, i, pending, all_done](R r, std::exception_ptr e) {
+                    results[i] = std::move(r);
+                    errors[i] = std::move(e);
+                    if (pending->fetch_sub(1) == 1) all_done(true, nullptr);
+                  });
     }
-  } else {
-    auto fresh = std::make_unique<Group>();
-    fresh->world_key = world_key;
-    fresh->fingerprint = fingerprint;
-    fresh->scope_mask = query.AllRelations();
-    fresh->scenario.catalog = catalog;
-    fresh->scenario.query = query;
-    fresh->world = testing::BuildScenarioWorld(fresh->scenario);
-    fresh->session = NewWorldSession(&fresh->world->registry, options_);
-    group = fresh.get();
-    shard->groups.emplace(world_key, std::move(fresh));
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
+  return results;
+}
 
+std::unique_ptr<ShardedService::Group> ShardedService::NewGroup(uint64_t world_key,
+                                                                CatalogSpec catalog,
+                                                                QuerySpec query) const {
+  // Specs come from clients and snapshot manifests: the wire codec caps
+  // sizes, WorldSpecError checks everything BuildWorld would trip over.
+  const std::string error = WorldSpecError(catalog, query);
+  if (!error.empty()) throw ServiceError(WireErrorCode::kBadRequest, error);
+  auto group = std::make_unique<Group>();
+  group->world_key = world_key;
+  group->fingerprint = WorldFingerprint(catalog, query);
+  group->world = BuildWorld(catalog, std::move(query));
+  group->catalog = std::move(catalog);
+  ReoptSessionOptions so;
+  so.per_query_work_budget = options_.per_query_work_budget;
+  so.memo_byte_budget = options_.memo_byte_budget;
+  if (options_.auto_flush_count > 0) {
+    so.flush_policy = std::make_shared<CountPolicy>(options_.auto_flush_count);
+  } else if (options_.flush_deadline.count() > 0) {
+    so.flush_policy = std::make_shared<DeadlinePolicy>(options_.flush_deadline);
+  }
+  group->session = std::make_unique<ReoptSession>(&group->world->registry, so);
+  return group;
+}
+
+std::unique_ptr<ShardedService::GroupQuery> ShardedService::NewQuery(const Group& group,
+                                                                     std::string options_name) {
+  const OptimizerOptions& options = OptionSetOrThrow(options_name);
   auto q = std::make_unique<GroupQuery>();
-  q->world_key = world_key;
-  q->options_name = options_name;
-  q->summaries = std::make_unique<SummaryCalculator>(&group->world->registry);
+  q->world_key = group.world_key;
+  q->options_name = std::move(options_name);
+  q->summaries = std::make_unique<SummaryCalculator>(&group.world->registry);
   q->cost_model = std::make_unique<CostModel>(q->summaries.get());
   q->optimizer = std::make_unique<DeclarativeOptimizer>(
-      group->world->enumerator.get(), q->cost_model.get(), &group->world->registry, *options);
+      group.world->enumerator.get(), q->cost_model.get(), &group.world->registry, options);
+  return q;
+}
+
+void ShardedService::IndexQuery(uint32_t shard, const Group& group, GroupQuery* q) {
+  std::lock_guard<std::mutex> lk(index_mu_);
+  if (q->id == 0) q->id = next_query_id_;
+  next_query_id_ = std::max(next_query_id_, q->id + 1);
+  queries_[q->id] = QueryLoc{shard, group.world_key};
+  // Validation dims come from the BUILT world's registry, not the spec:
+  // the join graph may merge parallel join predicates into one edge.
+  worlds_[group.world_key] = WorldInfo{shard, group.world->registry.num_relations(),
+                                       group.world->registry.num_edges()};
+}
+
+ShardedService::Group* ShardedService::GroupOnShard(uint32_t shard, uint64_t world_key) {
+  auto it = shards_[shard]->groups.find(world_key);
+  return it == shards_[shard]->groups.end() ? nullptr : it->second.get();
+}
+
+std::pair<ShardedService::Group*, size_t> ShardedService::QueryOnShard(const QueryLoc& loc,
+                                                                       uint64_t query_id) {
+  Group* group = GroupOnShard(loc.shard, loc.world_key);
+  for (size_t i = 0; group != nullptr && i < group->queries.size(); ++i) {
+    if (group->queries[i]->id == query_id) return {group, i};
+  }
+  return {nullptr, 0};
+}
+
+template <typename F>
+auto ShardedService::ReadQuery(uint64_t query_id, F fn) {
+  using R = decltype(fn(std::declval<GroupQuery&>()));
+  const std::optional<QueryLoc> loc = FindQuery(query_id);
+  const auto unknown = [query_id] {
+    return ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
+  };
+  if (!loc) throw unknown();
+  return Wait<R>([&](Done<R> done) {
+    PostDone<R>(loc->shard, [&] {
+      auto [group, i] = QueryOnShard(*loc, query_id);
+      if (group == nullptr) throw unknown();
+      return fn(*group->queries[i]);
+    }, std::move(done));
+  });
+}
+
+ShardedService::RegisterResult ShardedService::RegisterOnShard(
+    uint32_t shard_idx, uint64_t world_key, const CatalogSpec& catalog, const QuerySpec& query,
+    const std::string& options_name, EventSink* sink) {
+  Group* group = GroupOnShard(shard_idx, world_key);
+  if (group == nullptr) {
+    auto fresh = NewGroup(world_key, catalog, query);
+    group = fresh.get();
+    shards_[shard_idx]->groups.emplace(world_key, std::move(fresh));
+  } else if (group->fingerprint != WorldFingerprint(catalog, query)) {
+    throw ServiceError(WireErrorCode::kSpecMismatch,
+                       "world key reused with different catalog/query specs");
+  }
+  auto q = NewQuery(*group, options_name);
   q->optimizer->Optimize();
   q->sink = sink;
-  RegisterResult result;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    q->id = next_query_id_++;
-    queries_[q->id] = QueryLoc{shard_idx, world_key};
-    // Validation dims come from the BUILT world's registry, not the spec:
-    // the join graph may merge parallel join predicates into one edge.
-    worlds_[world_key] = WorldInfo{shard_idx, group->world->registry.num_relations(),
-                                   group->world->registry.num_edges()};
-  }
+  IndexQuery(shard_idx, *group, q.get());
   try {
     q->handle = group->session->Register(*q->optimizer, q.get());
   } catch (const SessionOverloaded& e) {
@@ -381,15 +418,13 @@ ShardedService::RegisterResult ShardedService::RegisterOnShard(
     queries_.erase(q->id);
     throw ServiceError(WireErrorCode::kOverloaded, e.what());
   }
-  result.query_id = q->id;
-  result.shard = shard_idx;
-  result.best_cost = q->optimizer->BestCost();
+  const RegisterResult result{q->id, shard_idx, q->optimizer->BestCost()};
   group->queries.push_back(std::move(q));
   return result;
 }
 
 ShardedService::RegisterResult ShardedService::RegisterQuery(uint64_t world_key,
-                                                             const testing::CatalogSpec& catalog,
+                                                             const CatalogSpec& catalog,
                                                              const QuerySpec& query,
                                                              const std::string& options_name,
                                                              EventSink* sink) {
@@ -398,14 +433,11 @@ ShardedService::RegisterResult ShardedService::RegisterQuery(uint64_t world_key,
   });
 }
 
-void ShardedService::RegisterQueryAsync(uint64_t world_key, testing::CatalogSpec catalog,
+void ShardedService::RegisterQueryAsync(uint64_t world_key, CatalogSpec catalog,
                                         QuerySpec query, std::string options_name,
                                         EventSink* sink, Done<RegisterResult> done) {
   try {
-    if (FindOptionSet(options_name) == nullptr) {
-      throw ServiceError(WireErrorCode::kUnknownOptions, "unknown option set " + options_name);
-    }
-    ValidateSpecs(catalog, query);
+    OptionSetOrThrow(options_name);
   } catch (const ServiceError&) {
     done(RegisterResult{}, std::current_exception());
     return;
@@ -441,17 +473,9 @@ void ShardedService::ReleaseQueryAsync(uint64_t query_id, Done<bool> done) {
     return;
   }
   PostDone<bool>(loc->shard, [this, loc = *loc, query_id] {
-    Shard* shard = shards_[loc.shard].get();
-    auto git = shard->groups.find(loc.world_key);
-    if (git == shard->groups.end()) return false;
-    auto& queries = git->second->queries;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (queries[i]->id == query_id) {
-        queries.erase(queries.begin() + static_cast<ptrdiff_t>(i));
-        return true;
-      }
-    }
-    return false;
+    auto [group, i] = QueryOnShard(loc, query_id);
+    if (group != nullptr) group->queries.erase(group->queries.begin() + static_cast<ptrdiff_t>(i));
+    return group != nullptr;
   }, std::move(done));
 }
 
@@ -466,28 +490,21 @@ void ShardedService::SetSinkAsync(uint64_t query_id, EventSink* sink, Done<bool>
     return;
   }
   PostDone<bool>(loc->shard, [this, loc = *loc, query_id, sink] {
-    Shard* shard = shards_[loc.shard].get();
-    auto git = shard->groups.find(loc.world_key);
-    if (git == shard->groups.end()) return false;
-    for (auto& q : git->second->queries) {
-      if (q->id == query_id) {
-        q->sink = sink;
-        return true;
-      }
-    }
-    return false;
+    auto [group, i] = QueryOnShard(loc, query_id);
+    if (group != nullptr) group->queries[i]->sink = sink;
+    return group != nullptr;
   }, std::move(done));
 }
 
 size_t ShardedService::RecordStatBatch(uint64_t world_key,
-                                       const std::vector<testing::StatMutation>& mutations) {
+                                       const std::vector<StatMutation>& mutations) {
   const std::optional<WorldInfo> world = FindWorld(world_key);
   if (!world) throw UnknownWorld(world_key);
   const WorldInfo& info = *world;
-  std::vector<testing::StatMutation> accepted;
+  std::vector<StatMutation> accepted;
   accepted.reserve(mutations.size());
   size_t rejected = 0;
-  for (const testing::StatMutation& m : mutations) {
+  for (const StatMutation& m : mutations) {
     if (ValidMutation(m, info.num_relations, info.num_edges)) {
       accepted.push_back(m);
     } else {
@@ -500,14 +517,10 @@ size_t ShardedService::RecordStatBatch(uint64_t world_key,
   }
   const size_t count = accepted.size();
   if (count == 0) return 0;
-  Post(info.shard, [this, shard_idx = info.shard, world_key,
-                    muts = std::move(accepted)] {
-    Shard* shard = shards_[shard_idx].get();
-    auto it = shard->groups.find(world_key);
-    if (it == shard->groups.end()) return;  // released between post and run
-    for (const testing::StatMutation& m : muts) {
-      testing::ApplyMutation(&it->second->world->registry, m);
-    }
+  Post(info.shard, [this, shard = info.shard, world_key, muts = std::move(accepted)] {
+    Group* group = GroupOnShard(shard, world_key);
+    if (group == nullptr) return;
+    for (const StatMutation& m : muts) ApplyMutation(&group->world->registry, m);
   });
   return count;
 }
@@ -522,77 +535,31 @@ void ShardedService::FlushAsync(uint64_t world_key, Done<size_t> done) {
     done(0, std::make_exception_ptr(UnknownWorld(world_key)));
     return;
   }
-  PostDone<size_t>(world->shard, [this, shard_idx = world->shard, world_key]() -> size_t {
-    Shard* shard = shards_[shard_idx].get();
-    auto it = shard->groups.find(world_key);
-    if (it == shard->groups.end()) return 0;
-    return it->second->session->Flush();
+  PostDone<size_t>(world->shard, [this, shard = world->shard, world_key]() -> size_t {
+    Group* group = GroupOnShard(shard, world_key);
+    return group == nullptr ? 0 : group->session->Flush();
   }, std::move(done));
 }
 
 size_t ShardedService::FlushAll() {
-  // Post to every shard first, then collect — shards flush in parallel.
-  std::vector<std::future<size_t>> futures;
-  futures.reserve(shards_.size());
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    auto promise = std::make_shared<std::promise<size_t>>();
-    futures.push_back(promise->get_future());
-    Post(i, [this, i, promise] {
-      size_t total = 0;
-      for (auto& [key, group] : shards_[i]->groups) total += group->session->Flush();
-      promise->set_value(total);
-    });
-  }
-  size_t total = 0;
-  for (auto& f : futures) total += f.get();
-  return total;
+  const std::vector<size_t> flushed = OnEveryShard([this](uint32_t i) {
+    size_t total = 0;
+    for (auto& [key, group] : shards_[i]->groups) total += group->session->Flush();
+    return total;
+  });
+  return std::accumulate(flushed.begin(), flushed.end(), size_t{0});
 }
 
 void ShardedService::Drain() {
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards_.size());
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    auto promise = std::make_shared<std::promise<void>>();
-    futures.push_back(promise->get_future());
-    Post(i, [promise] { promise->set_value(); });
-  }
-  for (auto& f : futures) f.get();
+  OnEveryShard([](uint32_t) { return 0; });
 }
 
 std::string ShardedService::QueryCanonicalDump(uint64_t query_id) {
-  const std::optional<QueryLoc> loc = FindQuery(query_id);
-  if (!loc) {
-    throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
-  }
-  return Call(loc->shard, [this, loc = *loc, query_id]() -> std::string {
-    Shard* shard = shards_[loc.shard].get();
-    auto git = shard->groups.find(loc.world_key);
-    if (git == shard->groups.end()) {
-      throw ServiceError(WireErrorCode::kUnknownQuery, "query's world is gone");
-    }
-    for (auto& q : git->second->queries) {
-      if (q->id == query_id) return q->optimizer->CanonicalDumpState();
-    }
-    throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
-  });
+  return ReadQuery(query_id, [](GroupQuery& q) { return q.optimizer->CanonicalDumpState(); });
 }
 
 double ShardedService::QueryBestCost(uint64_t query_id) {
-  const std::optional<QueryLoc> loc = FindQuery(query_id);
-  if (!loc) {
-    throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
-  }
-  return Call(loc->shard, [this, loc = *loc, query_id]() -> double {
-    Shard* shard = shards_[loc.shard].get();
-    auto git = shard->groups.find(loc.world_key);
-    if (git == shard->groups.end()) {
-      throw ServiceError(WireErrorCode::kUnknownQuery, "query's world is gone");
-    }
-    for (auto& q : git->second->queries) {
-      if (q->id == query_id) return q->optimizer->BestCost();
-    }
-    throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
-  });
+  return ReadQuery(query_id, [](GroupQuery& q) { return q.optimizer->BestCost(); });
 }
 
 namespace {
@@ -616,38 +583,31 @@ size_t ShardedService::SaveSnapshots() {
   if (options_.snapshot_dir.empty()) {
     throw ServiceError(WireErrorCode::kBadRequest, "service has no snapshot_dir configured");
   }
-  size_t total = 0;
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    total += Call(i, [this, i]() -> size_t {
-      Shard* shard = shards_[i].get();
-      service::SnapshotWriter manifest;
-      size_t queries = 0;
-      for (auto& [key, group] : shard->groups) {
-        std::string record;
-        ByteWriter w(&record);
-        w.PutU64(group->world_key);
-        w.PutU64(group->fingerprint);
-        w.PutU32(group->scope_mask);
-        EncodeCatalogSpec(&w, group->scenario.catalog);
-        EncodeQuerySpec(&w, group->scenario.query);
-        w.PutU32(static_cast<uint32_t>(group->queries.size()));
-        for (const auto& q : group->queries) {
-          w.PutU64(q->id);
-          std::string name;
-          ByteWriter nw(&name);
-          nw.PutU32(static_cast<uint32_t>(q->options_name.size()));
-          nw.PutBytes(q->options_name.data(), q->options_name.size());
-          w.PutBytes(name.data(), name.size());
-        }
-        manifest.AddSection(kManifestWorldSection, std::move(record));
-        group->session->SaveSnapshot(SnapshotPath(options_.snapshot_dir, i, key));
-        queries += group->queries.size();
+  const std::vector<size_t> saved = OnEveryShard([this](uint32_t i) {
+    service::SnapshotWriter manifest;
+    size_t queries = 0;
+    for (auto& [key, group] : shards_[i]->groups) {
+      std::string record;
+      ByteWriter w(&record);
+      w.PutU64(group->world_key);
+      w.PutU64(group->fingerprint);
+      w.PutU32(group->world->query.AllRelations());
+      EncodeCatalogSpec(&w, group->catalog);
+      EncodeQuerySpec(&w, group->world->query);
+      w.PutU32(static_cast<uint32_t>(group->queries.size()));
+      for (const auto& q : group->queries) {
+        w.PutU64(q->id);
+        w.PutU32(static_cast<uint32_t>(q->options_name.size()));
+        w.PutBytes(q->options_name.data(), q->options_name.size());
       }
-      manifest.WriteAtomic(ManifestPath(options_.snapshot_dir, i));
-      return queries;
-    });
-  }
-  return total;
+      manifest.AddSection(kManifestWorldSection, std::move(record));
+      group->session->SaveSnapshot(SnapshotPath(options_.snapshot_dir, i, key));
+      queries += group->queries.size();
+    }
+    manifest.WriteAtomic(ManifestPath(options_.snapshot_dir, i));
+    return queries;
+  });
+  return std::accumulate(saved.begin(), saved.end(), size_t{0});
 }
 
 size_t ShardedService::LoadSnapshots() {
@@ -657,118 +617,90 @@ size_t ShardedService::LoadSnapshots() {
   if (num_queries() != 0 || num_worlds() != 0) {
     throw ServiceError(WireErrorCode::kBadRequest, "LoadSnapshots requires an empty service");
   }
-  size_t total = 0;
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    total += Call(i, [this, i]() -> size_t {
-      Shard* shard = shards_[i].get();
-      std::unique_ptr<service::SnapshotReader> manifest;
-      try {
-        manifest = std::make_unique<service::SnapshotReader>(ManifestPath(options_.snapshot_dir, i));
-      } catch (const SerializeError& e) {
-        if (e.code == SerializeError::Code::kIo) return 0;  // empty shard
-        throw;
+  const std::vector<size_t> restored = OnEveryShard([this](uint32_t i) -> size_t {
+    std::unique_ptr<service::SnapshotReader> manifest;
+    try {
+      manifest = std::make_unique<service::SnapshotReader>(ManifestPath(options_.snapshot_dir, i));
+    } catch (const SerializeError& e) {
+      if (e.code == SerializeError::Code::kIo) return 0;  // empty shard
+      throw;
+    }
+    size_t queries = 0;
+    for (const auto& section : manifest->sections()) {
+      if (section.type != kManifestWorldSection) {
+        throw SerializeError(SerializeError::Code::kBadSection,
+                             "unknown manifest section type " + std::to_string(section.type));
       }
-      size_t restored = 0;
-      for (const auto& section : manifest->sections()) {
-        if (section.type != kManifestWorldSection) {
-          throw SerializeError(SerializeError::Code::kBadSection,
-                               "unknown manifest section type " + std::to_string(section.type));
-        }
-        ByteReader r(section.payload);
-        auto group = std::make_unique<Group>();
-        group->world_key = r.GetU64();
-        group->fingerprint = r.GetU64();
-        group->scope_mask = r.GetU32();
-        group->scenario.catalog = DecodeCatalogSpec(&r);
-        group->scenario.query = DecodeQuerySpec(&r);
-        if (WorldFingerprint(group->scenario.catalog, group->scenario.query) !=
-            group->fingerprint) {
-          throw SerializeError(SerializeError::Code::kMismatch,
-                               "manifest world fingerprint disagrees with its specs");
-        }
+      ByteReader r(section.payload);
+      const uint64_t world_key = r.GetU64();
+      const uint64_t fingerprint = r.GetU64();
+      r.GetU32();  // scope mask: the query's relations, rederived on build
+      CatalogSpec catalog = DecodeCatalogSpec(&r);
+      QuerySpec query = DecodeQuerySpec(&r);
+      if (WorldFingerprint(catalog, query) != fingerprint) {
+        throw SerializeError(SerializeError::Code::kMismatch,
+                             "manifest world fingerprint disagrees with its specs");
+      }
+      std::unique_ptr<Group> group;
+      std::vector<DeclarativeOptimizer*> optimizers;
+      try {
+        group = NewGroup(world_key, std::move(catalog), std::move(query));
         const uint32_t nqueries = r.GetU32();
-        group->world = testing::BuildScenarioWorld(group->scenario);
-        group->session = NewWorldSession(&group->world->registry, options_);
-        std::vector<DeclarativeOptimizer*> optimizers;
-        optimizers.reserve(nqueries);
         for (uint32_t qi = 0; qi < nqueries; ++qi) {
-          auto q = std::make_unique<GroupQuery>();
-          q->id = r.GetU64();
+          const uint64_t id = r.GetU64();
           const uint32_t name_len = r.GetU32();
           const unsigned char* name = r.GetBytes(name_len);
-          q->options_name.assign(reinterpret_cast<const char*>(name), name_len);
-          const OptimizerOptions* options = FindOptionSet(q->options_name);
-          if (options == nullptr) {
-            throw SerializeError(SerializeError::Code::kBadSection,
-                                 "manifest names unknown option set " + q->options_name);
-          }
-          q->world_key = group->world_key;
-          q->summaries = std::make_unique<SummaryCalculator>(&group->world->registry);
-          q->cost_model = std::make_unique<CostModel>(q->summaries.get());
-          q->optimizer = std::make_unique<DeclarativeOptimizer>(group->world->enumerator.get(),
-                                                                q->cost_model.get(),
-                                                                &group->world->registry, *options);
-          optimizers.push_back(q->optimizer.get());
-          group->queries.push_back(std::move(q));
+          group->queries.push_back(
+              NewQuery(*group, std::string(reinterpret_cast<const char*>(name), name_len)));
+          group->queries.back()->id = id;
+          optimizers.push_back(group->queries.back()->optimizer.get());
         }
-        if (!r.AtEnd()) {
-          throw SerializeError(SerializeError::Code::kBadSection,
-                               "trailing bytes in manifest world record");
-        }
-        std::vector<QueryHandle> handles = group->session->LoadSnapshot(
-            SnapshotPath(options_.snapshot_dir, i, group->world_key), optimizers);
-        for (size_t qi = 0; qi < group->queries.size(); ++qi) {
-          group->queries[qi]->handle = std::move(handles[qi]);
-          // LoadSnapshot attaches no subscribers; re-wire plan-change
-          // delivery so kSubscribeQuery (SetSink) works after a warm
-          // restart. The sink is still null until a client re-attaches.
-          group->queries[qi]->handle.Subscribe(group->queries[qi].get());
-        }
-        {
-          std::lock_guard<std::mutex> lk(index_mu_);
-          worlds_[group->world_key] = WorldInfo{i, group->world->registry.num_relations(),
-                                                group->world->registry.num_edges()};
-          for (const auto& q : group->queries) {
-            queries_[q->id] = QueryLoc{i, group->world_key};
-            if (q->id >= next_query_id_) next_query_id_ = q->id + 1;
-          }
-        }
-        restored += group->queries.size();
-        shard->groups.emplace(group->world_key, std::move(group));
+      } catch (const ServiceError& e) {
+        throw SerializeError(SerializeError::Code::kBadSection,
+                             std::string("manifest world record: ") + e.what());
       }
-      return restored;
-    });
-  }
-  return total;
+      if (!r.AtEnd()) {
+        throw SerializeError(SerializeError::Code::kBadSection,
+                             "trailing bytes in manifest world record");
+      }
+      std::vector<QueryHandle> handles = group->session->LoadSnapshot(
+          SnapshotPath(options_.snapshot_dir, i, world_key), optimizers);
+      for (size_t qi = 0; qi < group->queries.size(); ++qi) {
+        GroupQuery& q = *group->queries[qi];
+        q.handle = std::move(handles[qi]);
+        // LoadSnapshot attaches no subscribers; re-wire plan-change
+        // delivery so kSubscribeQuery (SetSink) works after a warm
+        // restart. The sink is still null until a client re-attaches.
+        q.handle.Subscribe(&q);
+        IndexQuery(i, *group, &q);
+      }
+      queries += group->queries.size();
+      shards_[i]->groups.emplace(world_key, std::move(group));
+    }
+    return queries;
+  });
+  return std::accumulate(restored.begin(), restored.end(), size_t{0});
+}
+
+std::vector<ShardedService::ShardTotals> ShardedService::CollectTotals() {
+  return OnEveryShard([this](uint32_t i) {
+    ShardTotals t;
+    t.worlds = shards_[i]->groups.size();
+    for (auto& [key, group] : shards_[i]->groups) {
+      AddSessionMetrics(&t.sessions, group->session->metrics());
+      t.queries += group->queries.size();
+    }
+    return t;
+  });
 }
 
 std::string ShardedService::MetricsText() {
+  const std::vector<ShardTotals> totals = CollectTotals();
   ReoptSessionMetrics sum;
-  std::vector<size_t> shard_queries(shards_.size(), 0);
   size_t worlds = 0;
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    worlds += Call(i, [this, i, &sum, &shard_queries] {
-      for (auto& [key, group] : shards_[i]->groups) {
-        const ReoptSessionMetrics& m = group->session->metrics();
-        sum.mutations_observed += m.mutations_observed;
-        sum.flushes += m.flushes;
-        sum.empty_flushes += m.empty_flushes;
-        sum.changes_flushed += m.changes_flushed;
-        sum.reopt_passes += m.reopt_passes;
-        sum.queries_skipped += m.queries_skipped;
-        sum.eps_seeded += m.eps_seeded;
-        sum.plan_changes += m.plan_changes;
-        sum.quarantines += m.quarantines;
-        sum.rehabilitations += m.rehabilitations;
-        sum.queries_parked += m.queries_parked;
-        sum.watermark_flushes += m.watermark_flushes;
-        sum.evictions += m.evictions;
-        sum.rehydrations += m.rehydrations;
-        sum.resident_memo_bytes += m.resident_memo_bytes;
-        shard_queries[i] += group->queries.size();
-      }
-      return shards_[i]->groups.size();
-    });
+  for (const ShardTotals& t : totals) {
+    AddSessionMetrics(&sum, t.sessions);
+    worlds += t.worlds;
   }
   std::string out = PrometheusSessionText(sum, "");
   char buf[96];
@@ -782,8 +714,9 @@ std::string ShardedService::MetricsText() {
   std::snprintf(buf, sizeof(buf), "iqro_service_queries %zu\n", num_queries());
   out += buf;
   out += "# TYPE iqro_shard_queries gauge\n";
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "iqro_shard_queries{shard=\"%u\"} %zu\n", i, shard_queries[i]);
+  for (uint32_t i = 0; i < totals.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "iqro_shard_queries{shard=\"%u\"} %zu\n", i,
+                  totals[i].queries);
     out += buf;
   }
   return out;
@@ -791,19 +724,14 @@ std::string ShardedService::MetricsText() {
 
 ShardedServiceStats ShardedService::Stats() {
   ShardedServiceStats stats;
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    stats.worlds += Call(i, [this, i, &stats] {
-      for (auto& [key, group] : shards_[i]->groups) {
-        const ReoptSessionMetrics& m = group->session->metrics();
-        stats.queries += static_cast<int64_t>(group->queries.size());
-        stats.flushes += m.flushes;
-        stats.changes_flushed += m.changes_flushed;
-        stats.plan_changes += m.plan_changes;
-        stats.mutations_observed += m.mutations_observed;
-        stats.quarantines += m.quarantines;
-      }
-      return static_cast<int64_t>(shards_[i]->groups.size());
-    });
+  for (const ShardTotals& t : CollectTotals()) {
+    stats.worlds += static_cast<int64_t>(t.worlds);
+    stats.queries += static_cast<int64_t>(t.queries);
+    stats.flushes += t.sessions.flushes;
+    stats.changes_flushed += t.sessions.changes_flushed;
+    stats.plan_changes += t.sessions.plan_changes;
+    stats.mutations_observed += t.sessions.mutations_observed;
+    stats.quarantines += t.sessions.quarantines;
   }
   std::lock_guard<std::mutex> lk(index_mu_);
   stats.mutations_rejected = mutations_rejected_;

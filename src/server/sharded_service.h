@@ -8,9 +8,9 @@
 // (StatsRegistry slots are the query's relation slots — see
 // query/bind_stats.h), one join graph/plan space, one ReoptSession. A
 // *query* within a world is one DeclarativeOptimizer configuration (a
-// named OptimizerOptions set from the testing::ScenarioOptionSets
-// vocabulary) registered in that world's session — the scope-overlap storm
-// idiom (src/testing/scenario_class.cc): many optimizer configs sharing
+// named OptimizerOptions set, workload/world.h NamedOptionSets)
+// registered in that world's session — the scope-overlap storm idiom
+// (src/testing/scenario_class.cc): many optimizer configs sharing
 // one registry, each with its own SummaryCalculator/CostModel so the
 // session's SharedSummaryCache stays the only cross-query sharing edge.
 //
@@ -42,7 +42,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -50,12 +49,13 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/relset.h"
 #include "query/query_spec.h"
 #include "server/wire.h"
-#include "testing/scenario.h"
+#include "workload/world.h"
 
 namespace iqro::server {
 
@@ -159,7 +159,7 @@ class ShardedService {
   /// runs on the world's shard thread right after the request executed
   /// there — after every EventSink call the request caused — or on the
   /// caller's thread when the request is rejected before it is queued
-  /// (unknown id or world, bad specs). Same rules as EventSink: quick, and
+  /// (unknown id, world or option set). Same rules as EventSink: quick, and
   /// never waiting on the service. Each synchronous method below is its
   /// async form plus a wait.
   template <typename R>
@@ -167,16 +167,17 @@ class ShardedService {
 
   /// Registers one optimizer configuration. The first registration under
   /// `world_key` builds the world on its shard (catalog, statistics, join
-  /// graph, session); later ones must present byte-identical specs
+  /// graph, session; specs WorldSpecError rejects -> kBadRequest); later
+  /// ones must present byte-identical specs
   /// (WorldFingerprint-checked -> ServiceError{kSpecMismatch}) and join
   /// the existing session. `options_name` must name a
-  /// testing::ScenarioOptionSets entry (-> kUnknownOptions). `sink` (may
+  /// NamedOptionSets entry (-> kUnknownOptions). `sink` (may
   /// be null) receives the query's events on the shard thread until
   /// SetSink replaces it. Thread-safe.
-  RegisterResult RegisterQuery(uint64_t world_key, const testing::CatalogSpec& catalog,
+  RegisterResult RegisterQuery(uint64_t world_key, const CatalogSpec& catalog,
                                const QuerySpec& query, const std::string& options_name,
                                EventSink* sink);
-  void RegisterQueryAsync(uint64_t world_key, testing::CatalogSpec catalog, QuerySpec query,
+  void RegisterQueryAsync(uint64_t world_key, CatalogSpec catalog, QuerySpec query,
                           std::string options_name, EventSink* sink,
                           Done<RegisterResult> done);
 
@@ -200,7 +201,7 @@ class ShardedService {
   /// non-finite or non-positive values are dropped and counted
   /// (Stats().mutations_rejected). ServiceError{kUnknownWorld} for an
   /// unregistered key.
-  size_t RecordStatBatch(uint64_t world_key, const std::vector<testing::StatMutation>& mutations);
+  size_t RecordStatBatch(uint64_t world_key, const std::vector<StatMutation>& mutations);
 
   /// Flushes one world's session (returns dispatched StatChanges; the
   /// flush's events reach their sinks before it returns, or before `done`
@@ -255,6 +256,7 @@ class ShardedService {
   struct Shard;
   struct Group;
   struct GroupQuery;
+  struct ShardTotals;
   struct WorldInfo {
     uint32_t shard = 0;
     int num_relations = 0;
@@ -270,19 +272,41 @@ class ShardedService {
   /// Posts `fn`; its result or exception goes to `done` on the shard.
   template <typename R, typename F>
   void PostDone(uint32_t shard, F fn, Done<R> done);
-  /// Posts `fn` and waits for its result; exceptions propagate.
+
+  /// Runs `fn(shard index)` on every shard thread in parallel and waits
+  /// for all of them; returns the results in shard order and rethrows the
+  /// first exception.
   template <typename F>
-  auto Call(uint32_t shard, F fn) -> decltype(fn());
+  auto OnEveryShard(F fn);
 
   /// Index lookups; nullopt for an unknown key or id.
   std::optional<WorldInfo> FindWorld(uint64_t world_key) const;
   std::optional<QueryLoc> FindQuery(uint64_t query_id) const;
 
+  /// The one way a world comes to exist (registration and snapshot
+  /// restore): validated specs (ServiceError{kBadRequest}), the built
+  /// world and its configured session.
+  std::unique_ptr<Group> NewGroup(uint64_t world_key, CatalogSpec catalog, QuerySpec query) const;
+  /// One configuration over `group`'s world, wired but neither optimized
+  /// nor registered (ServiceError{kUnknownOptions}).
+  static std::unique_ptr<GroupQuery> NewQuery(const Group& group, std::string options_name);
+  /// Publishes `q` (id 0: takes the next free id) and its world.
+  void IndexQuery(uint32_t shard, const Group& group, GroupQuery* q);
+  /// Shard-thread lookups: a world (null when unknown), and a query's
+  /// world with its index in the registration list (null world when gone).
+  Group* GroupOnShard(uint32_t shard, uint64_t world_key);
+  std::pair<Group*, size_t> QueryOnShard(const QueryLoc& loc, uint64_t query_id);
+  /// Runs `fn(query)` on the query's shard and returns its result;
+  /// ServiceError{kUnknownQuery} for an unknown or released id.
+  template <typename F>
+  auto ReadQuery(uint64_t query_id, F fn);
   /// Shard-thread body of RegisterQuery (group lookup/create + session
-  /// registration). `loc_out` receives the created query's id.
+  /// registration).
   RegisterResult RegisterOnShard(uint32_t shard_idx, uint64_t world_key,
-                                 const testing::CatalogSpec& catalog, const QuerySpec& query,
+                                 const CatalogSpec& catalog, const QuerySpec& query,
                                  const std::string& options_name, EventSink* sink);
+  /// Every shard's session counters, world and query counts.
+  std::vector<ShardTotals> CollectTotals();
 
   ShardedServiceOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

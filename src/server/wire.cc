@@ -277,15 +277,15 @@ QuerySpec DecodeQuerySpec(ByteReader* r) {
   return q;
 }
 
-void EncodeCatalogSpec(ByteWriter* w, const testing::CatalogSpec& c) {
+void EncodeCatalogSpec(ByteWriter* w, const CatalogSpec& c) {
   w->PutU8(c.use_tpch ? 1 : 0);
   w->PutU32(static_cast<uint32_t>(c.tables.size()));
-  for (const testing::SyntheticTableSpec& t : c.tables) {
+  for (const SyntheticTableSpec& t : c.tables) {
     PutString(w, t.name);
     w->PutF64(t.rows);
     w->PutF64(t.width);
     w->PutU32(static_cast<uint32_t>(t.cols.size()));
-    for (const testing::SyntheticColumnSpec& col : t.cols) {
+    for (const SyntheticColumnSpec& col : t.cols) {
       w->PutI64(col.min);
       w->PutI64(col.max);
       w->PutF64(col.ndv);
@@ -296,20 +296,20 @@ void EncodeCatalogSpec(ByteWriter* w, const testing::CatalogSpec& c) {
   }
 }
 
-testing::CatalogSpec DecodeCatalogSpec(ByteReader* r) {
-  testing::CatalogSpec c;
+CatalogSpec DecodeCatalogSpec(ByteReader* r) {
+  CatalogSpec c;
   c.use_tpch = GetEnum(r, 1, "use_tpch flag") != 0;
   const uint32_t ntab = GetCount(r, kMaxTables, "tables");
   c.tables.reserve(ntab);
   for (uint32_t i = 0; i < ntab; ++i) {
-    testing::SyntheticTableSpec t;
+    SyntheticTableSpec t;
     t.name = GetString(r);
     t.rows = r->GetF64();
     t.width = r->GetF64();
     const uint32_t ncol = GetCount(r, kMaxColumns, "columns");
     t.cols.reserve(ncol);
     for (uint32_t ci = 0; ci < ncol; ++ci) {
-      testing::SyntheticColumnSpec col;
+      SyntheticColumnSpec col;
       col.min = r->GetI64();
       col.max = r->GetI64();
       col.ndv = r->GetF64();
@@ -323,17 +323,17 @@ testing::CatalogSpec DecodeCatalogSpec(ByteReader* r) {
   return c;
 }
 
-void EncodeStatMutation(ByteWriter* w, const testing::StatMutation& m) {
+void EncodeStatMutation(ByteWriter* w, const StatMutation& m) {
   w->PutU8(static_cast<uint8_t>(m.kind));
   w->PutI32(m.target);
   w->PutU32(m.scope);
   w->PutF64(m.value);
 }
 
-testing::StatMutation DecodeStatMutation(ByteReader* r) {
-  testing::StatMutation m;
-  m.kind = static_cast<testing::StatMutation::Kind>(
-      GetEnum(r, static_cast<uint8_t>(testing::StatMutation::Kind::kCardMultiplier),
+StatMutation DecodeStatMutation(ByteReader* r) {
+  StatMutation m;
+  m.kind = static_cast<StatMutation::Kind>(
+      GetEnum(r, static_cast<uint8_t>(StatMutation::Kind::kCardMultiplier),
               "mutation kind"));
   m.target = r->GetI32();
   m.scope = r->GetU32();
@@ -341,7 +341,7 @@ testing::StatMutation DecodeStatMutation(ByteReader* r) {
   return m;
 }
 
-uint64_t WorldFingerprint(const testing::CatalogSpec& catalog, const QuerySpec& query) {
+uint64_t WorldFingerprint(const CatalogSpec& catalog, const QuerySpec& query) {
   std::string bytes;
   ByteWriter w(&bytes);
   EncodeCatalogSpec(&w, catalog);
@@ -382,7 +382,7 @@ std::string EncodeRecordStatBatch(uint64_t request_id, const RecordStatBatchReq&
   ByteWriter w(&body);
   w.PutU64(req.world_key);
   w.PutU32(static_cast<uint32_t>(req.mutations.size()));
-  for (const testing::StatMutation& m : req.mutations) EncodeStatMutation(&w, m);
+  for (const StatMutation& m : req.mutations) EncodeStatMutation(&w, m);
   return Framed(MsgType::kRecordStatBatch, request_id, body);
 }
 

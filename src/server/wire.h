@@ -1,7 +1,7 @@
 // The reoptd wire protocol: length-prefixed, checksummed binary frames
-// carrying the re-optimization service vocabulary — QuerySpec,
-// testing::CatalogSpec, testing::StatMutation — between clients and the
-// daemon (server/daemon.h), or between a test and an in-process
+// carrying the re-optimization service vocabulary — QuerySpec and
+// workload/world.h's CatalogSpec and StatMutation — between clients and
+// the daemon (server/daemon.h), or between a test and an in-process
 // ShardedService via the same codecs.
 //
 // ## Frame format (docs/WIRE.md)
@@ -36,7 +36,7 @@
 
 #include "common/serialize.h"
 #include "query/query_spec.h"
-#include "testing/scenario.h"
+#include "workload/world.h"
 
 namespace iqro::server {
 
@@ -79,7 +79,7 @@ enum class WireErrorCode : uint8_t {
   kUnknownWorld = 2,   // world key never registered
   kUnknownQuery = 3,   // query id never registered or already released
   kSpecMismatch = 4,   // world key reused with different catalog/query specs
-  kUnknownOptions = 5, // options_name not in the ScenarioOptionSets vocabulary
+  kUnknownOptions = 5, // options_name not in the NamedOptionSets vocabulary
   kOverloaded = 6,     // session shed the registration (SessionOverloaded)
   kShuttingDown = 7,   // daemon is draining; no new work
 };
@@ -98,9 +98,9 @@ struct RegisterQueryReq {
   /// Attach plan-change/quarantine event delivery to the registering
   /// connection (daemon) or sink (in-process).
   bool want_events = true;
-  testing::CatalogSpec catalog;
+  CatalogSpec catalog;
   QuerySpec query;
-  /// Named optimizer configuration (testing::ScenarioOptionSets vocabulary:
+  /// Named optimizer configuration (NamedOptionSets vocabulary:
   /// "all", "aggsel", "aggsel+refcount", "aggsel+bounding", "evita",
   /// "nopruning", "all-fifo").
   std::string options_name;
@@ -116,7 +116,7 @@ struct SubscribeQueryReq {
 
 struct RecordStatBatchReq {
   uint64_t world_key = 0;
-  std::vector<testing::StatMutation> mutations;
+  std::vector<StatMutation> mutations;
 };
 
 struct FlushReq {
@@ -247,14 +247,14 @@ ServerMessage DecodeServerMessage(const std::string& payload);
 
 void EncodeQuerySpec(ByteWriter* w, const QuerySpec& q);
 QuerySpec DecodeQuerySpec(ByteReader* r);
-void EncodeCatalogSpec(ByteWriter* w, const testing::CatalogSpec& c);
-testing::CatalogSpec DecodeCatalogSpec(ByteReader* r);
-void EncodeStatMutation(ByteWriter* w, const testing::StatMutation& m);
-testing::StatMutation DecodeStatMutation(ByteReader* r);
+void EncodeCatalogSpec(ByteWriter* w, const CatalogSpec& c);
+CatalogSpec DecodeCatalogSpec(ByteReader* r);
+void EncodeStatMutation(ByteWriter* w, const StatMutation& m);
+StatMutation DecodeStatMutation(ByteReader* r);
 
 /// FNV-1a64 over the encoded (catalog, query) pair — the world-spec
 /// fingerprint RegisterQuery consistency checks use.
-uint64_t WorldFingerprint(const testing::CatalogSpec& catalog, const QuerySpec& query);
+uint64_t WorldFingerprint(const CatalogSpec& catalog, const QuerySpec& query);
 
 }  // namespace iqro::server
 

@@ -126,7 +126,7 @@ void ArmFaultPlan(uint64_t seed, bool batch_mode) {
 }
 
 struct StepOracle {
-  ScenarioWorld* world;
+  QueryContext* world;
   const Scenario* scenario;
   const DiffOptions* options;
 
@@ -215,49 +215,26 @@ double RecomputeTreeCost(const PlanTree& t, const CostModel& model) {
   return total;
 }
 
-const std::vector<std::pair<std::string, OptimizerOptions>>& ScenarioOptionSets() {
-  static const auto* sets = [] {
-    auto* s = new std::vector<std::pair<std::string, OptimizerOptions>>{
-        {"all", OptimizerOptions::Default()},
-        {"aggsel", OptimizerOptions::UseAggSel()},
-        {"aggsel+refcount", OptimizerOptions::UseAggSelRefCount()},
-        {"aggsel+bounding", OptimizerOptions::UseAggSelBounding()},
-        {"evita", OptimizerOptions::UseEvitaRaced()},
-        {"nopruning", OptimizerOptions::UseNoPruning()},
-    };
-    OptimizerOptions fifo = OptimizerOptions::Default();
-    fifo.discipline = QueueDiscipline::kFifo;
-    s->emplace_back("all-fifo", fifo);
-    return s;
-  }();
-  return *sets;
-}
-
 Scenario GenerateScenario(uint64_t seed, const GeneratorKnobs& knobs) {
   Scenario sc;
   sc.seed = seed;
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
   const bool use_tpch = rng.NextBool(knobs.p_tpch);
   GenerateCatalogAndQuery(knobs.query, use_tpch, rng, &sc.catalog, &sc.query);
-  const auto& sets = ScenarioOptionSets();
+  const auto& sets = NamedOptionSets();
   const auto& [name, opts] = sets[rng.NextBelow(sets.size())];
   sc.options_name = name;
   sc.options = opts;
-  // Churn generation needs only the join graph and the initial bound
-  // statistics — skip the cost-model/enumerator wiring (RunScenario builds
-  // the full world itself).
-  JoinGraph graph(sc.query);
-  StatsRegistry registry;
-  BindScenarioStats(sc, &registry);
-  registry.Freeze();
-  sc.churn = GenerateChurn(knobs.churn, sc.query, graph, registry, rng);
+  // Churn generation reads the join graph and the initial statistics.
+  const auto world = BuildWorld(sc.catalog, sc.query);
+  sc.churn = GenerateChurn(knobs.churn, sc.query, *world->graph, world->registry, rng);
   return sc;
 }
 
 DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options,
                        const FaultInjection& fault) {
   DiffResult result;
-  auto world = BuildScenarioWorld(scenario);
+  auto world = BuildWorld(scenario.catalog, scenario.query);
   StepOracle oracle{world.get(), &scenario, &options};
 
   // Fault rotation: arm the seed-derived plan with counting DISABLED —
@@ -303,7 +280,7 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options,
   std::unique_ptr<DeclarativeOptimizer> shadow;
   // Parallel mode additionally runs a full serial-mirror world in
   // lockstep (see DiffOptions::worker_threads).
-  std::unique_ptr<ScenarioWorld> mirror_world;
+  std::unique_ptr<QueryContext> mirror_world;
   std::unique_ptr<DeclarativeOptimizer> mirror_inc;
   std::unique_ptr<DeclarativeOptimizer> mirror_shadow;
   std::unique_ptr<ReoptSession> mirror_session;
@@ -348,7 +325,7 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options,
     // evicted/restarted ≡ undisturbed (lifecycle rotation) — so it also
     // runs, serially, for serial fault- or lifecycle-rotation scenarios.
     if (options.worker_threads >= 1 || options.fault_rotation || lifecycle) {
-      mirror_world = BuildScenarioWorld(scenario);
+      mirror_world = BuildWorld(scenario.catalog, scenario.query);
       mirror_inc = std::make_unique<DeclarativeOptimizer>(
           mirror_world->enumerator.get(), mirror_world->cost_model.get(),
           &mirror_world->registry, scenario.options);
@@ -623,7 +600,7 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options,
         session.reset();
         inc.reset();
         shadow.reset();
-        world = BuildScenarioWorld(scenario);
+        world = BuildWorld(scenario.catalog, scenario.query);
         oracle.world = world.get();
         inc = std::make_unique<DeclarativeOptimizer>(world->enumerator.get(),
                                                      world->cost_model.get(),

@@ -37,10 +37,6 @@ struct GeneratorKnobs {
 /// optimizer options, churn). Same seed + same knobs -> identical scenario.
 Scenario GenerateScenario(uint64_t seed, const GeneratorKnobs& knobs = {});
 
-/// The optimizer configurations a scenario may draw (mirrors the paper's
-/// evaluated pruning levels plus the FIFO discipline).
-const std::vector<std::pair<std::string, OptimizerOptions>>& ScenarioOptionSets();
-
 struct DiffOptions {
   /// Run ValidateInvariants at every fixpoint. Disabled for fault-injection
   /// runs: an intentionally under-seeded optimizer holds stale-but-

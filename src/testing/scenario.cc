@@ -1,14 +1,7 @@
 #include "testing/scenario.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.h"
-#include "common/rng.h"
 #include "common/str_util.h"
-#include "query/bind_stats.h"
-#include "workload/context.h"
-#include "workload/tpch_gen.h"
 
 namespace iqro::testing {
 
@@ -28,110 +21,6 @@ const char* StatMutationKindName(StatMutation::Kind k) {
       return "card_mult";
   }
   return "?";
-}
-
-const TpchFixture& SharedTpchFixture() {
-  static const TpchFixture* fixture = [] {
-    auto* f = new TpchFixture();
-    TpchConfig cfg;
-    cfg.scale_factor = 0.002;
-    GenerateTpch(&f->catalog, cfg);
-    f->stats = CollectCatalogStats(f->catalog);
-    return f;
-  }();
-  return *fixture;
-}
-
-TableStats MakeSyntheticTableStats(const SyntheticTableSpec& spec) {
-  TableStats ts;
-  ts.rows = spec.rows;
-  ts.row_width = spec.width;
-  ts.columns.resize(spec.cols.size());
-  Rng rng(spec.hist_seed);
-  for (size_t c = 0; c < spec.cols.size(); ++c) {
-    const SyntheticColumnSpec& cs = spec.cols[c];
-    ColumnStats& out = ts.columns[c];
-    out.min = cs.min;
-    out.max = cs.max;
-    out.ndv = std::min(cs.ndv, spec.rows);
-    // Sample a small value population and build a real equi-depth histogram
-    // so predicate selectivities flow through the production estimator.
-    const size_t samples = static_cast<size_t>(std::min(256.0, std::max(1.0, spec.rows)));
-    std::vector<int64_t> values(samples);
-    const uint64_t domain = static_cast<uint64_t>(cs.max - cs.min) + 1;
-    for (size_t i = 0; i < samples; ++i) {
-      values[i] = cs.min + static_cast<int64_t>(rng.NextBelow(domain));
-    }
-    out.histogram = Histogram::Build(values, 16);
-  }
-  return ts;
-}
-
-void BindScenarioStats(const Scenario& scenario, StatsRegistry* registry) {
-  if (scenario.catalog.use_tpch) {
-    BindStats(scenario.query, SharedTpchFixture().stats, registry);
-    return;
-  }
-  std::vector<TableStats> stats;
-  stats.reserve(scenario.catalog.tables.size());
-  for (const SyntheticTableSpec& t : scenario.catalog.tables) {
-    stats.push_back(MakeSyntheticTableStats(t));
-  }
-  BindStats(scenario.query, stats, registry);
-}
-
-std::unique_ptr<ScenarioWorld> BuildScenarioWorld(const Scenario& scenario) {
-  auto world = std::make_unique<ScenarioWorld>();
-  if (scenario.catalog.use_tpch) {
-    world->catalog = &SharedTpchFixture().catalog;
-  } else {
-    world->owned_catalog = std::make_unique<Catalog>();
-    for (const SyntheticTableSpec& t : scenario.catalog.tables) {
-      Schema schema;
-      schema.name = t.name;
-      for (size_t c = 0; c < t.cols.size(); ++c) {
-        schema.columns.push_back({StrFormat("c%zu", c), ColumnType::kInt});
-      }
-      TableId id = world->owned_catalog->CreateTable(schema);
-      Table& table = world->owned_catalog->table(id);
-      for (size_t c = 0; c < t.cols.size(); ++c) {
-        if ((t.indexed_cols >> c) & 1) table.BuildIndex(static_cast<int>(c));
-      }
-      if (t.clustered_on >= 0) table.SetClusteredOn(t.clustered_on);
-    }
-    world->catalog = world->owned_catalog.get();
-  }
-  world->graph = std::make_unique<JoinGraph>(scenario.query);
-  BindScenarioStats(scenario, &world->registry);
-  world->registry.Freeze();
-  world->summaries = std::make_unique<SummaryCalculator>(&world->registry);
-  world->cost_model = std::make_unique<CostModel>(world->summaries.get());
-  world->enumerator = std::make_unique<PlanEnumerator>(&scenario.query, world->graph.get(),
-                                                       world->catalog, &world->props);
-  return world;
-}
-
-void ApplyMutation(StatsRegistry* registry, const StatMutation& m) {
-  switch (m.kind) {
-    case StatMutation::Kind::kBaseRows:
-      registry->SetBaseRows(m.target, m.value);
-      break;
-    case StatMutation::Kind::kLocalSelectivity:
-      registry->SetLocalSelectivity(m.target, m.value);
-      break;
-    case StatMutation::Kind::kRowWidth:
-      registry->SetRowWidth(m.target, m.value);
-      break;
-    case StatMutation::Kind::kScanCost:
-      registry->SetScanCostMultiplier(m.target, m.value);
-      break;
-    case StatMutation::Kind::kJoinSelectivity:
-      registry->SetJoinSelectivity(m.target, m.value);
-      break;
-    case StatMutation::Kind::kCardMultiplier:
-      registry->SetCardMultiplier(m.scope, m.value);
-      break;
-  }
 }
 
 void ApplyChurnPrefix(StatsRegistry* registry, const Scenario& scenario, size_t n_steps) {

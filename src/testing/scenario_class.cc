@@ -33,7 +33,7 @@ bool CostsAgree(double a, double b, double rel_tol) {
 /// path the differential oracle trusts, so "this step flips the plan" means
 /// the same thing at generation time and at check time.
 std::unique_ptr<PlanTree> ShapeAfterChurn(const Scenario& sc) {
-  auto world = BuildScenarioWorld(sc);
+  auto world = BuildWorld(sc.catalog, sc.query);
   ApplyChurnPrefix(&world->registry, sc, sc.churn.size());
   DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(), &world->registry,
                            sc.options);
@@ -59,7 +59,7 @@ Scenario GeneratePlanFlipScenario(uint64_t seed, const GeneratorKnobs& knobs) {
   q.max_dense_relations = std::min(q.max_dense_relations, 4);
   q.p_window = 0;  // keeps each probe optimization cheap
   GenerateCatalogAndQuery(q, /*use_tpch=*/false, rng, &sc.catalog, &sc.query);
-  const auto& sets = ScenarioOptionSets();
+  const auto& sets = NamedOptionSets();
   const auto& [name, opts] = sets[rng.NextBelow(sets.size())];
   sc.options_name = name;
   sc.options = opts;
@@ -67,10 +67,9 @@ Scenario GeneratePlanFlipScenario(uint64_t seed, const GeneratorKnobs& knobs) {
   // Churn candidates are drawn against the registry state of the accepted
   // prefix, so each step's magnitudes are relative to where the plan
   // actually sits — a flip found at step k stays a flip when replayed.
-  JoinGraph graph(sc.query);
-  StatsRegistry prefix_registry;
-  BindScenarioStats(sc, &prefix_registry);
-  prefix_registry.Freeze();
+  const auto prefix_world = BuildWorld(sc.catalog, sc.query);
+  const JoinGraph& graph = *prefix_world->graph;
+  StatsRegistry& prefix_registry = prefix_world->registry;
 
   ChurnGenOptions cg = knobs.churn;
   cg.min_steps = 1;
@@ -140,7 +139,7 @@ class TagRecordingSubscriber final : public PlanSubscriber {
 /// storms exist to stress — would never see a lookup).
 struct StormQuery {
   int tag = 0;
-  size_t set_idx = 0;  // ScenarioOptionSets() index
+  size_t set_idx = 0;  // NamedOptionSets() index
   std::unique_ptr<SummaryCalculator> summaries;
   std::unique_ptr<CostModel> cost_model;
   std::unique_ptr<SummaryCalculator> mirror_summaries;
@@ -174,9 +173,9 @@ DiffResult RunStormScenario(const Scenario& sc, ScenarioClass cls, const DiffOpt
                             ClassRunStats* stats) {
   DiffResult result;
   ClassRunStats acc;
-  const auto& sets = ScenarioOptionSets();
-  auto world = BuildScenarioWorld(sc);
-  auto mirror_world = BuildScenarioWorld(sc);
+  const auto& sets = NamedOptionSets();
+  auto world = BuildWorld(sc.catalog, sc.query);
+  auto mirror_world = BuildWorld(sc.catalog, sc.query);
   Rng storm_rng(sc.seed ^ (cls == ScenarioClass::kHandleStorm ? 0x57A6F00Dull : 0x0E7A10ABull));
 
   auto fail = [&](int step, std::string msg) {

@@ -17,14 +17,18 @@ std::unique_ptr<QueryContext> MakeQueryContext(const Catalog* catalog, QuerySpec
                                                CostParams cost_params) {
   auto ctx = std::make_unique<QueryContext>();
   ctx->query = std::move(query);
-  ctx->graph = std::make_unique<JoinGraph>(ctx->query);
   BindStats(ctx->query, per_table_stats, &ctx->registry);
+  WireQueryContext(ctx.get(), catalog, cost_params);
+  return ctx;
+}
+
+void WireQueryContext(QueryContext* ctx, const Catalog* catalog, CostParams cost_params) {
+  ctx->graph = std::make_unique<JoinGraph>(ctx->query);
   ctx->registry.Freeze();
   ctx->summaries = std::make_unique<SummaryCalculator>(&ctx->registry);
   ctx->cost_model = std::make_unique<CostModel>(ctx->summaries.get(), cost_params);
   ctx->enumerator = std::make_unique<PlanEnumerator>(&ctx->query, ctx->graph.get(), catalog,
                                                      &ctx->props);
-  return ctx;
 }
 
 }  // namespace iqro

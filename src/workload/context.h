@@ -21,6 +21,9 @@
 namespace iqro {
 
 struct QueryContext {
+  /// A synthetic world's catalog (BuildWorld, test fixtures); empty when
+  /// the enumerator reads a shared catalog instead.
+  Catalog catalog;
   QuerySpec query;
   std::unique_ptr<JoinGraph> graph;
   StatsRegistry registry;
@@ -33,8 +36,14 @@ struct QueryContext {
 /// Collects statistics for every table in `catalog`.
 std::vector<TableStats> CollectCatalogStats(const Catalog& catalog, int histogram_buckets = 32);
 
+/// Wires the rest of a context whose query and statistics are in place:
+/// join graph, frozen registry, summaries, cost model, and one enumerator
+/// over `catalog`.
+void WireQueryContext(QueryContext* ctx, const Catalog* catalog,
+                      CostParams cost_params = CostParams{});
+
 /// Wires a full optimization context for `query`: binds statistics from
-/// `per_table_stats`, freezes the registry, and shares one enumerator.
+/// `per_table_stats`, then WireQueryContext.
 std::unique_ptr<QueryContext> MakeQueryContext(const Catalog* catalog, QuerySpec query,
                                                const std::vector<TableStats>& per_table_stats,
                                                CostParams cost_params = CostParams{});

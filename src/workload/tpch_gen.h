@@ -27,6 +27,9 @@ struct TpchConfig {
   uint64_t seed = 42;
 };
 
+/// The number of TPC-H tables; in a fresh catalog they get ids 0..7.
+inline constexpr int kTpchTables = 8;
+
 /// Creates (or clears and refills) the eight TPC-H tables in `catalog`,
 /// builds primary/foreign-key hash indexes and clusters each table on its
 /// primary key.

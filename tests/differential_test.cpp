@@ -631,7 +631,7 @@ TEST(DifferentialHarnessTest, ScenarioReplayIsByteStable) {
   g_current_workers = 0;
   Scenario scenario = GenerateScenario(4242);
   auto run_dump = [&] {
-    auto world = BuildScenarioWorld(scenario);
+    auto world = BuildWorld(scenario.catalog, scenario.query);
     DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
                              &world->registry, scenario.options);
     opt.Optimize();

@@ -33,7 +33,7 @@ void ExpectClose(double a, double b, const std::string& what) {
 // The configurations under test are the differential harness's rotation —
 // one shared list, so the fuzzer and the equivalence tests never drift.
 const std::vector<std::pair<std::string, OptimizerOptions>>& AllOptionSets() {
-  return ::iqro::testing::ScenarioOptionSets();
+  return ::iqro::NamedOptionSets();
 }
 
 struct Scenario {

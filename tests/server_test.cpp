@@ -18,6 +18,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -38,9 +40,11 @@
 #include "server/wire.h"
 #include "service/metrics_exporter.h"
 #include "service/reopt_session.h"
+#include "service/snapshot.h"
 #include "stats/summary.h"
 #include "testing/differential.h"
 #include "testing/scenario.h"
+#include "workload/world.h"
 
 namespace iqro {
 namespace {
@@ -161,7 +165,7 @@ class CountingSubscriber final : public PlanSubscriber {
 };
 
 const OptimizerOptions& NamedOptions(const std::string& name) {
-  for (const auto& [set_name, options] : testing::ScenarioOptionSets()) {
+  for (const auto& [set_name, options] : NamedOptionSets()) {
     if (set_name == name) return options;
   }
   ADD_FAILURE() << "unknown option set " << name;
@@ -171,10 +175,10 @@ const OptimizerOptions& NamedOptions(const std::string& name) {
 
 /// A small synthetic 3-relation chain world whose plan flips when base
 /// rows move by orders of magnitude — the hand-built daemon test spec.
-testing::CatalogSpec SmallCatalog() {
-  testing::CatalogSpec catalog;
+CatalogSpec SmallCatalog() {
+  CatalogSpec catalog;
   for (int i = 0; i < 3; ++i) {
-    testing::SyntheticTableSpec t;
+    SyntheticTableSpec t;
     t.name = "t" + std::to_string(i);
     t.rows = 1000.0 * (i + 1);
     t.width = 8;
@@ -207,10 +211,10 @@ QuerySpec SmallChainQuery() {
 
 /// Swings SmallChainQuery's statistics by orders of magnitude so its join
 /// order flips; consecutive rounds alternate between the two extremes.
-std::vector<testing::StatMutation> FlipBatch(int round) {
+std::vector<StatMutation> FlipBatch(int round) {
   const bool even = round % 2 == 0;
-  return {{testing::StatMutation::Kind::kBaseRows, 0, 0, even ? 5e6 : 20.0},
-          {testing::StatMutation::Kind::kJoinSelectivity, 0, 0, even ? 1e-4 : 0.5}};
+  return {{StatMutation::Kind::kBaseRows, 0, 0, even ? 5e6 : 20.0},
+          {StatMutation::Kind::kJoinSelectivity, 0, 0, even ? 1e-4 : 0.5}};
 }
 
 // ---- wire codec ------------------------------------------------------------
@@ -259,9 +263,9 @@ TEST(WireTest, RegisterQueryRoundTrips) {
 TEST(WireTest, MutationBatchAndControlRequestsRoundTrip) {
   server::RecordStatBatchReq batch;
   batch.world_key = 99;
-  batch.mutations.push_back({testing::StatMutation::Kind::kBaseRows, 2, 0, 5e6});
-  batch.mutations.push_back({testing::StatMutation::Kind::kJoinSelectivity, 1, 0, 0.25});
-  batch.mutations.push_back({testing::StatMutation::Kind::kCardMultiplier, 0, 0x5, 3.5});
+  batch.mutations.push_back({StatMutation::Kind::kBaseRows, 2, 0, 5e6});
+  batch.mutations.push_back({StatMutation::Kind::kJoinSelectivity, 1, 0, 0.25});
+  batch.mutations.push_back({StatMutation::Kind::kCardMultiplier, 0, 0x5, 3.5});
 
   std::string image = server::EncodeRecordStatBatch(1, batch);
   image += server::EncodeFlush(2, {true, 0});
@@ -277,7 +281,7 @@ TEST(WireTest, MutationBatchAndControlRequestsRoundTrip) {
   const server::Request b = server::DecodeRequest(payloads[0]);
   ASSERT_EQ(b.type, MsgType::kRecordStatBatch);
   ASSERT_EQ(b.record_stat_batch.mutations.size(), 3u);
-  EXPECT_EQ(b.record_stat_batch.mutations[0].kind, testing::StatMutation::Kind::kBaseRows);
+  EXPECT_EQ(b.record_stat_batch.mutations[0].kind, StatMutation::Kind::kBaseRows);
   EXPECT_DOUBLE_EQ(b.record_stat_batch.mutations[0].value, 5e6);
   EXPECT_EQ(b.record_stat_batch.mutations[2].scope, 0x5u);
   EXPECT_TRUE(server::DecodeRequest(payloads[1]).flush.all);
@@ -433,7 +437,7 @@ TEST(ShardedServiceTest, RoutingDifferentialMatchesSingleSessionOracle) {
 
   struct Oracle {
     testing::Scenario scenario;
-    std::unique_ptr<testing::ScenarioWorld> world;
+    std::unique_ptr<QueryContext> world;
     std::unique_ptr<DeclarativeOptimizer> opt;
     std::unique_ptr<DeclarativeOptimizer> opt_all;  // even seeds: 2nd config
     std::unique_ptr<ReoptSession> session;
@@ -449,7 +453,7 @@ TEST(ShardedServiceTest, RoutingDifferentialMatchesSingleSessionOracle) {
     Oracle oracle;
     oracle.scenario = testing::GenerateScenario(seed);
     const bool two_configs = i % 2 == 0 && oracle.scenario.options_name != "all";
-    oracle.world = testing::BuildScenarioWorld(oracle.scenario);
+    oracle.world = BuildWorld(oracle.scenario.catalog, oracle.scenario.query);
     oracle.session = std::make_unique<ReoptSession>(&oracle.world->registry);
     oracle.opt = std::make_unique<DeclarativeOptimizer>(
         oracle.world->enumerator.get(), oracle.world->cost_model.get(), &oracle.world->registry,
@@ -493,8 +497,8 @@ TEST(ShardedServiceTest, RoutingDifferentialMatchesSingleSessionOracle) {
 
     for (size_t step = 0; step < oracle.scenario.churn.size(); ++step) {
       const auto& mutations = oracle.scenario.churn[step].mutations;
-      for (const testing::StatMutation& m : mutations) {
-        testing::ApplyMutation(&oracle.world->registry, m);
+      for (const StatMutation& m : mutations) {
+        ApplyMutation(&oracle.world->registry, m);
       }
       oracle.session->Flush();
       ASSERT_EQ(svc1.RecordStatBatch(world_key, mutations), mutations.size());
@@ -529,7 +533,7 @@ TEST(ShardedServiceTest, RoutingDifferentialMatchesSingleSessionOracle) {
 
 TEST(ShardedServiceTest, RejectsBadRegistrationsAndMutations) {
   ShardedService svc(ShardedServiceOptions{});
-  const testing::CatalogSpec catalog = SmallCatalog();
+  const CatalogSpec catalog = SmallCatalog();
   const QuerySpec query = SmallChainQuery();
 
   // Unknown option set / structurally bad specs.
@@ -542,6 +546,41 @@ TEST(ShardedServiceTest, RejectsBadRegistrationsAndMutations) {
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.code, WireErrorCode::kBadRequest);
   }
+
+  // Specs that pass the wire codec but that a world cannot be built from
+  // (each used to abort or trap on the shard thread): all kBadRequest.
+  auto expect_bad_request = [&](const CatalogSpec& c, const QuerySpec& q, const char* what) {
+    try {
+      svc.RegisterQuery(1, c, q, "all", nullptr);
+      ADD_FAILURE() << what << " accepted";
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code, WireErrorCode::kBadRequest) << what;
+    }
+  };
+  CatalogSpec tpch;
+  tpch.use_tpch = true;
+  QuerySpec tpch_query = query;
+  tpch_query.relations[0].table = 99;
+  expect_bad_request(tpch, tpch_query, "TPC-H table 99");
+  CatalogSpec clustered = catalog;
+  clustered.tables[0].clustered_on = 1;  // the table has one column
+  expect_bad_request(clustered, query, "clustering column past the last column");
+  CatalogSpec full_range = catalog;
+  full_range.tables[0].cols[0] = {INT64_MIN, INT64_MAX, 500};
+  expect_bad_request(full_range, query, "column range spanning all of int64");
+  CatalogSpec duplicate = catalog;
+  duplicate.tables[1].name = duplicate.tables[0].name;
+  expect_bad_request(duplicate, query, "two tables with one name");
+  QuerySpec self_edge = query;
+  self_edge.joins[0].right_rel = self_edge.joins[0].left_rel;
+  expect_bad_request(catalog, self_edge, "join edge from a relation to itself");
+  QuerySpec negative_col = query;
+  negative_col.locals.push_back({0, -1, PredOp::kLt, 5, 0});
+  expect_bad_request(catalog, negative_col, "local predicate on column -1");
+  QuerySpec disconnected = query;
+  disconnected.joins.pop_back();  // r2 joins nothing
+  expect_bad_request(catalog, disconnected, "disconnected join graph");
+  EXPECT_EQ(svc.num_worlds(), 0u);
 
   const auto reg = svc.RegisterQuery(1, catalog, query, "all", nullptr);
   EXPECT_EQ(svc.num_worlds(), 1u);
@@ -558,11 +597,11 @@ TEST(ShardedServiceTest, RejectsBadRegistrationsAndMutations) {
   // Mutations against an unknown world throw; invalid mutations against a
   // known world are dropped and counted, valid ones accepted.
   EXPECT_THROW(svc.RecordStatBatch(99, {}), ServiceError);
-  std::vector<testing::StatMutation> batch;
-  batch.push_back({testing::StatMutation::Kind::kBaseRows, 0, 0, 5e5});     // valid
-  batch.push_back({testing::StatMutation::Kind::kBaseRows, 9, 0, 1e3});    // bad slot
-  batch.push_back({testing::StatMutation::Kind::kBaseRows, 1, 0, -4.0});   // bad value
-  batch.push_back({testing::StatMutation::Kind::kCardMultiplier, 0, 0, 2.0});  // empty scope
+  std::vector<StatMutation> batch;
+  batch.push_back({StatMutation::Kind::kBaseRows, 0, 0, 5e5});     // valid
+  batch.push_back({StatMutation::Kind::kBaseRows, 9, 0, 1e3});    // bad slot
+  batch.push_back({StatMutation::Kind::kBaseRows, 1, 0, -4.0});   // bad value
+  batch.push_back({StatMutation::Kind::kCardMultiplier, 0, 0, 2.0});  // empty scope
   EXPECT_EQ(svc.RecordStatBatch(1, batch), 1u);
   EXPECT_GT(svc.Flush(1), 0u);
   EXPECT_EQ(svc.Stats().mutations_rejected, 3);
@@ -617,13 +656,49 @@ TEST(ShardedServiceTest, SnapshotFanOutSurvivesRestart) {
   // re-attached sink observes events again (the kSubscribeQuery path).
   CountingSink sink;
   EXPECT_TRUE(restored.SetSink(query_ids[0], &sink));
-  std::vector<testing::StatMutation> batch;
-  batch.push_back({testing::StatMutation::Kind::kBaseRows, 0, 0, 7e6});
+  std::vector<StatMutation> batch;
+  batch.push_back({StatMutation::Kind::kBaseRows, 0, 0, 7e6});
   EXPECT_EQ(restored.RecordStatBatch(world_keys[0], batch), 1u);
   restored.Flush(world_keys[0]);
 
   // LoadSnapshots only warm-starts an empty service.
   EXPECT_THROW(restored.LoadSnapshots(), ServiceError);
+}
+
+// A manifest whose checksums hold but whose world specs cannot be built
+// (edited by hand, or written by a buggy build) fails the load with a
+// typed error instead of aborting a shard thread.
+TEST(ShardedServiceTest, ManifestWithUnbuildableSpecsFailsTheLoad) {
+  char dir_template[] = "/tmp/iqro_server_badmanifest_XXXXXX";
+  ASSERT_NE(mkdtemp(dir_template), nullptr);
+  const std::string manifest_path = std::string(dir_template) + "/shard0.manifest";
+  CatalogSpec catalog = SmallCatalog();
+  catalog.tables[1].name = catalog.tables[0].name;
+  const QuerySpec query = SmallChainQuery();
+  std::string record;
+  ByteWriter w(&record);
+  w.PutU64(1);  // world key
+  w.PutU64(server::WorldFingerprint(catalog, query));
+  w.PutU32(query.AllRelations());
+  server::EncodeCatalogSpec(&w, catalog);
+  server::EncodeQuerySpec(&w, query);
+  w.PutU32(0);  // no queries
+  service::SnapshotWriter manifest;
+  manifest.AddSection(1, std::move(record));  // one world record
+  manifest.WriteAtomic(manifest_path);
+
+  ShardedServiceOptions opts;
+  opts.snapshot_dir = dir_template;
+  ShardedService svc(opts);
+  try {
+    svc.LoadSnapshots();
+    ADD_FAILURE() << "manifest with duplicate table names loaded";
+  } catch (const SerializeError& e) {
+    EXPECT_EQ(e.code, SerializeError::Code::kBadSection);
+  }
+  EXPECT_EQ(svc.num_worlds(), 0u);
+  std::remove(manifest_path.c_str());
+  rmdir(dir_template);
 }
 
 TEST(ShardedServiceTest, DeadlineFlushFiresWhileShardIsBusy) {
@@ -679,8 +754,18 @@ TEST(DaemonTest, EndToEndRegisterChurnEventsMetrics) {
 
   Client client;
   client.ConnectUnix(sock);
-  const testing::CatalogSpec catalog = SmallCatalog();
+  const CatalogSpec catalog = SmallCatalog();
   const QuerySpec query = SmallChainQuery();
+  // A registration no world can be built from is answered with kError,
+  // and the same connection goes on to register.
+  CatalogSpec duplicate = catalog;
+  duplicate.tables[1].name = duplicate.tables[0].name;
+  try {
+    client.RegisterQuery(7, duplicate, query, "all");
+    ADD_FAILURE() << "duplicate table names accepted over the socket";
+  } catch (const ClientError& e) {
+    EXPECT_EQ(e.code, WireErrorCode::kBadRequest);
+  }
   const server::RegisteredResp reg = client.RegisterQuery(7, catalog, query, "all");
   const auto mirror_reg = mirror.RegisterQuery(7, catalog, query, "all", &mirror_sink);
   EXPECT_DOUBLE_EQ(reg.best_cost, mirror_reg.best_cost);
@@ -691,7 +776,7 @@ TEST(DaemonTest, EndToEndRegisterChurnEventsMetrics) {
 
   int socket_plan_changes = 0;
   for (int round = 0; round < 6; ++round) {
-    const std::vector<testing::StatMutation> batch = FlipBatch(round);
+    const std::vector<StatMutation> batch = FlipBatch(round);
     ASSERT_EQ(client.RecordStatBatch(7, batch), batch.size());
     mirror.RecordStatBatch(7, batch);
     const uint64_t changes = client.Flush(7);
@@ -749,8 +834,8 @@ TEST(DaemonTest, MalformedFrameClosesOnlyThatConnection) {
   close(bad_fd);
 
   // ...while the well-behaved peer and its registered query are untouched.
-  std::vector<testing::StatMutation> batch;
-  batch.push_back({testing::StatMutation::Kind::kBaseRows, 0, 0, 9e6});
+  std::vector<StatMutation> batch;
+  batch.push_back({StatMutation::Kind::kBaseRows, 0, 0, 9e6});
   EXPECT_EQ(good.RecordStatBatch(1, batch), 1u);
   EXPECT_GT(good.Flush(1), 0u);
   EXPECT_EQ(daemon.service().num_queries(), 1u);
@@ -777,8 +862,8 @@ TEST(DaemonTest, SnapshotShutdownWarmRestartResubscribe) {
     Client client;
     client.ConnectUnix(sock);
     query_id = client.RegisterQuery(5, SmallCatalog(), SmallChainQuery(), "all").query_id;
-    std::vector<testing::StatMutation> batch;
-    batch.push_back({testing::StatMutation::Kind::kBaseRows, 1, 0, 3e6});
+    std::vector<StatMutation> batch;
+    batch.push_back({StatMutation::Kind::kBaseRows, 1, 0, 3e6});
     client.RecordStatBatch(5, batch);
     client.Flush(5);
     EXPECT_EQ(client.Snapshot(), 1u);  // explicit kSnapshot
@@ -803,10 +888,10 @@ TEST(DaemonTest, SnapshotShutdownWarmRestartResubscribe) {
   EXPECT_THROW(client2.SubscribeQuery(query_id + 999), ClientError);
   int plan_changes = 0;
   for (int round = 0; round < 4; ++round) {
-    std::vector<testing::StatMutation> batch;
+    std::vector<StatMutation> batch;
     batch.push_back(
-        {testing::StatMutation::Kind::kBaseRows, 0, 0, round % 2 == 0 ? 8e6 : 12.0});
-    batch.push_back({testing::StatMutation::Kind::kJoinSelectivity, 0, 0,
+        {StatMutation::Kind::kBaseRows, 0, 0, round % 2 == 0 ? 8e6 : 12.0});
+    batch.push_back({StatMutation::Kind::kJoinSelectivity, 0, 0,
                      round % 2 == 0 ? 1e-4 : 0.5});
     client2.RecordStatBatch(5, batch);
     client2.Flush(5);

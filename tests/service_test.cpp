@@ -1861,7 +1861,7 @@ TEST(SnapshotTest, FuzzRoundTripAcrossGeneratedScenarios) {
     if (scenario.churn.size() < 2) continue;
     const size_t split = scenario.churn.size() / 2;
 
-    auto world = BuildScenarioWorld(scenario);
+    auto world = BuildWorld(scenario.catalog, scenario.query);
     DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
                              &world->registry, scenario.options);
     opt.Optimize();
@@ -1876,7 +1876,7 @@ TEST(SnapshotTest, FuzzRoundTripAcrossGeneratedScenarios) {
     if (seed % 2 == 0) session.EvictQuery(handle.id());  // cover stored seeds
     session.SaveSnapshot(snap.path);
 
-    auto world2 = BuildScenarioWorld(scenario);
+    auto world2 = BuildWorld(scenario.catalog, scenario.query);
     DeclarativeOptimizer opt2(world2->enumerator.get(), world2->cost_model.get(),
                               &world2->registry, scenario.options);
     ReoptSession session2(&world2->registry);
@@ -1891,7 +1891,7 @@ TEST(SnapshotTest, FuzzRoundTripAcrossGeneratedScenarios) {
     session2.RehydrateQuery(handles[0].id());  // in case every batch missed it
 
     // Fresh oracle: a third world with ALL churn applied, optimized once.
-    auto world3 = BuildScenarioWorld(scenario);
+    auto world3 = BuildWorld(scenario.catalog, scenario.query);
     ApplyChurnPrefix(&world3->registry, scenario, scenario.churn.size());
     DeclarativeOptimizer oracle(world3->enumerator.get(), world3->cost_model.get(),
                                 &world3->registry, scenario.options);

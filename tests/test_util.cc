@@ -67,8 +67,6 @@ std::unique_ptr<TestWorld> MakeWorld(const WorldOptions& options) {
       }
       break;
   }
-  world->graph = std::make_unique<JoinGraph>(q);
-
   // Synthetic statistics.
   world->registry.Reset(n);
   for (int i = 0; i < n; ++i) {
@@ -81,12 +79,7 @@ std::unique_ptr<TestWorld> MakeWorld(const WorldOptions& options) {
     double sel = std::pow(10.0, -4.0 * rng.NextDouble());  // 1 .. 1e-4
     world->registry.AddEdge(j.Endpoints(), sel);
   }
-  world->registry.Freeze();
-
-  world->summaries = std::make_unique<SummaryCalculator>(&world->registry);
-  world->cost_model = std::make_unique<CostModel>(world->summaries.get());
-  world->enumerator = std::make_unique<PlanEnumerator>(&world->query, world->graph.get(),
-                                                       &world->catalog, &world->props);
+  WireQueryContext(world.get(), &world->catalog);
   return world;
 }
 

@@ -6,14 +6,8 @@
 
 #include <memory>
 
-#include "catalog/catalog.h"
 #include "common/rng.h"
-#include "cost/cost_model.h"
-#include "enumerate/plan_enumerator.h"
-#include "query/join_graph.h"
-#include "query/query_spec.h"
-#include "stats/stats_registry.h"
-#include "stats/summary.h"
+#include "workload/context.h"
 
 namespace iqro::testing {
 
@@ -22,17 +16,9 @@ enum class GraphShape { kChain, kStar, kCycle, kClique };
 const char* GraphShapeName(GraphShape s);
 
 /// A fully wired optimization context over synthetic statistics (tables are
-/// schema-only; no rows are stored). All members have stable addresses.
-struct TestWorld {
-  Catalog catalog;
-  QuerySpec query;
-  std::unique_ptr<JoinGraph> graph;
-  StatsRegistry registry;
-  std::unique_ptr<SummaryCalculator> summaries;
-  std::unique_ptr<CostModel> cost_model;
-  PropTable props;
-  std::unique_ptr<PlanEnumerator> enumerator;
-};
+/// schema-only; no rows are stored; the catalog is the context's own). All
+/// members have stable addresses.
+using TestWorld = QueryContext;
 
 struct WorldOptions {
   int num_relations = 4;
