@@ -15,6 +15,8 @@ namespace iqro {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Initial tasks per level bucket; a bucket grows like the single ring.
+constexpr size_t kLevelBucketCapacity = 16;
 }
 
 DeclarativeOptimizer::DeclarativeOptimizer(PlanEnumerator* enumerator,
@@ -126,7 +128,21 @@ void DeclarativeOptimizer::Touch(EPState* ep, uint32_t alt_idx) {
 
 void DeclarativeOptimizer::Push(Task t) {
   ++metrics_.tasks_enqueued;
-  queue_.push_back(t);
+  if (!by_level_) {
+    queue_.push_back(t);
+    return;
+  }
+  const size_t level = static_cast<size_t>(RelCount(t.ep->expr));
+  levels_[level].push_back(t);
+  if (level < level_cursor_) level_cursor_ = level;
+}
+
+RingBuffer<DeclarativeOptimizer::Task>* DeclarativeOptimizer::NextQueue() {
+  if (!by_level_) return queue_.empty() ? nullptr : &queue_;
+  for (; level_cursor_ < levels_.size(); ++level_cursor_) {
+    if (!levels_[level_cursor_].empty()) return &levels_[level_cursor_];
+  }
+  return nullptr;
 }
 
 void DeclarativeOptimizer::ScheduleEnumerate(EPState* ep) {
@@ -170,7 +186,7 @@ void DeclarativeOptimizer::ScheduleBoundDirty(EPState* ep) {
 
 void DeclarativeOptimizer::Drain() {
   const bool lifo = options_.discipline == QueueDiscipline::kLifo;
-  while (!queue_.empty()) {
+  while (RingBuffer<Task>* queue = NextQueue()) {
     ++metrics_.steps;
     ++metrics_.round_steps;
     IQRO_CHECK(metrics_.steps < static_cast<int64_t>(options_.max_steps));
@@ -178,7 +194,7 @@ void DeclarativeOptimizer::Drain() {
       throw WorkBudgetExceeded(work_budget_, metrics_.round_steps);
     }
     IQRO_FAULT_POINT("reopt.fixpoint");
-    Task t = lifo ? queue_.pop_back() : queue_.pop_front();
+    Task t = lifo ? queue->pop_back() : queue->pop_front();
     switch (t.kind) {
       case Task::Kind::kEnumerate:
         RunEnumerate(t.ep);
@@ -232,6 +248,9 @@ void DeclarativeOptimizer::TearDown() {
   eps_in_order_.clear();
   memo_.Clear();
   queue_.clear();
+  std::vector<RingBuffer<Task>>().swap(levels_);
+  level_cursor_ = 0;
+  by_level_ = false;
   arena_.Reset();
   scope_index_.Clear();
   seed_scratch_.clear();
@@ -300,15 +319,29 @@ int64_t DeclarativeOptimizer::ReoptimizeBatchImpl(const std::vector<StatChange>&
   // of one batch is considered once (seed_mark round stamp). The candidate
   // counts the traversals examined are surfaced as eps_scanned — the
   // seeding-efficiency counter benches assert against eps_seeded.
-  // Seed deltas bottom-up: children settle before parents, and the
-  // (expr, none) entry of an expression precedes its (expr, sorted(..))
-  // variants, whose sort enforcers reference it. Every ancestor of an
-  // affected pair is itself affected (its expression is a superset), so a
-  // single ascending pass evicts collected state before the live state
-  // referencing it is re-driven. Both seeding paths below visit the
-  // affected set in the same (|expr|, prop != none, insertion id) total
-  // order — the legacy full-memo stable sort restricted to the affected set
-  // — so fault-point ordinals and differential traces are path-independent.
+  // The pass drains bottom-up: from here to the end of Drain() every push
+  // lands in the level bucket of its entry's |expr| and the lowest
+  // non-empty level runs first, so an entry is driven only after the
+  // affected entries below it have settled. One LIFO ring would pop the
+  // seeded parents first and drive them again after each child settles.
+  // Initial Optimize() keeps the single ring, where LIFO's depth-first
+  // descent prunes best. CanonicalDumpState is history-free, so the order
+  // is invisible to the oracle.
+  // Seeding visits the affected set bottom-up too, in (|expr|, prop !=
+  // none, insertion id) order: within a level an expression's (expr, none)
+  // entry is pushed before its (expr, sorted(..)) variants, whose sort
+  // enforcers reference it. Every ancestor of an affected pair is itself
+  // affected (its expression is a superset), so one ascending pass evicts
+  // collected state before the live state referencing it is re-driven.
+  // Both seeding paths below use the same total order — the legacy
+  // full-memo stable sort restricted to the affected set — so fault-point
+  // ordinals and differential traces are path-independent.
+  if (levels_.empty()) {
+    const size_t num_levels = static_cast<size_t>(RelCount(root_->expr)) + 1;
+    levels_.reserve(num_levels);
+    for (size_t i = 0; i < num_levels; ++i) levels_.emplace_back(kLevelBucketCapacity);
+  }
+  by_level_ = true;
   int64_t seeded = 0;
   auto seed_one = [&](EPState* ep) {
     ++seeded;
@@ -386,6 +419,7 @@ int64_t DeclarativeOptimizer::ReoptimizeBatchImpl(const std::vector<StatChange>&
   metrics_.eps_scanned += scanned;
   metrics_.round_eps_scanned += scanned;
   Drain();
+  by_level_ = false;
   work_budget_ = 0;
   UpdatePeakMemoBytes();  // O(1) unless this round enumerated new state
   return seeded;
@@ -574,6 +608,13 @@ void DeclarativeOptimizer::RunBestDirty(EPState* ep) {
   ep->last_best = best;
   ep->last_best_idx = best_idx;
   Touch(ep);
+  ++metrics_.round_best_changes;
+  if (ep->best_round != round_) {
+    ep->best_round = round_;
+  } else if (ep->rebest_round != round_) {
+    ep->rebest_round = round_;
+    ++metrics_.round_rebest_eps;
+  }
   // Propagate the BestCost delta to every registered parent alternative —
   // present or suppressed (a suppressed parent may become viable again).
   for (const ParentRef& pr : ep->parents) {
@@ -785,10 +826,13 @@ size_t DeclarativeOptimizer::PerEpBytes() const {
 }
 
 size_t DeclarativeOptimizer::StructuralBytes() const {
-  return arena_.bytes_reserved() + memo_.capacity_bytes() +
-         eps_in_order_.capacity() * sizeof(EPState*) + scope_index_.bytes() +
-         seed_scratch_.capacity() * sizeof(EPState*) +
-         reopt_order_.capacity() * sizeof(EPState*) + queue_.capacity_bytes();
+  size_t bytes = arena_.bytes_reserved() + memo_.capacity_bytes() +
+                 eps_in_order_.capacity() * sizeof(EPState*) + scope_index_.bytes() +
+                 seed_scratch_.capacity() * sizeof(EPState*) +
+                 reopt_order_.capacity() * sizeof(EPState*) + queue_.capacity_bytes() +
+                 levels_.capacity() * sizeof(RingBuffer<Task>);
+  for (const RingBuffer<Task>& bucket : levels_) bytes += bucket.capacity_bytes();
+  return bytes;
 }
 
 void DeclarativeOptimizer::UpdatePeakMemoBytes() {
@@ -1271,6 +1315,8 @@ void DeclarativeOptimizer::RestoreState(const std::string& payload, uint64_t sta
 
 void DeclarativeOptimizer::ValidateInvariants() const {
   IQRO_CHECK(queue_.empty());  // only meaningful at fixpoint
+  IQRO_CHECK(!by_level_);
+  for (const RingBuffer<Task>& bucket : levels_) IQRO_CHECK(bucket.empty());
   // The incremental aggregate-entry counter behind peak_memo_bytes must
   // agree with a fresh count over the memo.
   int64_t agg_entries = 0;

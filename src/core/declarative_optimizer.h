@@ -49,11 +49,13 @@
 //    (MakeEPKey) with a multiplicative hash — one probe is a multiply, a
 //    mask, and a linear scan of flat control bytes, no node chasing.
 //  * Tasks are 16-byte PODs in a growable power-of-two RingBuffer
-//    (common/ring_buffer.h) serving both queue disciplines; duplicate tasks
-//    are suppressed at enqueue time by the intrusive queued bits on
-//    EPState/AltState (enumerate_queued, drive_queued, best_dirty,
-//    bound_dirty), so the ring never holds two live tasks for the same
-//    (kind, ep, alt) and pushes never allocate after warm-up.
+//    (common/ring_buffer.h) serving both queue disciplines — one ring for
+//    initial optimization, one per |expr| level while a ReoptimizeBatch
+//    pass drains bottom-up (levels_). Duplicate tasks are suppressed at
+//    enqueue time by the intrusive queued bits on EPState/AltState
+//    (enumerate_queued, drive_queued, best_dirty, bound_dirty), so the
+//    worklist never holds two live tasks for the same (kind, ep, alt) and
+//    pushes never allocate after warm-up.
 //  * OptMetrics tracks the data layer too: memo_probes/memo_hits,
 //    tasks_enqueued/tasks_deduped, and peak_memo_bytes (high-water estimate
 //    of arena + table + per-EP vectors + aggregates, sampled at round ends).
@@ -139,6 +141,12 @@ class DeclarativeOptimizer {
   /// statistics the changes describe. An empty list is a no-op. Returns the
   /// number of memo entries seeded (re-driven or evicted) — 0 means the
   /// batch could not affect this query's plan space.
+  ///
+  /// The pass drains bottom-up: tasks run in ascending |expr| order, the
+  /// queue discipline ordering them only within one level, so an entry is
+  /// re-driven after the affected entries below it have settled. The
+  /// result does not depend on the order (CanonicalDumpState is
+  /// history-free); the step count does.
   ///
   /// `stats_epoch` is the registry epoch the drained batch reflects
   /// (StatsRegistry::DrainedBatch::epoch); 0 reads the registry's live
@@ -256,6 +264,9 @@ class DeclarativeOptimizer {
   int64_t NumActiveAlts() const;    // SearchSpace rows currently present
   int64_t NumViableAlts() const;    // alternatives that ever won their group
   int64_t NumCostedAlts() const;    // alternatives with a derivable PlanCost
+  /// Level buckets of the batch worklist: 0 until the first non-empty
+  /// ReoptimizeBatch, |root expr| + 1 after it, 0 again after a teardown.
+  size_t NumLevelBuckets() const { return levels_.size(); }
 
   /// Renders the raw memo (SearchSpace/PlanCost/BestCost/Bound) for
   /// debugging. Ordering guarantee: entries appear in memo *insertion*
@@ -363,6 +374,10 @@ class DeclarativeOptimizer {
     /// Round stamp for seeding dedup: an EP matched by several changes of
     /// one batch is seeded once (see ReoptimizeBatchImpl).
     uint32_t seed_mark = 0;
+    /// Round stamps of the first and second propagated BestCost change in
+    /// a round: round_rebest_eps counts each entry once, at its second.
+    uint32_t best_round = 0;
+    uint32_t rebest_round = 0;
 
     bool live(bool use_ref_counting) const {
       return use_ref_counting ? refcount > 0 : ever_live;
@@ -412,6 +427,9 @@ class DeclarativeOptimizer {
   // ---- fixpoint tasks ----
   void Drain();
   void Push(Task t);
+  /// The queue Drain() pops from next, or null when the worklist is empty:
+  /// the single ring, or during a batch the lowest non-empty level bucket.
+  RingBuffer<Task>* NextQueue();
   void ScheduleEnumerate(EPState* ep);
   void ScheduleDrive(EPState* ep, uint32_t alt_idx);
   void ScheduleBestDirty(EPState* ep);
@@ -458,7 +476,7 @@ class DeclarativeOptimizer {
   size_t PerEpVectorBytes() const;
   size_t PerEpBytes() const;
   /// O(1)-ish footprint terms: arena blocks, flat table, order vector,
-  /// scope index, seed scratch, queue.
+  /// scope index, seed scratch, queue and level buckets.
   size_t StructuralBytes() const;
   void UpdatePeakMemoBytes();
 
@@ -472,6 +490,13 @@ class DeclarativeOptimizer {
   FlatMap64<EPState*> memo_;       // packed (RelSet, PropId) -> arena node
   std::vector<EPState*> eps_in_order_;  // insertion order, for deterministic walks
   RingBuffer<Task> queue_;
+  // The batch worklist, used while by_level_ (see ReoptimizeBatchImpl): one
+  // bucket per |expr| level of the query, allocated on the first non-empty
+  // batch and released by TearDown(), so an optimizer that is only ever
+  // Optimize()d pays nothing for them.
+  std::vector<RingBuffer<Task>> levels_;
+  size_t level_cursor_ = 0;  // no bucket below it holds a task
+  bool by_level_ = false;
   EPState* root_ = nullptr;
   bool optimized_ = false;
   uint32_t round_ = 0;

@@ -36,12 +36,17 @@ struct OptMetrics {
   int64_t round_touched_alts = 0;  // alternatives recomputed/suppressed/re-added
   int64_t round_steps = 0;
   int64_t round_eps_scanned = 0;
+  int64_t round_best_changes = 0;  // propagated BestCost changes (RunBestDirty)
+  int64_t round_rebest_eps = 0;    // entries whose propagated best changed
+                                   // more than once this round
 
   void BeginRound() {
     round_touched_eps = 0;
     round_touched_alts = 0;
     round_steps = 0;
     round_eps_scanned = 0;
+    round_best_changes = 0;
+    round_rebest_eps = 0;
   }
 };
 

@@ -17,9 +17,12 @@
 namespace iqro {
 
 /// Work-queue discipline; pruning effectiveness depends on exploration
-/// order (§3.1), so this is a first-class ablation knob.
+/// order (§3.1), so this is a first-class ablation knob. Initial
+/// optimization drains one queue in this order. A ReoptimizeBatch pass
+/// drains by ascending |expr| instead and applies the discipline within
+/// each level (see DeclarativeOptimizer::ReoptimizeBatch).
 enum class QueueDiscipline : uint8_t {
-  kLifo,  // depth-first-like; default (best pruning in practice)
+  kLifo,  // depth-first-like; default (best pruning in initial optimization)
   kFifo,  // breadth-first-like
 };
 

@@ -53,6 +53,8 @@ bench::JsonObj ReportJson(const FlushReport& r) {
       .Put("eps_seeded", r.opt.eps_seeded)
       .Put("eps_scanned", r.opt.eps_scanned)
       .Put("fixpoint_steps", r.opt.fixpoint_steps)
+      .Put("best_changes", r.opt.best_changes)
+      .Put("rebest_eps", r.opt.rebest_eps)
       .Put("touched_eps", r.opt.touched_eps)
       .Put("touched_alts", r.opt.touched_alts)
       .Put("tasks_enqueued", r.opt.tasks_enqueued);

@@ -239,6 +239,8 @@ ReoptSession::PassResult ReoptSession::RunPass(DeclarativeOptimizer* optimizer,
   const OptMetrics& m = optimizer->metrics();
   r.eps_scanned = m.round_eps_scanned;
   r.fixpoint_steps = m.round_steps;
+  r.best_changes = m.round_best_changes;
+  r.rebest_eps = m.round_rebest_eps;
   r.touched_eps = m.round_touched_eps;
   r.touched_alts = m.round_touched_alts;
   r.tasks_enqueued = m.tasks_enqueued - enqueued_before;
@@ -264,6 +266,8 @@ void ReoptSession::AggregatePass(const PassResult& r) {
   last_flush_.eps_seeded += r.eps_seeded;
   last_flush_.eps_scanned += r.eps_scanned;
   last_flush_.fixpoint_steps += r.fixpoint_steps;
+  last_flush_.best_changes += r.best_changes;
+  last_flush_.rebest_eps += r.rebest_eps;
   last_flush_.touched_eps += r.touched_eps;
   last_flush_.touched_alts += r.touched_alts;
   last_flush_.tasks_enqueued += r.tasks_enqueued;
@@ -887,10 +891,22 @@ size_t ReoptSession::Flush() {
         const bool want_digest = slot.subscriber != nullptr;
         const bool force_digest = want_digest && slot.rediff_pending;
         const int64_t budget = options_.per_query_work_budget;
+        // A failure travels in the result, moved out of the future, so the
+        // coordinator frees the exception on its own thread. Thrown through
+        // the future, the worker could free it when it releases the shared
+        // state after the coordinator has read it, ordered only by a
+        // reference count inside the C++ runtime that ThreadSanitizer
+        // cannot see (it reports a race).
         passes[i] =
             pool_->Submit([optimizer, &batch, want_digest, force_digest, budget] {
-              return RunPass(optimizer, batch.changes, batch.epoch, want_digest,
-                             force_digest, budget);
+              try {
+                return RunPass(optimizer, batch.changes, batch.epoch, want_digest,
+                               force_digest, budget);
+              } catch (...) {
+                PassResult failed;
+                failed.error = std::current_exception();
+                return failed;
+              }
             });
       }
       // Join in registration order: result[i] belongs to queries_[i], and
@@ -903,12 +919,8 @@ size_t ReoptSession::Flush() {
           results.push_back(PassResult{});
           continue;
         }
-        try {
-          results.push_back(passes[i].get());
-        } catch (...) {
-          errors[i] = std::current_exception();
-          results.push_back(PassResult{});  // keep index alignment
-        }
+        results.push_back(passes[i].get());
+        errors[i] = std::move(results.back().error);
       }
     } else {
       for (size_t i = 0; i < queries_.size(); ++i) {

@@ -474,6 +474,8 @@ class ReoptSession final : public StatsSubscriber {
     int64_t eps_seeded = 0;
     int64_t eps_scanned = 0;
     int64_t fixpoint_steps = 0;
+    int64_t best_changes = 0;
+    int64_t rebest_eps = 0;
     int64_t touched_eps = 0;
     int64_t touched_alts = 0;
     int64_t tasks_enqueued = 0;
@@ -482,6 +484,9 @@ class ReoptSession final : public StatsSubscriber {
     /// the prefilter already guarantees its state is exact).
     bool digest_computed = false;
     PlanDigest digest;
+    /// A pooled pass's failure, handed to the coordinator inside the
+    /// result rather than through the future (see Flush).
+    std::exception_ptr error;
   };
 
   /// A quarantine/rehabilitation notification queued for the delivery

@@ -43,6 +43,8 @@ struct FlushOptStats {
   int64_t eps_seeded = 0;      // memo entries seeded
   int64_t eps_scanned = 0;     // seeding candidates the scope index examined
   int64_t fixpoint_steps = 0;  // sum of per-optimizer round_steps
+  int64_t best_changes = 0;    // sum of per-optimizer round_best_changes
+  int64_t rebest_eps = 0;      // sum of per-optimizer round_rebest_eps
   int64_t touched_eps = 0;     // sum of per-optimizer round_touched_eps
   int64_t touched_alts = 0;    // sum of per-optimizer round_touched_alts
   int64_t tasks_enqueued = 0;  // worklist pushes across all passes

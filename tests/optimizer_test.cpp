@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -12,6 +13,9 @@
 #include "core/rules.h"
 #include "test_util.h"
 #include "testing/differential.h"
+#include "workload/context.h"
+#include "workload/queries.h"
+#include "workload/world.h"
 
 namespace iqro {
 namespace {
@@ -302,6 +306,28 @@ TEST_F(OptimizerBehaviorTest, MetricsAreInternallyConsistent) {
   EXPECT_GT(m.steps, 0);
 }
 
+// The batch worklist's level buckets cost nothing until a non-empty batch
+// needs them: an optimizer that has only run Optimize() (or only seen empty
+// batches) holds none, a batch sizes them to the query, and a teardown
+// releases them.
+TEST_F(OptimizerBehaviorTest, LevelBucketsAreAllocatedOnlyByABatch) {
+  auto world = MakeChain(5);
+  DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
+                           &world->registry);
+  opt.Optimize();
+  EXPECT_EQ(opt.NumLevelBuckets(), 0u);
+  opt.ReoptimizeBatch({});
+  EXPECT_EQ(opt.NumLevelBuckets(), 0u);
+  world->registry.SetBaseRows(2, world->registry.base_rows(2) * 16.0);
+  opt.Reoptimize();
+  opt.ValidateInvariants();  // every bucket drained
+  EXPECT_EQ(opt.NumLevelBuckets(), 6u);  // one per |expr| in 0..5
+  opt.Invalidate();
+  EXPECT_EQ(opt.NumLevelBuckets(), 0u);
+  opt.RebuildFromScratch();
+  EXPECT_EQ(opt.NumLevelBuckets(), 0u);
+}
+
 TEST_F(OptimizerBehaviorTest, DumpStateMentionsRootExpression) {
   auto world = MakeChain(3);
   DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
@@ -424,6 +450,76 @@ TEST_F(OptimizerBehaviorTest, CanonicalDumpIndependentOfPropInterning) {
                             &world2->registry);
   priv.Optimize();
   EXPECT_EQ(shared.CanonicalDumpState(), priv.CanonicalDumpState());
+}
+
+// One statistic of a TPC-H world moved to its initial value times a factor
+// drawn log-uniformly from [1/8, 8] (the paper's Fig. 8 range): scan cost,
+// base rows, local selectivity, join selectivity, or a cardinality
+// multiplier on a join edge. Selectivities are capped at 1.
+StatMutation RandomTpchMutation(Rng& rng, const StatsRegistry& initial) {
+  const double f = std::exp(std::log(0.125) + rng.NextDouble() * std::log(64.0));
+  const int rel = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(initial.num_relations())));
+  const int edge = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(initial.num_edges())));
+  using Kind = StatMutation::Kind;
+  switch (rng.NextBelow(5)) {
+    case 0:
+      return {Kind::kScanCost, rel, 0, f};
+    case 1:
+      return {Kind::kBaseRows, rel, 0, initial.base_rows(rel) * f};
+    case 2:
+      return {Kind::kLocalSelectivity, rel, 0, std::min(1.0, initial.local_selectivity(rel) * f)};
+    case 3:
+      return {Kind::kJoinSelectivity, edge, 0, std::min(1.0, initial.join_selectivity(edge) * f)};
+    default:
+      return {Kind::kCardMultiplier, 0, initial.edge(edge).endpoints, f};
+  }
+}
+
+// A batched pass settles its affected set bottom-up, so a batch of k
+// mutations costs at most a small multiple of re-planning: summed
+// ReoptimizeBatch steps stay within 4x the steps of a fresh Optimize() at
+// the same statistics, for every query, option set and batch size, while
+// the canonical state matches the fresh optimizer after every batch.
+// Draining parents before their children settle (a plain LIFO drain of the
+// bottom-up seeding) exceeds the bound: Q5 k=4 under "aggsel", Q8Join k=16
+// under "aggsel+refcount".
+TEST(BatchDrainOrderTest, BatchedPassesStayWithinFourTimesScratchSteps) {
+  auto tpch = MakeTpchFixture(0.01);
+  for (const char* query : {"Q5", "Q8Join"}) {
+    // Mutation targets are drawn against the initial statistics.
+    auto initial = MakeQueryContext(&tpch->catalog, MakeTpchQuery(&tpch->catalog, query),
+                                    tpch->stats);
+    for (const auto& [name, options] : AllOptionSets()) {
+      for (int k : {1, 4, 16}) {
+        auto ctx = MakeQueryContext(&tpch->catalog, MakeTpchQuery(&tpch->catalog, query),
+                                    tpch->stats);
+        DeclarativeOptimizer opt(ctx->enumerator.get(), ctx->cost_model.get(), &ctx->registry,
+                                 options);
+        opt.Optimize();
+        Rng rng(0xB47C4ull * 131 + static_cast<uint64_t>(k));
+        const std::string where = std::string(query) + " " + name + " k=" + std::to_string(k);
+        int64_t batch_steps = 0;
+        int64_t fresh_steps = 0;
+        for (int b = 0; b < 40; ++b) {
+          for (int i = 0; i < k; ++i) {
+            ApplyMutation(&ctx->registry, RandomTpchMutation(rng, initial->registry));
+          }
+          StatsRegistry::DrainedBatch batch = ctx->registry.TakePendingBatch();
+          opt.ReoptimizeBatch(batch.changes, batch.epoch);
+          batch_steps += opt.metrics().round_steps;
+          opt.ValidateInvariants();
+          DeclarativeOptimizer fresh(ctx->enumerator.get(), ctx->cost_model.get(),
+                                     &ctx->registry, options);
+          fresh.Optimize();
+          fresh_steps += fresh.metrics().round_steps;
+          ASSERT_EQ(opt.CanonicalDumpState(), fresh.CanonicalDumpState())
+              << where << " batch " << b;
+        }
+        EXPECT_LE(batch_steps, 4 * fresh_steps)
+            << where << ": batched " << batch_steps << " steps vs fresh " << fresh_steps;
+      }
+    }
+  }
 }
 
 TEST(RulesTest, FourteenRulesInPaperOrder) {

@@ -1128,6 +1128,10 @@ TEST(MetricsExporterTest, JsonExporterReceivesOneReportPerDispatchedFlush) {
   EXPECT_EQ(r1.plan_changes, 1);
   EXPECT_GT(r1.opt.passes, 0);
   EXPECT_GT(r1.opt.fixpoint_steps, 0);
+  // The plan changed, so at least the root's best cost moved; an entry
+  // counted as re-best also counted at least two best changes.
+  EXPECT_GT(r1.opt.best_changes, 0);
+  EXPECT_LE(2 * r1.opt.rebest_eps, r1.opt.best_changes);
   EXPECT_GT(r1.flush_epoch, 1u);  // the drained batch's registry epoch
   EXPECT_GT(exporter.reports()[1].flush_epoch, r1.flush_epoch);
   EXPECT_EQ(exporter.reports()[1].flush_index, 2);
@@ -1138,6 +1142,8 @@ TEST(MetricsExporterTest, JsonExporterReceivesOneReportPerDispatchedFlush) {
   EXPECT_NE(json.find("\"flush_index\":1"), std::string::npos);
   EXPECT_NE(json.find("\"plan_changes\""), std::string::npos);
   EXPECT_NE(json.find("\"fixpoint_steps\""), std::string::npos);
+  EXPECT_NE(json.find("\"best_changes\""), std::string::npos);
+  EXPECT_NE(json.find("\"rebest_eps\""), std::string::npos);
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.back(), ']');
 }
