@@ -262,62 +262,6 @@ void Run() {
   exporter.WriteBenchReport("bench_batch_churn_flushes");
   if (g_text_mode) exporter.WriteTextReport("bench_batch_churn_flushes");
 
-  // ---- threads axis: parallel dispatch of the session flush ---------------
-  // Eight live queries (the four fig8 configurations, twice over) in one
-  // session; the identical churn stream flushed with worker_threads = 0
-  // (serial dispatch), 1, 2 and 4. Per-query fixpoints are independent
-  // given the drained batch, so the session wall-clock should scale with
-  // workers on a multicore box (CI asserts >= 1.5x at 4 workers; a
-  // single-core box shows pool overhead instead — both numbers are honest
-  // and land in the JSON).
-  constexpr int kThreadsAxis[] = {0, 1, 2, 4};
-  constexpr int kAxisQueries = 8;
-  double axis_ms[4] = {0, 0, 0, 0};
-  std::string axis_dump;  // worker_threads=0 reference state, last rep
-  bool axis_diverged = false;
-  for (size_t t = 0; t < 4; ++t) {
-    std::vector<double> times;
-    for (int rep = 0; rep < kReps; ++rep) {
-      auto ctx = MakeContext(*fixture, "Q5");
-      std::vector<std::unique_ptr<DeclarativeOptimizer>> qopts;
-      for (int q = 0; q < kAxisQueries; ++q) {
-        qopts.push_back(std::make_unique<DeclarativeOptimizer>(
-            ctx->enumerator.get(), ctx->cost_model.get(), &ctx->registry,
-            configs[static_cast<size_t>(q) % 4]));
-        qopts.back()->Optimize();
-      }
-      ReoptSessionOptions so;
-      so.worker_threads = kThreadsAxis[t];
-      ReoptSession session(&ctx->registry, so);
-      std::vector<QueryHandle> handles;
-      for (auto& q : qopts) handles.push_back(session.Register(*q));
-      ChurnScript script(ctx->registry);
-      times.push_back(OnceMs([&] {
-        for (int r = 0; r < kRounds; ++r) {
-          script.Apply(ctx->registry, r, [] {});
-          session.Flush();
-        }
-      }));
-      if (rep == kReps - 1) {
-        // Every worker count must land in the identical state (checked
-        // against the serial axis point's reference dump).
-        std::string dump;
-        for (auto& q : qopts) dump += q->CanonicalDumpState();
-        if (t == 0) {
-          axis_dump = std::move(dump);
-        } else if (dump != axis_dump) {
-          axis_diverged = true;
-        }
-      }
-    }
-    axis_ms[t] = MedianOf(times);
-  }
-  if (axis_diverged) {
-    std::fprintf(stderr, "FATAL: parallel flush diverged from serial dispatch state\n");
-    std::exit(1);
-  }
-  const double speedup_4w = axis_ms[0] / axis_ms[3];
-
   // ---- sparse-scope axis: seeding cost vs memo size -----------------------
   // Each round mutates ONE scan-cost multiplier (singleton scope) and
   // flushes a 4-query session. The scope index turns seeding into an
@@ -362,15 +306,6 @@ void Run() {
                        Num(sparse_scan_ratio, 2)});
   sparse_table.Print();
 
-  TablePrinter threads_table(
-      "Threads axis: 8-query session flush, worker pool dispatch",
-      {"worker_threads", "total_ms", "vs serial"});
-  for (size_t t = 0; t < 4; ++t) {
-    threads_table.AddRow({t == 0 ? "0 (serial)" : std::to_string(kThreadsAxis[t]),
-                          Num(axis_ms[t], 3), Num(axis_ms[0] / axis_ms[t], 2) + "x"});
-  }
-  threads_table.Print();
-
   TablePrinter multi_table(
       "Multi-query session: 4 configs, one registry, one flush per round",
       {"mode", "total_ms", "reopt passes"});
@@ -399,12 +334,6 @@ void Run() {
       .Put("multiq_sequential_ms", multi_seq_ms)
       .Put("multiq_batched_ms", multi_batch_ms)
       .Put("multiq_speedup", multi_speedup)
-      .Put("threads_axis_queries", kAxisQueries)
-      .Put("serial_flush_ms", axis_ms[0])
-      .Put("workers1_flush_ms", axis_ms[1])
-      .Put("workers2_flush_ms", axis_ms[2])
-      .Put("workers4_flush_ms", axis_ms[3])
-      .Put("parallel_speedup_4w", speedup_4w)
       .Put("sparse_rounds", kSparseRounds)
       .Put("sparse_memo_eps", sparse_memo_eps)
       .Put("sparse_eps_scanned", sparse_eps_scanned)
@@ -414,8 +343,7 @@ void Run() {
       .Put("plan_changes_observed", exported_plan_changes)
       .Put("coalesce", coalesce_json);
   JsonObj root = BenchRoot("bench_batch_churn", metrics,
-                           {&mode_table, &coalesce_table, &sparse_table, &threads_table,
-                            &multi_table});
+                           {&mode_table, &coalesce_table, &sparse_table, &multi_table});
   WriteBenchJson("bench_batch_churn", root);
 
   std::printf(
@@ -423,9 +351,7 @@ void Run() {
       "fixpoint runs (§4). Coalescing absorbs the oscillating half of the churn\n"
       "outright, and the surviving changes share one delta pass instead of one\n"
       "each; a multi-query session amortizes the drain across every registered\n"
-      "plan — and since each query's fixpoint is independent given the drained\n"
-      "batch, the flush dispatch parallelizes across a worker pool (threads\n"
-      "axis above; scaling requires actual cores).\n");
+      "plan.\n");
 }
 
 }  // namespace

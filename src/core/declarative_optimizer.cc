@@ -272,11 +272,6 @@ void DeclarativeOptimizer::Reoptimize() {
   ReoptimizeBatch(batch.changes, batch.epoch);
 }
 
-void DeclarativeOptimizer::EnableConcurrentFlushes() {
-  enumerator_->EnableConcurrentUse();
-  cost_model_->summaries().EnableConcurrentUse();
-}
-
 void DeclarativeOptimizer::AttachSharedSummaryCache(SummarySharedCache* shared) {
   // Sharing is sound only across calculators over one registry: a Summary
   // is a pure function of registry state (and the epoch keys the store).

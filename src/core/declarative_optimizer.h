@@ -153,13 +153,6 @@ class DeclarativeOptimizer {
   /// epoch, which is only equivalent when no mutator can run between the
   /// drain and this call — i.e. on the single-threaded path.
   ///
-  /// Thread-safety: the optimizer itself must still be driven by exactly
-  /// one thread at a time — a parallel ReoptSession flush gives each
-  /// optimizer to exactly one pool task. What IS safe concurrently is
-  /// several optimizers fixpointing over one shared world, provided the
-  /// session enabled it (EnableConcurrentFlushes) and the dispatcher holds
-  /// the registry reader lock for the dispatch window.
-  ///
   /// `work_budget` > 0 caps this call's fixpoint task count
   /// (OptMetrics::round_steps); exceeding it throws WorkBudgetExceeded.
   /// 0 means unbudgeted. Either way a throw leaves the optimizer torn down
@@ -207,15 +200,6 @@ class DeclarativeOptimizer {
   /// propagated bests/bounds and the exact agg-entry accounting are all
   /// rederived, and the work queue is empty.
   void RestoreState(const std::string& payload, uint64_t stats_epoch = 0);
-
-  /// Opts the *shared* parts of this optimizer's world — the split memo,
-  /// the PropTable it interns into, and the summary cache — into internal
-  /// locking, so several optimizers over the same world can run
-  /// ReoptimizeBatch on different threads of one flush. Sticky; called by
-  /// ReoptSession::Register when the session dispatches on a worker pool.
-  /// Per-optimizer state (memo, arena, worklist, metrics) needs no locks:
-  /// it is owned by one task per flush.
-  void EnableConcurrentFlushes();
 
   /// Points this optimizer's summary calculator at a cross-query shared
   /// cache (stats/summary.h): summaries computed by any optimizer over the

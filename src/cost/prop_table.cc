@@ -1,7 +1,5 @@
 #include "cost/prop_table.h"
 
-#include <mutex>
-
 #include "common/check.h"
 #include "common/str_util.h"
 
@@ -19,43 +17,13 @@ uint64_t PropTable::KeyOf(const Prop& p) {
 }
 
 PropId PropTable::Intern(const Prop& p) {
-  if (!concurrent_) {
-    auto [slot, inserted] = index_.TryEmplace(KeyOf(p), kPropNone);
-    if (!inserted) return *slot;
-    IQRO_CHECK(props_.size() < 0xFFFF);
-    PropId id = static_cast<PropId>(props_.size());
-    props_.push_back(p);
-    *slot = id;
-    return id;
-  }
-  const uint64_t key = KeyOf(p);
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (const PropId* found = index_.Find(key)) return *found;
-  }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto [slot, inserted] = index_.TryEmplace(key, kPropNone);
-  if (!inserted) return *slot;  // another thread won the race
+  auto [slot, inserted] = index_.TryEmplace(KeyOf(p), kPropNone);
+  if (!inserted) return *slot;
   IQRO_CHECK(props_.size() < 0xFFFF);
   PropId id = static_cast<PropId>(props_.size());
   props_.push_back(p);
   *slot = id;
   return id;
-}
-
-const Prop& PropTable::Get(PropId id) const {
-  if (!concurrent_) return props_[id];
-  // The deque element never moves, so only the container's internal block
-  // map (mutated by a concurrent Intern) needs the lock — the returned
-  // reference outlives it safely.
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return props_[id];
-}
-
-int PropTable::size() const {
-  if (!concurrent_) return static_cast<int>(props_.size());
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return static_cast<int>(props_.size());
 }
 
 std::string PropTable::ToString(PropId id, const QuerySpec* query) const {

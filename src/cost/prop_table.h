@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <shared_mutex>
 #include <string>
 
 #include "common/flat_map.h"
@@ -25,16 +24,11 @@ struct Prop {
   bool operator==(const Prop&) const = default;
 };
 
-/// Thread-safety: single-threaded by default. EnableConcurrentUse() (sticky,
-/// called while still single-threaded) switches Intern/Get/size to internal
-/// shared_mutex locking so several optimizer fixpoints dispatched by a
-/// parallel ReoptSession flush may intern and resolve properties against one
-/// shared table. Interned Props live in a deque, so a `Get` reference stays
-/// valid across concurrent interning forever. Note that under concurrent
-/// interning the *numeric* PropId a property receives depends on thread
-/// interleaving — everything semantic is id-value-independent, and
-/// cross-optimizer comparison uses CanonicalDumpState(), which resolves ids
-/// to property content precisely so interning order cannot leak into it.
+/// Single-threaded, like the optimizers that share it: ids are assigned in
+/// first-intern order, so one world interned the same way always numbers its
+/// properties the same way. Interned Props live in a deque, so a `Get`
+/// reference stays valid across later interning (plan enumeration holds
+/// them while it interns goal properties).
 class PropTable {
  public:
   PropTable();
@@ -43,21 +37,14 @@ class PropTable {
   PropId InternSorted(ColRef col) { return Intern({Prop::Kind::kSorted, col}); }
   PropId InternIndexed(ColRef col) { return Intern({Prop::Kind::kIndexed, col}); }
 
-  const Prop& Get(PropId id) const;
-  int size() const;
+  const Prop& Get(PropId id) const { return props_[id]; }
+  int size() const { return static_cast<int>(props_.size()); }
 
   std::string ToString(PropId id, const QuerySpec* query = nullptr) const;
-
-  /// Sticky opt-in to internal locking (see class comment). Must be called
-  /// while no other thread touches the table; const because shared *read*
-  /// infrastructure hangs off logically-const objects (mutable members).
-  void EnableConcurrentUse() const { concurrent_ = true; }
 
  private:
   std::deque<Prop> props_;   // stable addresses: Get references never move
   FlatMap64<PropId> index_;  // packed Prop bits -> interned id
-  mutable bool concurrent_ = false;
-  mutable std::shared_mutex mu_;
 
   static uint64_t KeyOf(const Prop& p);
 };

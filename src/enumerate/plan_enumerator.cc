@@ -1,7 +1,6 @@
 #include "enumerate/plan_enumerator.h"
 
 #include <deque>
-#include <mutex>
 
 #include "common/check.h"
 
@@ -17,35 +16,12 @@ const Table& PlanEnumerator::TableOf(int rel) const {
 
 const std::vector<Alt>& PlanEnumerator::Split(RelSet expr, PropId prop) {
   EPKey key = MakeEPKey(expr, prop);
-  if (!concurrent_) {
-    if (const std::vector<Alt>* const* slot = memo_.Find(key)) return **slot;
-    // ComputeSplit never re-enters Split, so the insert can follow it.
-    split_store_.push_back(ComputeSplit(expr, prop));
-    const std::vector<Alt>* stored = &split_store_.back();
-    memo_.TryEmplace(key, stored);
-    return *stored;
-  }
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (const std::vector<Alt>* const* slot = memo_.Find(key)) return **slot;
-  }
-  // Compute outside the lock: ComputeSplit interns goal properties into the
-  // (itself concurrent-enabled) PropTable but never re-enters Split. Two
-  // threads racing on one key compute identical alternative lists — modulo
-  // the numeric PropIds interning order assigns, which nothing semantic
-  // depends on — and the first insert wins.
-  std::vector<Alt> computed = ComputeSplit(expr, prop);
-  std::unique_lock<std::shared_mutex> lock(mu_);
   if (const std::vector<Alt>* const* slot = memo_.Find(key)) return **slot;
-  split_store_.push_back(std::move(computed));
+  // ComputeSplit never re-enters Split, so the insert can follow it.
+  split_store_.push_back(ComputeSplit(expr, prop));
   const std::vector<Alt>* stored = &split_store_.back();
   memo_.TryEmplace(key, stored);
   return *stored;
-}
-
-void PlanEnumerator::EnableConcurrentUse() {
-  concurrent_ = true;
-  props_->EnableConcurrentUse();
 }
 
 std::vector<Alt> PlanEnumerator::ComputeSplit(RelSet expr, PropId prop) {

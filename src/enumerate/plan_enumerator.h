@@ -11,7 +11,6 @@
 #define IQRO_ENUMERATE_PLAN_ENUMERATOR_H_
 
 #include <deque>
-#include <shared_mutex>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -22,12 +21,11 @@
 
 namespace iqro {
 
-/// Thread-safety: single-threaded by default. EnableConcurrentUse()
-/// (sticky; call while still single-threaded) switches the split memo to
-/// internal locking — and flips the shared PropTable with it — so the
-/// per-query fixpoints of a parallel ReoptSession flush can demand splits
-/// from one shared enumerator. Everything else it reads (query, graph,
-/// catalog) is const.
+/// Single-threaded: the split memo and the PropTable it interns goal
+/// properties into are plain containers, driven by one optimizer at a time
+/// (a ReoptSession flushes on one thread). Split() memoizes in first-demand
+/// order, so property ids come out in a deterministic order. Everything else
+/// it reads (query, graph, catalog) is const.
 class PlanEnumerator {
  public:
   PlanEnumerator(const QuerySpec* query, const JoinGraph* graph, const Catalog* catalog,
@@ -38,8 +36,7 @@ class PlanEnumerator {
   const Catalog& catalog() const { return *catalog_; }
   /// Read access for plan rendering and dumps. Interning happens only
   /// inside Split (the enumerator owns goal-property creation), so the
-  /// const surface is genuinely read-only — the const-correctness audit
-  /// that parallel flushes rely on.
+  /// const surface is genuinely read-only.
   const PropTable& props() const { return *props_; }
   PropTable& mutable_props() { return *props_; }
 
@@ -61,10 +58,6 @@ class PlanEnumerator {
   /// the denominator of the paper's pruning/update ratios.
   SpaceSize CountFullSpace();
 
-  /// Sticky opt-in to internal split-memo locking; also enables concurrent
-  /// use of the PropTable this enumerator interns into (see class comment).
-  void EnableConcurrentUse();
-
  private:
   std::vector<Alt> ComputeSplit(RelSet expr, PropId prop);
   void LeafAlternatives(RelSet expr, PropId prop, std::vector<Alt>* out);
@@ -80,8 +73,6 @@ class PlanEnumerator {
   // maps the packed (RelSet, PropId) key to them.
   std::deque<std::vector<Alt>> split_store_;
   FlatMap64<const std::vector<Alt>*> memo_;
-  bool concurrent_ = false;
-  std::shared_mutex mu_;
 };
 
 }  // namespace iqro

@@ -23,7 +23,7 @@
 //    pending again (mutations that raced the flush into the next epoch's
 //    batch). This is the policy's history feed and its reset hook.
 //  * Both methods are invoked under the session's policy mutex: calls are
-//    serialized across mutator threads and the coordinator, so policies
+//    serialized across mutator threads and the owner thread, so policies
 //    need no internal locking. They must not call back into the session or
 //    the registry (that would deadlock on the policy mutex or the registry
 //    lock; the decision is pure), and must not throw — OnFlush runs from

@@ -24,9 +24,9 @@
 //
 // Events fire on the flushing thread, after every dispatched pass has
 // completed and the registry's reader lock has been released, in
-// registration order — exactly once per flush per changed query, in serial
-// and pooled dispatch alike. Reentrancy rules (what a callback may do) are
-// specified in docs/API.md and on ReoptSession.
+// registration order — exactly once per flush per changed query.
+// Reentrancy rules (what a callback may do) are specified in docs/API.md
+// and on ReoptSession.
 // ## Failure events
 //
 // The session's failure domain (docs/ARCHITECTURE.md "Failure domains")

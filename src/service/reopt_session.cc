@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <utility>
 
 #include "common/check.h"
@@ -16,15 +15,11 @@ ReoptSession::ReoptSession(StatsRegistry* registry, ReoptSessionOptions options)
     : registry_(registry), options_(std::move(options)),
       alive_(std::make_shared<bool>(true)) {
   IQRO_CHECK(registry_ != nullptr);
-  IQRO_CHECK(options_.worker_threads >= 0);
   IQRO_CHECK(options_.per_query_work_budget >= 0);
   IQRO_CHECK(options_.quarantine_max_strikes >= 1);
   IQRO_CHECK(options_.quarantine_backoff_base_ticks >= 1);
   IQRO_CHECK(options_.quarantine_backoff_cap_ticks >=
              options_.quarantine_backoff_base_ticks);
-  if (options_.worker_threads >= 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
-  }
   if (options_.pending_hard_watermark > 0) {
     registry_->SetPendingLimit(options_.pending_hard_watermark);
   }
@@ -42,8 +37,6 @@ ReoptSession::~ReoptSession() {
   // The backlog limit was this session's overload policy, not the
   // registry's: lift it for whoever uses the registry next.
   if (options_.pending_hard_watermark > 0) registry_->SetPendingLimit(0);
-  // pool_ (if any) drains and joins in its destructor: a dispatched pass
-  // never outlives the session that owns its optimizers' slots.
 }
 
 ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer,
@@ -71,13 +64,6 @@ ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer
   // forever. Pending-but-undrained changes are fine (the next flush seeds
   // them), as is being *ahead* of the last drain.
   IQRO_CHECK(optimizer->stats_epoch() >= registry_->drained_epoch());
-  if (pool_ != nullptr) {
-    // Pool dispatch runs this optimizer's fixpoint concurrently with its
-    // world-sharing peers: flip the shared read surfaces (split memo,
-    // PropTable, summary cache) to internal locking now, while still
-    // single-threaded. (Sticky — it survives quarantine teardowns.)
-    optimizer->EnableConcurrentFlushes();
-  }
   Slot slot;
   slot.id = next_id_;
   slot.optimizer = optimizer;
@@ -91,9 +77,9 @@ ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer
   queries_.push_back(std::move(slot));
   // Cross-query summary sharing: point every registered calculator at the
   // session's epoch-keyed store (sound — same registry, checked above).
-  // Serial and pooled dispatch alike; the store is internally locked. Only
-  // attached from the second query on: a single-query session has nobody
-  // to share with, so it skips the store's lock traffic entirely.
+  // The store is internally locked. Only attached from the second query
+  // on: a single-query session has nobody to share with, so it skips the
+  // store's lock traffic entirely.
   if (queries_.size() >= 2) {
     for (Slot& s : queries_) s.optimizer->AttachSharedSummaryCache(&summary_cache_);
   }
@@ -245,10 +231,6 @@ ReoptSession::PassResult ReoptSession::RunPass(DeclarativeOptimizer* optimizer,
   r.touched_alts = m.round_touched_alts;
   r.tasks_enqueued = m.tasks_enqueued - enqueued_before;
   if (want_digest) {
-    // On the worker: the digest reads only task-owned optimizer state plus
-    // the PropTable, which is already in concurrent mode under a pooled
-    // session — so digest work parallelizes with the fixpoints instead of
-    // serializing on the coordinator.
     r.digest = optimizer->ComputePlanDigest();
     r.digest_computed = true;
   }
@@ -669,7 +651,7 @@ std::vector<QueryHandle> ReoptSession::LoadSnapshot(
 
 size_t ReoptSession::Flush() {
   // One flush at a time: a second caller (policy reentrancy, or a
-  // mutator-thread flush racing the coordinator's) backs off — whatever it
+  // mutator-thread flush racing the owner's) backs off — whatever it
   // wanted drained is either in the in-flight batch or stays pending for
   // the next flush.
   if (in_flush_.exchange(true)) return 0;
@@ -798,15 +780,15 @@ size_t ReoptSession::Flush() {
         FlushReport report;
         // Registry reads BEFORE policy_mu_ (lock order; see PolicyOnFlush).
         report.mutations_rejected = s->registry_->RejectedCount();
-        // Safe relaxed reads: the dispatch window is over, so no worker
-        // can still be feeding the store.
+        // Safe relaxed reads: the dispatch window is over, so no pass can
+        // still be feeding the store.
         report.summary_shared_hits = s->summary_cache_.hits();
         report.summary_shared_misses = s->summary_cache_.misses();
         {
           // metrics_.mutations_observed/watermark_flushes are written by
           // mutator threads under policy_mu_ (concurrent Record() during a
           // flush is supported), so the struct copy snapshots under the
-          // same mutex; every other field is coordinator-only.
+          // same mutex; every other field is flushing-thread only.
           std::lock_guard<std::mutex> lock(s->policy_mu_);
           report.session = s->metrics_;
         }
@@ -870,74 +852,30 @@ size_t ReoptSession::Flush() {
   std::vector<PassResult> results;
   results.reserve(queries_.size());
   // Per-index failure capture: a throwing pass becomes a quarantine for
-  // THAT query after the join; it never unwinds the flush. (The drained
+  // THAT query after dispatch; it never unwinds the flush. (The drained
   // batch is irrecoverable, so every other query must still receive its
   // pass — otherwise the skipped queries would be stamped past deltas
   // they never saw and diverge permanently.)
   std::vector<std::exception_ptr> errors(queries_.size());
   {
     // Freeze the statistics values for the whole dispatch window: every
-    // pass — on whichever thread — reads exactly the drained epoch's
-    // values; racing mutators block here and land in the next batch.
+    // pass reads exactly the drained epoch's values; racing mutators block
+    // here and land in the next batch.
     auto stats_frozen = registry_->ReaderLock();
-    if (pool_ != nullptr) {
-      // One future per slot; quarantined/parked slots keep an invalid
-      // future (no task) and fall out as undispatched placeholders.
-      std::vector<std::future<PassResult>> passes(queries_.size());
-      for (size_t i = 0; i < queries_.size(); ++i) {
-        const Slot& slot = queries_[i];
-        if (slot.state != QueryState::kHealthy || slot.evicted) continue;
-        DeclarativeOptimizer* optimizer = slot.optimizer;
-        const bool want_digest = slot.subscriber != nullptr;
-        const bool force_digest = want_digest && slot.rediff_pending;
-        const int64_t budget = options_.per_query_work_budget;
-        // A failure travels in the result, moved out of the future, so the
-        // coordinator frees the exception on its own thread. Thrown through
-        // the future, the worker could free it when it releases the shared
-        // state after the coordinator has read it, ordered only by a
-        // reference count inside the C++ runtime that ThreadSanitizer
-        // cannot see (it reports a race).
-        passes[i] =
-            pool_->Submit([optimizer, &batch, want_digest, force_digest, budget] {
-              try {
-                return RunPass(optimizer, batch.changes, batch.epoch, want_digest,
-                               force_digest, budget);
-              } catch (...) {
-                PassResult failed;
-                failed.error = std::current_exception();
-                return failed;
-              }
-            });
+    for (size_t i = 0; i < queries_.size(); ++i) {
+      const Slot& slot = queries_[i];
+      if (slot.state != QueryState::kHealthy || slot.evicted) {
+        results.push_back(PassResult{});
+        continue;
       }
-      // Join in registration order: result[i] belongs to queries_[i], and
-      // deterministic order keeps aggregation and event computation
-      // honest. Every future is joined whatever fails — queued tasks
-      // capture &batch (this stack frame) and read the reader-locked
-      // statistics, so none may outlive this block.
-      for (size_t i = 0; i < passes.size(); ++i) {
-        if (!passes[i].valid()) {
-          results.push_back(PassResult{});
-          continue;
-        }
-        results.push_back(passes[i].get());
-        errors[i] = std::move(results.back().error);
-      }
-    } else {
-      for (size_t i = 0; i < queries_.size(); ++i) {
-        const Slot& slot = queries_[i];
-        if (slot.state != QueryState::kHealthy || slot.evicted) {
-          results.push_back(PassResult{});
-          continue;
-        }
-        const bool want_digest = slot.subscriber != nullptr;
-        try {
-          results.push_back(RunPass(slot.optimizer, batch.changes, batch.epoch,
-                                    want_digest, want_digest && slot.rediff_pending,
-                                    options_.per_query_work_budget));
-        } catch (...) {
-          errors[i] = std::current_exception();
-          results.push_back(PassResult{});
-        }
+      const bool want_digest = slot.subscriber != nullptr;
+      try {
+        results.push_back(RunPass(slot.optimizer, batch.changes, batch.epoch,
+                                  want_digest, want_digest && slot.rediff_pending,
+                                  options_.per_query_work_budget));
+      } catch (...) {
+        errors[i] = std::current_exception();
+        results.push_back(PassResult{});
       }
     }
   }

@@ -136,36 +136,23 @@
 //
 // ## Threading model
 //
-// Two independent degrees of concurrency, both off by default:
+// One flushing thread per session: Flush() drains one epoch-versioned
+// batch and runs the per-query ReoptimizeBatch() passes in registration
+// order on the calling thread, with the statistics values frozen for the
+// dispatch window by the registry's reader lock. Queries that share a
+// world share its split memo, PropTable and summary cache, all plain
+// single-threaded containers. Parallelism lives a layer up: reoptd runs
+// worlds in parallel on its shards, one session per world.
 //
-//  * **Parallel dispatch** (`ReoptSessionOptions::worker_threads >= 1`):
-//    Flush() drains one epoch-versioned batch, then dispatches the
-//    per-query ReoptimizeBatch() passes onto a fixed-size worker pool
-//    (common/thread_pool.h) instead of running them in registration order
-//    on the calling thread. Each optimizer — its memo, arena, worklist,
-//    metrics — is owned by exactly one pool task per flush (the task also
-//    computes the post-flush PlanDigest for subscribed queries, so digest
-//    work parallelizes with the fixpoints); the *shared* world state an
-//    optimizer reads while fixpointing (split memo, PropTable, summary
-//    cache) is switched to internal locking at Register() time
-//    (DeclarativeOptimizer::EnableConcurrentFlushes), and the statistics
-//    values are frozen for the whole dispatch window by the registry's
-//    reader lock. Per-flush metrics and events are aggregated from the
-//    task futures on the coordinator, in registration order — race-free
-//    by construction, not by atomics; subscribers always run on the
-//    flushing thread, serial and pooled dispatch alike.
-//    `worker_threads == 0` keeps the serial dispatch path, byte-identical
-//    to the pre-pool behavior.
-//
-//  * **Concurrent mutation**: statistics producers may Record() from other
-//    threads while a flush runs. The registry's mutation lock serializes
-//    them against the drain and the dispatch window: a racing mutation
-//    lands in the *next* epoch's batch, never lost, never double-applied
-//    (tests/concurrency_test.cpp). Between the drain and the next flush it
-//    simply sits pending — the same staleness window as always. FlushPolicy
-//    evaluation is serialized under the session's policy mutex whatever
-//    thread mutates, and a policy-triggered flush on a mutator thread
-//    excludes the owner's Flush()/Poll() via `in_flush_`.
+// Mutator threads: statistics producers may Record() from other threads
+// while a flush runs. The registry's mutation lock serializes them against
+// the drain and the dispatch window: a racing mutation lands in the *next*
+// epoch's batch, never lost, never double-applied (tests/service_test.cpp,
+// MutatorThreadTest). Between the drain and the next flush it simply sits
+// pending — the same staleness window as always. FlushPolicy evaluation is
+// serialized under the session's policy mutex whatever thread mutates, and
+// a policy-triggered flush on a mutator thread excludes the owner's
+// Flush()/Poll() via `in_flush_`.
 //
 // The session owns no driver thread. Poll() and Flush() are owner-thread
 // calls from the application's driver loop (reoptd's shard loop polls
@@ -190,7 +177,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/declarative_optimizer.h"
 #include "service/flush_policy.h"
 #include "service/metrics_exporter.h"
@@ -222,11 +208,6 @@ enum class QueryState : uint8_t {
 };
 
 struct ReoptSessionOptions {
-  /// 0: Flush() dispatches every per-query fixpoint serially on the
-  /// calling thread — the pre-pool path, byte-identical results and
-  /// behavior. N >= 1: dispatch on a fixed pool of N worker threads (one
-  /// task per registered query per flush; see the threading model above).
-  int worker_threads = 0;
   /// When to auto-flush (service/flush_policy.h). Null: manual Flush()
   /// only. Evaluated after every value-changing mutation and on Poll();
   /// shared so options stay copyable — one policy instance per session.
@@ -329,8 +310,8 @@ class ReoptSession final : public StatsSubscriber {
 
   /// Drains the registry's coalesced pending batch, dispatches it as one
   /// ReoptimizeBatch() pass to every registered healthy optimizer whose
-  /// relation set the batch can affect — serially or on the worker pool,
-  /// per `worker_threads` — then fires events and the metrics export.
+  /// relation set the batch can affect, in registration order on the
+  /// calling thread, then fires events and the metrics export.
   /// Quarantined queries due for retry are rebuilt first. Returns the
   /// number of StatChanges dispatched; 0 when the batch coalesced away (or
   /// nothing was pending, or another thread's flush is already in flight —
@@ -401,9 +382,6 @@ class ReoptSession final : public StatsSubscriber {
   /// above); zeroed at session construction.
   const FlushOptStats& last_flush() const { return last_flush_; }
 
-  /// The dispatch pool's size (0 = serial dispatch).
-  int worker_threads() const { return pool_ ? pool_->size() : 0; }
-
   /// The session's cross-query summary store: every registered query's
   /// SummaryCalculator is attached to it at Register() time, so queries
   /// with overlapping relation sets share epoch-keyed summary computation
@@ -464,8 +442,8 @@ class ReoptSession final : public StatsSubscriber {
     int64_t last_active_tick = 0;
   };
 
-  /// What one dispatched pass reports back to the coordinator (by value,
-  /// through the task future — the race-free aggregation path).
+  /// What one dispatched pass reports back to Flush for aggregation and
+  /// event computation.
   struct PassResult {
     /// False for the placeholder of a quarantined/parked (skipped) or
     /// failed pass; RunPass sets it true on every path that returns.
@@ -484,9 +462,6 @@ class ReoptSession final : public StatsSubscriber {
     /// the prefilter already guarantees its state is exact).
     bool digest_computed = false;
     PlanDigest digest;
-    /// A pooled pass's failure, handed to the coordinator inside the
-    /// result rather than through the future (see Flush).
-    std::exception_ptr error;
   };
 
   /// A quarantine/rehabilitation notification queued for the delivery
@@ -502,7 +477,6 @@ class ReoptSession final : public StatsSubscriber {
   };
 
   /// One per-query pass: prefilter, ReoptimizeBatch, metrics delta, digest.
-  /// Runs on a pool worker (parallel) or the flushing thread (serial).
   /// `force_digest` re-derives the digest even for a prefiltered-away
   /// query (Slot::rediff_pending — an unsettled event from a prior flush).
   /// `work_budget` > 0 bounds the fixpoint (quarantine on excess).
@@ -523,7 +497,7 @@ class ReoptSession final : public StatsSubscriber {
 
   /// Rebuilds every quarantined query whose backoff expired; appends the
   /// resulting service events and updates the per-flush strike/rehab
-  /// counters. Coordinator only, called at flush start.
+  /// counters. Flushing thread only, called at flush start.
   void AttemptRehabs(uint64_t epoch, std::vector<ServiceEvent>* events,
                      int64_t* strikes, int64_t* rehabs);
   /// Quarantines `slot` for the failure in `err` (classify, tear down if
@@ -565,7 +539,6 @@ class ReoptSession final : public StatsSubscriber {
   /// before queries_ so it outlives any attachment teardown.
   SharedSummaryCache summary_cache_;
   std::vector<Slot> queries_;
-  std::unique_ptr<ThreadPool> pool_;  // null when worker_threads == 0
   QueryId next_id_ = 0;
   /// Liveness token handles hold: *alive_ flips false in the destructor so
   /// a handle outliving its session no-ops instead of touching freed
@@ -574,7 +547,7 @@ class ReoptSession final : public StatsSubscriber {
   /// Guards the mutation-policy state OnStatsMutated/Poll touch from
   /// mutator threads — including the FlushPolicy instance itself, whose
   /// calls are serialized under this mutex (everything else in this class
-  /// is coordinator-only).
+  /// is flushing-thread only).
   std::mutex policy_mu_;
   int64_t mutations_since_flush_ = 0;
   /// Mutual exclusion + reentrancy guard for Flush (policy-triggered
@@ -590,7 +563,7 @@ class ReoptSession final : public StatsSubscriber {
   /// refreshing it.
   std::atomic<int64_t> quarantined_count_{0};
   std::atomic<int64_t> next_rehab_tick_{std::numeric_limits<int64_t>::max()};
-  /// True while events are being delivered (coordinator thread only):
+  /// True while events are being delivered (flushing thread only):
   /// Unregister defers, Register checks.
   bool notifying_ = false;
   std::vector<QueryId> deferred_unregister_;

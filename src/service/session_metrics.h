@@ -33,10 +33,9 @@ struct ReoptSessionMetrics {
 };
 
 /// Aggregated OptMetrics deltas of the most recent non-empty flush, summed
-/// over every dispatched pass. Collected from per-task results after the
-/// futures join (parallel mode) or inline (serial mode) — never written by
-/// two threads at once, since only the thread that won `in_flush_` writes
-/// it. Read it only when no flush can be in flight (see
+/// over every dispatched pass. Collected from the per-pass results on the
+/// flushing thread — never written by two threads at once, since only the
+/// thread that won `in_flush_` writes it. Read it only when no flush can be in flight (see
 /// ReoptSession::metrics()).
 struct FlushOptStats {
   int64_t passes = 0;          // ReoptimizeBatch fixpoints this flush

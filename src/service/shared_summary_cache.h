@@ -10,13 +10,11 @@
 //    epoch than the store's miss/no-op — a straggler can never resurrect a
 //    stale value.
 //  * During a flush the registry's reader lock pins the epoch for the whole
-//    dispatch window, so concurrent workers always agree on the epoch and
-//    the clear-on-advance can never run under a reader's feet. Values are
-//    returned by copy (Summary is two doubles), so there is no reference
-//    lifetime to protect, unlike the per-calculator cache.
-//  * Internally locked (shared_mutex: hit path is a shared lock + find)
-//    whether or not the session dispatches on a pool — the serial path pays
-//    an uncontended lock.
+//    dispatch window, so every pass of one flush agrees on the epoch.
+//    Values are returned by copy (Summary is two doubles), so there is no
+//    reference lifetime to protect, unlike the per-calculator cache.
+//  * Internally locked (shared_mutex: hit path is a shared lock + find);
+//    the session flushes on one thread, so the lock is uncontended.
 //  * Racing inserts of one (epoch, s) write identical values (a Summary is
 //    a pure function of registry state at that epoch); first insert wins.
 #ifndef IQRO_SERVICE_SHARED_SUMMARY_CACHE_H_

@@ -58,7 +58,7 @@
 //    drain serializes either before it (and is included) or after it (and
 //    lands in the *next* batch); nothing is lost or applied twice.
 //  * ReaderLock() takes `mu_` shared. A flush dispatcher holds it for the
-//    whole dispatch, so worker threads running ReoptimizeBatch() read
+//    whole dispatch, so the ReoptimizeBatch() passes it runs read
 //    statistics values frozen at the drained epoch through the plain
 //    accessors (which stay lock-free — they are the cost model's hot
 //    path). Mutators block until the flush releases the lock.
@@ -233,7 +233,7 @@ class StatsRegistry {
   std::vector<StatChange> TakePending() { return TakePendingBatch().changes; }
 
   /// Shared (reader) lock over the statistics values. A flush dispatcher
-  /// holds this for its whole dispatch window so worker threads observe
+  /// holds this for its whole dispatch window so its passes observe
   /// values frozen at the drained epoch; mutators block until release and
   /// their changes land in the next batch. Single-threaded callers never
   /// need it.

@@ -1,47 +1,17 @@
 #include "stats/summary.h"
 
-#include <mutex>
-
 #include "common/check.h"
 
 namespace iqro {
 
 const Summary& SummaryCalculator::Get(RelSet s) const {
-  if (!concurrent_) {
-    if (cached_epoch_ != registry_->epoch()) {
-      cache_.clear();
-      cached_epoch_ = registry_->epoch();
-    }
-    auto it = cache_.find(s);
-    if (it != cache_.end()) return it->second;
-    return cache_.emplace(s, ComputeThroughShared(cached_epoch_, s)).first->second;
-  }
-  // Concurrent path: reads vastly outnumber misses once the epoch's cache
-  // is warm, so the hit path is a shared lock + find. unordered_map nodes
-  // are address-stable across inserts, so the returned reference survives
-  // other threads' misses; the epoch cannot move while workers are inside
-  // a flush (the dispatcher holds the registry reader lock), so the clear
-  // below never runs under a worker's feet.
-  const uint64_t epoch = registry_->epoch();
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (cached_epoch_ == epoch) {
-      auto it = cache_.find(s);
-      if (it != cache_.end()) return it->second;
-    }
-  }
-  // Compute outside any lock (pure function of frozen registry state);
-  // racing computes of one key produce identical values and the first
-  // insert wins. The shared cross-query store is probed first: another
-  // registered query may already have paid for this expression's summary
-  // at this epoch.
-  Summary computed = ComputeThroughShared(epoch, s);
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  if (cached_epoch_ != epoch) {
+  if (cached_epoch_ != registry_->epoch()) {
     cache_.clear();
-    cached_epoch_ = epoch;
+    cached_epoch_ = registry_->epoch();
   }
-  return cache_.try_emplace(s, computed).first->second;
+  auto it = cache_.find(s);
+  if (it != cache_.end()) return it->second;
+  return cache_.emplace(s, ComputeThroughShared(cached_epoch_, s)).first->second;
 }
 
 Summary SummaryCalculator::ComputeThroughShared(uint64_t epoch, RelSet s) const {

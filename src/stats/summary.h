@@ -9,7 +9,6 @@
 #ifndef IQRO_STATS_SUMMARY_H_
 #define IQRO_STATS_SUMMARY_H_
 
-#include <shared_mutex>
 #include <unordered_map>
 
 #include "common/relset.h"
@@ -27,10 +26,8 @@ struct Summary {
 /// is a pure function of registry state, so any calculator over the same
 /// registry computes the identical value). Abstract here so stats/ stays
 /// service-agnostic; the concrete locked implementation lives in
-/// src/service/shared_summary_cache.h. Implementations must be safe for
-/// concurrent Lookup/Insert when the attached calculators are in
-/// concurrent mode, and must treat `epoch` as part of the key (stale-epoch
-/// lookups must miss).
+/// src/service/shared_summary_cache.h. Implementations must treat `epoch`
+/// as part of the key (stale-epoch lookups must miss).
 class SummarySharedCache {
  public:
   virtual ~SummarySharedCache() = default;
@@ -39,14 +36,10 @@ class SummarySharedCache {
   virtual void Insert(uint64_t epoch, RelSet s, const Summary& value) = 0;
 };
 
-/// Thread-safety: single-threaded by default (the epoch-keyed cache is
-/// unsynchronized). EnableConcurrentUse() (sticky; call while still
-/// single-threaded) switches Get() to an internally locked cache so the
-/// per-query fixpoints of a parallel ReoptSession flush can share one
-/// calculator. Concurrent readers additionally require the registry's
-/// statistics to be frozen for the duration (the flush holds
-/// StatsRegistry::ReaderLock), which also pins the epoch — so a mid-flush
-/// cache flush can never invalidate a reference another worker still holds.
+/// Single-threaded: the epoch-keyed cache is unsynchronized, and each
+/// calculator is driven by the one thread that flushes its optimizer.
+/// unordered_map nodes are address-stable, so a returned reference survives
+/// later misses within the same epoch.
 class SummaryCalculator {
  public:
   explicit SummaryCalculator(const StatsRegistry* registry) : registry_(registry) {}
@@ -58,15 +51,12 @@ class SummaryCalculator {
 
   const StatsRegistry& registry() const { return *registry_; }
 
-  /// Sticky opt-in to internal cache locking (see class comment). Const
-  /// because the cache infrastructure is already logically-const state.
-  void EnableConcurrentUse() const { concurrent_ = true; }
-
   /// Points this calculator at a cross-calculator shared store, consulted
   /// on local-cache misses (hit: the Compute is skipped; miss: the computed
   /// value is published). nullptr detaches. The shared store must outlive
   /// the attachment and be fed only from calculators over the same
-  /// registry. Const for the same reason as EnableConcurrentUse.
+  /// registry. Const because the cache infrastructure is logically-const
+  /// state.
   void AttachSharedCache(SummarySharedCache* shared) const { shared_ = shared; }
 
  private:
@@ -77,9 +67,7 @@ class SummaryCalculator {
   const StatsRegistry* registry_;
   mutable uint64_t cached_epoch_ = 0;
   mutable std::unordered_map<RelSet, Summary> cache_;
-  mutable bool concurrent_ = false;
   mutable SummarySharedCache* shared_ = nullptr;
-  mutable std::shared_mutex mu_;
 };
 
 }  // namespace iqro

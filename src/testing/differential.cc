@@ -47,7 +47,7 @@ std::optional<std::string> CheckPlanNodesAgainstSystemR(const PlanTree& t,
 }
 
 /// One delivered PlanChangeEvent, flattened for cross-session comparison
-/// (serial vs pooled event streams must be identical field-for-field).
+/// (primary vs mirror event streams must be identical field-for-field).
 struct RecordedEvent {
   int query_tag = -1;  // 0 = primary, 1 = shadow
   uint64_t flush_epoch = 0;
@@ -278,8 +278,8 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options,
   // changed, with the oracle's own before/after costs.
   std::unique_ptr<ReoptSession> session;
   std::unique_ptr<DeclarativeOptimizer> shadow;
-  // Parallel mode additionally runs a full serial-mirror world in
-  // lockstep (see DiffOptions::worker_threads).
+  // Fault and lifecycle rotation additionally run a full mirror world in
+  // lockstep (see DiffOptions::fault_rotation).
   std::unique_ptr<QueryContext> mirror_world;
   std::unique_ptr<DeclarativeOptimizer> mirror_inc;
   std::unique_ptr<DeclarativeOptimizer> mirror_shadow;
@@ -311,20 +311,17 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options,
     shadow = std::make_unique<DeclarativeOptimizer>(
         world->enumerator.get(), world->cost_model.get(), &world->registry, scenario.options);
     shadow->Optimize();
-    ReoptSessionOptions session_options;
-    session_options.worker_threads = options.worker_threads;
-    session = std::make_unique<ReoptSession>(&world->registry, session_options);
+    session = std::make_unique<ReoptSession>(&world->registry);
     handles.push_back(session->Register(*inc, &primary_sub));
     handles.push_back(session->Register(*shadow, &shadow_sub));
     prev_primary_dump = inc->CanonicalDumpState();
     prev_shadow_dump = shadow->CanonicalDumpState();
     prev_primary_cost = inc->BestCost();
     prev_shadow_cost = shadow->BestCost();
-    // The mirror world serves three claims: parallel ≡ serial (pooled
-    // mode), faulted-then-recovered ≡ never-faulted (fault rotation), and
-    // evicted/restarted ≡ undisturbed (lifecycle rotation) — so it also
-    // runs, serially, for serial fault- or lifecycle-rotation scenarios.
-    if (options.worker_threads >= 1 || options.fault_rotation || lifecycle) {
+    // The mirror world serves two claims: faulted-then-recovered ≡
+    // never-faulted (fault rotation) and evicted/restarted ≡ undisturbed
+    // (lifecycle rotation).
+    if (options.fault_rotation || lifecycle) {
       mirror_world = BuildWorld(scenario.catalog, scenario.query);
       mirror_inc = std::make_unique<DeclarativeOptimizer>(
           mirror_world->enumerator.get(), mirror_world->cost_model.get(),
@@ -441,10 +438,9 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options,
       }
     }
     if (mirror_session != nullptr) {
-      // The direct parallel ≡ serial claim (pooled mode) and the
-      // faulted-then-recovered ≡ never-faulted claim (fault rotation):
-      // every registered query must land byte-identical to its twin in
-      // the serial, never-faulted mirror world.
+      // The faulted-then-recovered ≡ never-faulted and evicted/restarted ≡
+      // undisturbed claims: every registered query must land byte-identical
+      // to its twin in the undisturbed mirror world.
       if (!CostsAgree(mirror_inc->BestCost(), inc->BestCost(), options.rel_tol)) {
         return {false, fail_step,
                 StrFormat("after churn step %zu: flush diverged from the mirror world: "
@@ -456,14 +452,14 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options,
         if (inc->CanonicalDumpState() != mirror_inc->CanonicalDumpState()) {
           return {false, fail_step,
                   StrFormat("after churn step %zu: primary dump diverged from the mirror "
-                            "world (worker_threads=%d, fault_rotation=%d)",
-                            s1 - 1, options.worker_threads, options.fault_rotation ? 1 : 0)};
+                            "world (fault_rotation=%d)",
+                            s1 - 1, options.fault_rotation ? 1 : 0)};
         }
         if (shadow->CanonicalDumpState() != mirror_shadow->CanonicalDumpState()) {
           return {false, fail_step,
                   StrFormat("after churn step %zu: shadow dump diverged from the mirror "
-                            "world (worker_threads=%d, fault_rotation=%d)",
-                            s1 - 1, options.worker_threads, options.fault_rotation ? 1 : 0)};
+                            "world (fault_rotation=%d)",
+                            s1 - 1, options.fault_rotation ? 1 : 0)};
         }
       }
       if (options.validate_invariants) {
@@ -475,8 +471,8 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options,
       // Notification oracle: for each registered query, a PlanChangeEvent
       // fired this flush iff the query's CanonicalDumpState changed —
       // exactly once, with old/new costs equal to the oracle's own
-      // before/after BestCost, in registration order; and (parallel mode)
-      // the pooled session's event stream is field-identical to the serial
+      // before/after BestCost, in registration order; and (mirror runs)
+      // the primary session's event stream is field-identical to the
       // mirror's.
       const std::string primary_dump = inc->CanonicalDumpState();
       const std::string shadow_dump = shadow->CanonicalDumpState();
@@ -562,9 +558,9 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options,
         if (!streams_agree) {
           return {false, fail_step,
                   StrFormat("after churn step %zu: event stream diverged from the "
-                            "%s mirror (%zu vs %zu events, worker_threads=%d)",
-                            s1 - 1, options.fault_rotation ? "never-faulted" : "serial",
-                            events.size(), mirror_events.size(), options.worker_threads)};
+                            "%s mirror (%zu vs %zu events)",
+                            s1 - 1, options.fault_rotation ? "never-faulted" : "undisturbed",
+                            events.size(), mirror_events.size())};
         }
       }
       prev_primary_dump = primary_dump;
@@ -608,9 +604,7 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options,
         shadow = std::make_unique<DeclarativeOptimizer>(world->enumerator.get(),
                                                         world->cost_model.get(),
                                                         &world->registry, scenario.options);
-        ReoptSessionOptions session_options;
-        session_options.worker_threads = options.worker_threads;
-        session = std::make_unique<ReoptSession>(&world->registry, session_options);
+        session = std::make_unique<ReoptSession>(&world->registry);
         handles = session->LoadSnapshot(snapshot_path, {inc.get(), shadow.get()});
         std::remove(snapshot_path.c_str());
         // Re-subscribing baselines each query at its restored (byte-

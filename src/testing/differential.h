@@ -53,15 +53,6 @@ struct DiffOptions {
   /// registered alongside the primary; after every flush both must agree
   /// with the from-scratch oracle AND with each other byte-for-byte.
   int batch_steps = 0;
-  /// Only meaningful in batch mode. 0: the session flushes serially.
-  /// N >= 1: the session dispatches on an N-thread pool — and a *serial
-  /// mirror* world (its own registry/enumerator/optimizers, same scenario,
-  /// same mutations, serial session) runs every flush in lockstep; after
-  /// each flush the pooled primary and shadow must be byte-identical
-  /// (CanonicalDumpState) to their serial twins. That is the direct
-  /// "parallel flush ≡ serial flush" claim, on top of the existing
-  /// "≡ from-scratch" oracle which the pooled optimizers still face.
-  int worker_threads = 0;
   /// Fault rotation: derive a deterministic fault plan from the scenario
   /// seed (site, action, hit ordinal), arm it, and confine the counting
   /// windows to the PRIMARY world's flushes — the oracle's from-scratch
@@ -70,7 +61,8 @@ struct DiffOptions {
   /// injected fault quarantines a query; the harness then drives recovery
   /// flushes until nothing is quarantined and holds the recovered state to
   /// the full oracle AND byte-identical (CanonicalDumpState) to the
-  /// never-faulted mirror, which runs even when worker_threads == 0. In
+  /// never-faulted *mirror* world (its own registry/enumerator/optimizers,
+  /// same scenario, same mutations, flushed in lockstep). In
   /// legacy mode the throw surfaces to the caller; the harness asserts the
   /// strong exception guarantee (!optimized()) and recovers via
   /// RebuildFromScratch(). Either way, a run whose fault ordinal is never

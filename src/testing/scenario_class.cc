@@ -160,7 +160,7 @@ struct StormQuery {
 ///    CanonicalDumpState for every query of that set), System-R + Volcano
 ///    ground truth (BestCost is option-set invariant), ValidateInvariants
 ///    on every live optimizer;
-///  * mirror: a serial, unbudgeted twin session executes the identical
+///  * mirror: an unbudgeted twin session executes the identical
 ///    seed-derived register/release schedule and identical mutations; every
 ///    live pair must be byte-identical;
 ///  * notifications: for every live query, an event fired iff its dump
@@ -198,7 +198,6 @@ DiffResult RunStormScenario(const Scenario& sc, ScenarioClass cls, const DiffOpt
   }
 
   ReoptSessionOptions popts;
-  popts.worker_threads = std::max(0, options.worker_threads);
   popts.memo_byte_budget = memo_budget;
   auto session = std::make_unique<ReoptSession>(&world->registry, popts);
   auto mirror_session = std::make_unique<ReoptSession>(&mirror_world->registry);
@@ -300,8 +299,8 @@ DiffResult RunStormScenario(const Scenario& sc, ScenarioClass cls, const DiffOpt
         }
         if (dump != q->mirror_opt->CanonicalDumpState()) {
           return StrFormat("boundary %d: query #%d dump diverged from its mirror twin "
-                           "(worker_threads=%d, budget=%zu)",
-                           step, q->tag, popts.worker_threads, memo_budget);
+                           "(budget=%zu)",
+                           step, q->tag, memo_budget);
         }
       }
       if (after_flush) {

@@ -18,11 +18,11 @@
 //                 driver (bench_adversarial).
 //
 // kRandom, kPlanFlip and kStreamChurn run through RunScenario and therefore
-// keep the full mode rotation (batch/workers/faults/lifecycle). The storm
+// keep the full mode rotation (batch/faults/lifecycle). The storm
 // classes (kScopeOverlap, kHandleStorm) run through a dedicated storm
 // runner with their own oracle — one fresh from-scratch optimizer per
 // distinct option set per flush, System-R + Volcano ground truth, and a
-// serial no-budget mirror session executing the identical seed-derived
+// no-budget mirror session executing the identical seed-derived
 // schedule that every registered query must match byte-for-byte
 // (CanonicalDumpState). Storm classes deterministically IGNORE the fault
 // and lifecycle rotations (ScenarioClassHonorsRotations) — their adversary
@@ -55,8 +55,8 @@ inline constexpr int kNumScenarioClasses = 5;
 const char* ScenarioClassName(ScenarioClass cls);
 
 /// The sweep's class rotation, derived from seed bits 3..5 so it composes
-/// independently with the flush-mode (seed % 4), worker (seed % 3), fault
-/// (seed % 2) and lifecycle (bit 2) rotations: rolls 0..3 stay kRandom
+/// independently with the flush-mode (seed % 4), fault (seed % 2) and
+/// lifecycle (bit 2) rotations: rolls 0..3 stay kRandom
 /// (half of all seeds keep the PR 2 random sweep), rolls 4..7 map to the
 /// four adversarial classes, one each.
 ScenarioClass DeriveScenarioClass(uint64_t seed);

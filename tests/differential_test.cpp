@@ -8,8 +8,6 @@
 // --seed=N          base seed (scenario i uses seed N+i); default 1
 // --iters=N         scenarios to attempt; default 2000
 // --time_budget_ms=N  stop early after this much wall clock (0 = unlimited)
-// --workers=N       force worker_threads=N for every batch-mode scenario
-//                   (default -1: rotate seed % 3; the TSan CI smoke pins 4)
 // --faults=N        fault rotation: 1 = every scenario re-runs with a
 //                   seed-derived injected fault (quarantine/recovery must
 //                   land byte-identical to a never-faulted mirror), 0 =
@@ -27,16 +25,20 @@
 //                   adversarial classes. Storm classes (2, 3) ignore the
 //                   fault/lifecycle rotations by design.
 //
+// Any other `--` flag that does not start with `--gtest_` is an error: the
+// program prints its usage and exits with status 2, so a typo (`--fault=1`)
+// or a stale flag never silently runs a different rotation than asked for.
+//
 // Every failure prints the scenario seed, the active flush mode (legacy /
-// batch_steps=K serial / batch_steps=K workers=W / faults) AND a
-// paste-ready repro command — the mode rotation is part of the scenario's
-// identity, and a bare `--seed=N --iters=1` does NOT pin rotation state
-// that came from forced flags (a failure found under --faults=1 on an even
-// seed, or under any --workers override, would silently replay in a
-// different mode). The printed command therefore always pins --workers and
-// --faults to the effective values; a shrunk minimal scenario is printed
-// too. A SIGABRT handler prints the same seed+mode+repro lines even when
-// an optimizer-internal IQRO_CHECK aborts.
+// batch_steps=K / faults / lifecycle) AND a paste-ready repro command —
+// the mode rotation is part of the scenario's identity, and a bare
+// `--seed=N --iters=1` does NOT pin rotation state that came from forced
+// flags (a failure found under --faults=1 on an even seed would silently
+// replay in a different mode). The printed command therefore always pins
+// --faults, --lifecycle and --scenario-class to the effective values; a
+// shrunk minimal scenario is printed too. A SIGABRT handler prints the
+// same seed+mode+repro lines even when an optimizer-internal IQRO_CHECK
+// aborts.
 //
 // This file defines its own main() (flag parsing), so CMakeLists.txt links
 // it against gtest without gtest_main.
@@ -60,17 +62,15 @@ namespace {
 uint64_t g_base_seed = 1;
 int g_iters = 2000;
 int g_time_budget_ms = 120'000;
-int g_force_workers = -1;  // --workers override; -1 = rotate seed % 3
 int g_force_faults = -1;   // --faults override; -1 = odd seeds fault-rotate
 int g_force_lifecycle = -1;  // --lifecycle override; -1 = seed bit 2 rotates
 int g_force_class = -1;  // --scenario-class override; -1 = rotate seed bits 3..5
 
 // Mode of the scenario currently executing, for the SIGABRT handler: a
-// seed alone does not reproduce a batch/parallel failure (the flush mode
+// seed alone does not reproduce a batch-mode failure (the flush mode
 // rotation is part of the repro), so the handler prints all of it.
 volatile uint64_t g_current_seed = 0;
 volatile int g_current_batch_steps = 0;
-volatile int g_current_workers = 0;
 volatile int g_current_faults = 0;
 volatile int g_current_lifecycle = 0;
 volatile int g_current_class = 0;
@@ -84,20 +84,16 @@ volatile int g_mode_seed_derived = 0;
 // command is derived from the SAME function the sweep uses — the repro
 // self-test below round-trips it.
 struct ScenarioMode {
-  int batch_steps = 0;     // 0 = legacy; 1..3 = batch sizes
-  int worker_threads = 0;  // 0 = serial dispatch
+  int batch_steps = 0;  // 0 = legacy; 1..3 = batch sizes
   bool fault_rotation = false;
   bool lifecycle_rotation = false;  // batch mode only
   ScenarioClass scenario_class = ScenarioClass::kRandom;
 };
 
-ScenarioMode DeriveMode(uint64_t seed, int force_workers, int force_faults,
-                        int force_lifecycle, int force_class) {
+ScenarioMode DeriveMode(uint64_t seed, int force_faults, int force_lifecycle,
+                        int force_class) {
   ScenarioMode m;
   m.batch_steps = static_cast<int>(seed % 4);
-  if (m.batch_steps >= 1) {
-    m.worker_threads = force_workers >= 0 ? force_workers : static_cast<int>(seed % 3);
-  }
   m.fault_rotation = force_faults == 1 || (force_faults < 0 && seed % 2 == 1);
   // Bit 2 is independent of the batch_steps (seed % 4) and fault (seed % 2)
   // rotations, so lifecycle churn overlaps every other mode combination.
@@ -112,15 +108,14 @@ ScenarioMode DeriveMode(uint64_t seed, int force_workers, int force_faults,
   return m;
 }
 
-// Paste-ready replay flags for a failing seed. --workers/--faults are
+// Paste-ready replay flags for a failing seed. The rotation flags are
 // ALWAYS pinned to the effective mode: forcing them round-trips through
 // DeriveMode to the original mode (batch_steps is pure seed arithmetic,
 // and a forced value is only read where the rotation would have applied),
 // so the replay runs the exact fault plan the failure used.
 std::string ReproCommand(uint64_t seed, const ScenarioMode& mode) {
   return "--seed=" + std::to_string(seed) +
-         " --iters=1 --workers=" + std::to_string(mode.worker_threads) +
-         " --faults=" + std::string(mode.fault_rotation ? "1" : "0") +
+         " --iters=1 --faults=" + std::string(mode.fault_rotation ? "1" : "0") +
          " --lifecycle=" + std::string(mode.lifecycle_rotation ? "1" : "0") +
          " --scenario-class=" + std::to_string(static_cast<int>(mode.scenario_class));
 }
@@ -148,12 +143,6 @@ extern "C" void DifferentialAbortHandler(int) {
   } else {
     append_str(" mode=batch_steps=");
     append_u64(static_cast<uint64_t>(g_current_batch_steps));
-    if (g_current_workers <= 0) {
-      append_str(" serial");
-    } else {
-      append_str(" workers=");
-      append_u64(static_cast<uint64_t>(g_current_workers));
-    }
   }
   if (g_current_faults != 0) append_str(" faults=1");
   if (g_current_lifecycle != 0) append_str(" lifecycle=1");
@@ -163,9 +152,7 @@ extern "C" void DifferentialAbortHandler(int) {
   if (g_mode_seed_derived != 0) {
     append_str("reproduce: ./differential_test --seed=");
     append_u64(g_current_seed);
-    append_str(" --iters=1 --workers=");
-    append_u64(static_cast<uint64_t>(g_current_workers));
-    append_str(" --faults=");
+    append_str(" --iters=1 --faults=");
     append_u64(static_cast<uint64_t>(g_current_faults));
     append_str(" --lifecycle=");
     append_u64(static_cast<uint64_t>(g_current_lifecycle));
@@ -212,7 +199,6 @@ std::string ClassFailureReport(const Scenario& scenario, ScenarioClass cls,
 
 TEST(DifferentialHarnessTest, GeneratorIsDeterministic) {
   g_current_batch_steps = 0;
-  g_current_workers = 0;
   for (uint64_t seed : {1ull, 7ull, 1234567ull}) {
     g_current_seed = seed;
     Scenario a = GenerateScenario(seed);
@@ -227,16 +213,15 @@ TEST(DifferentialHarnessTest, GeneratorIsDeterministic) {
 // flush modes: legacy change-at-a-time Reoptimize(), ReoptSession batch
 // flushes grouping 1..3 churn steps (batch mode also rides a same-options
 // shadow optimizer through every flush — multi-query dispatch is checked
-// by the same 2,000-scenario run), and — within batch mode — serial vs
-// thread-pool dispatch (worker_threads = seed % 3; pooled scenarios run a
-// serial mirror world in lockstep and must match it byte-for-byte).
+// by the same 2,000-scenario run), crossed with the fault and lifecycle
+// rotations (which run a mirror world in lockstep that the primary must
+// match byte-for-byte).
 TEST(DifferentialHarnessTest, GeneratedScenariosAgreeWithFromScratchOracle) {
   const auto start = std::chrono::steady_clock::now();
   const GeneratorKnobs knobs;
   int64_t ran = 0;
   int64_t reopt_checks = 0;
   int64_t batched_runs = 0;
-  int64_t parallel_runs = 0;
   int64_t fault_runs = 0;
   int64_t faults_fired = 0;
   int64_t lifecycle_runs = 0;
@@ -264,17 +249,13 @@ TEST(DifferentialHarnessTest, GeneratedScenariosAgreeWithFromScratchOracle) {
     // classes rotate from seed bits 3..5 (or pin via --scenario-class=):
     // half the seeds stay random, the rest run the adversarial classes.
     const ScenarioMode mode =
-        DeriveMode(seed, g_force_workers, g_force_faults, g_force_lifecycle, g_force_class);
+        DeriveMode(seed, g_force_faults, g_force_lifecycle, g_force_class);
     const ScenarioClass cls = mode.scenario_class;
     Scenario scenario = GenerateClassScenario(seed, cls, knobs);
     options.batch_steps = mode.batch_steps;
-    options.worker_threads = mode.worker_threads;
     options.fault_rotation = mode.fault_rotation;
     options.lifecycle_rotation = mode.lifecycle_rotation;
-    if (options.batch_steps >= 1) {
-      ++batched_runs;
-      if (options.worker_threads >= 1) ++parallel_runs;
-    }
+    if (options.batch_steps >= 1) ++batched_runs;
     // The storm classes deterministically ignore the fault/lifecycle
     // rotations (scenario_class.h), so they don't count as coverage.
     if (options.fault_rotation && ScenarioClassHonorsRotations(cls)) ++fault_runs;
@@ -282,7 +263,6 @@ TEST(DifferentialHarnessTest, GeneratedScenariosAgreeWithFromScratchOracle) {
     ++class_runs[static_cast<int>(cls)];
     g_current_seed = seed;
     g_current_batch_steps = options.batch_steps;
-    g_current_workers = options.worker_threads;
     g_current_faults = options.fault_rotation ? 1 : 0;
     g_current_lifecycle = options.lifecycle_rotation ? 1 : 0;
     g_current_class = static_cast<int>(cls);
@@ -295,7 +275,6 @@ TEST(DifferentialHarnessTest, GeneratedScenariosAgreeWithFromScratchOracle) {
     if (!result.ok) {
       FAIL() << "seed " << seed << " (class=" << ScenarioClassName(cls)
              << " batch_steps=" << options.batch_steps
-             << " worker_threads=" << options.worker_threads
              << " fault_rotation=" << options.fault_rotation
              << " lifecycle_rotation=" << options.lifecycle_rotation << ")\n"
              << "reproduce: ./differential_test " << ReproCommand(seed, mode) << "\n"
@@ -304,9 +283,6 @@ TEST(DifferentialHarnessTest, GeneratedScenariosAgreeWithFromScratchOracle) {
   }
   if (ran >= 4) {
     EXPECT_GT(batched_runs, 0);
-  }
-  if (ran >= 12 && g_force_workers != 0) {
-    EXPECT_GT(parallel_runs, 0);  // the rotation actually covers the pool
   }
   if (fault_runs >= 50) {
     // The fault plan's ordinals are sized so a real fraction of seeds
@@ -361,7 +337,6 @@ TEST(DifferentialHarnessTest, GeneratedScenariosAgreeWithFromScratchOracle) {
 // line regenerates the identical scenario.
 TEST(DifferentialHarnessTest, ClassGeneratorIsDeterministic) {
   g_current_batch_steps = 0;
-  g_current_workers = 0;
   for (int c = 0; c < kNumScenarioClasses; ++c) {
     const auto cls = static_cast<ScenarioClass>(c);
     const uint64_t seed = 9000 + static_cast<uint64_t>(c);
@@ -399,18 +374,15 @@ TEST(DifferentialHarnessTest, AdversarialClassesHoldOracleAndMirror) {
       DiffOptions options;
       // Plan-flip churn is probed step-at-a-time, so flush groups of 1
       // measure the flip rate the generator engineered; the other classes
-      // rotate batch size and pool dispatch like the main sweep.
+      // rotate batch size like the main sweep.
       options.batch_steps = cc.cls == ScenarioClass::kPlanFlip ? 1 : 1 + (i % 3);
-      options.worker_threads = (i % 2 == 0) ? 0 : 2;
       g_current_seed = seed;
       g_current_batch_steps = options.batch_steps;
-      g_current_workers = options.worker_threads;
       g_current_class = static_cast<int>(cc.cls);
       Scenario scenario = GenerateClassScenario(seed, cc.cls);
       DiffResult result = RunClassScenario(scenario, cc.cls, options, &acc);
       ASSERT_TRUE(result.ok) << "class=" << ScenarioClassName(cc.cls) << " seed " << seed
-                             << " (batch_steps=" << options.batch_steps
-                             << " worker_threads=" << options.worker_threads << ")\n"
+                             << " (batch_steps=" << options.batch_steps << ")\n"
                              << ClassFailureReport(scenario, cc.cls, result, options);
     }
     EXPECT_GT(acc.flushes, 0) << ScenarioClassName(cc.cls);
@@ -470,15 +442,12 @@ TEST(DifferentialHarnessTest, FaultRotatedScenariosRecoverToMirrorState) {
     Scenario scenario = GenerateScenario(seed, knobs);
     DiffOptions options;
     options.batch_steps = 1 + static_cast<int>(seed % 3);  // always batch mode
-    options.worker_threads = static_cast<int>(seed % 2);   // serial and pooled
     options.fault_rotation = true;
     g_current_seed = seed;
     g_current_batch_steps = options.batch_steps;
-    g_current_workers = options.worker_threads;
     g_current_faults = 1;
     DiffResult result = RunScenario(scenario, options);
     ASSERT_TRUE(result.ok) << "seed " << seed << " (batch_steps=" << options.batch_steps
-                           << " worker_threads=" << options.worker_threads
                            << " fault_rotation=1): "
                            << FailureReport(scenario, result, options, FaultInjection{});
     fired += result.faults_fired;
@@ -500,15 +469,12 @@ TEST(DifferentialHarnessTest, LifecycleRotatedScenariosMatchMirrorState) {
     Scenario scenario = GenerateScenario(seed, knobs);
     DiffOptions options;
     options.batch_steps = 1 + static_cast<int>(seed % 3);  // always batch mode
-    options.worker_threads = static_cast<int>(seed % 2);   // serial and pooled
     options.lifecycle_rotation = true;
     g_current_seed = seed;
     g_current_batch_steps = options.batch_steps;
-    g_current_workers = options.worker_threads;
     g_current_lifecycle = 1;
     DiffResult result = RunScenario(scenario, options);
     ASSERT_TRUE(result.ok) << "seed " << seed << " (batch_steps=" << options.batch_steps
-                           << " worker_threads=" << options.worker_threads
                            << " lifecycle_rotation=1): "
                            << FailureReport(scenario, result, options, FaultInjection{});
   }
@@ -517,51 +483,43 @@ TEST(DifferentialHarnessTest, LifecycleRotatedScenariosMatchMirrorState) {
                        "snapshot-restart matched the undisturbed mirror\n");
 }
 
-// Repro-line pin: for every launch configuration (bare, forced workers,
-// forced faults on/off), parsing the printed ReproCommand's flags and
-// re-deriving the mode must land on the exact rotation state the failing
-// run used. The historical bug: the printed guidance omitted --faults (and
-// only conditionally mentioned --workers), so a failure found under
-// --faults=1 on an even seed — e.g. the CI fault-injection smoke — replayed
-// with no fault plan at all, and forced-worker failures replayed at
-// seed % 3 workers.
+// Repro-line pin: for every launch configuration (bare, forced faults
+// on/off, forced lifecycle, pinned class), parsing the printed
+// ReproCommand's flags and re-deriving the mode must land on the exact
+// rotation state the failing run used. The historical bug: the printed
+// guidance omitted --faults, so a failure found under --faults=1 on an
+// even seed — e.g. the CI fault-injection smoke — replayed with no fault
+// plan at all.
 TEST(DifferentialHarnessTest, ReproCommandPinsRotationState) {
-  const int worker_forces[] = {-1, 0, 2};
   const int fault_forces[] = {-1, 0, 1};
   const int lifecycle_forces[] = {-1, 0, 1};
   const int class_forces[] = {-1, 0, 3};
   for (uint64_t seed = 100; seed < 140; ++seed) {
-    for (int fw : worker_forces) {
-      for (int ff : fault_forces) {
-        for (int fl : lifecycle_forces) {
-          for (int fc : class_forces) {
-            const ScenarioMode mode = DeriveMode(seed, fw, ff, fl, fc);
-            const std::string cmd = ReproCommand(seed, mode);
-            ASSERT_NE(cmd.find("--seed=" + std::to_string(seed)), std::string::npos) << cmd;
-            ASSERT_NE(cmd.find("--iters=1"), std::string::npos) << cmd;
-            // All rotation flags must be pinned unconditionally.
-            const size_t wpos = cmd.find("--workers=");
-            const size_t fpos = cmd.find("--faults=");
-            const size_t lpos = cmd.find("--lifecycle=");
-            const size_t cpos = cmd.find("--scenario-class=");
-            ASSERT_NE(wpos, std::string::npos) << cmd;
-            ASSERT_NE(fpos, std::string::npos) << cmd;
-            ASSERT_NE(lpos, std::string::npos) << cmd;
-            ASSERT_NE(cpos, std::string::npos) << cmd;
-            // Replay: the harness parses these flags into the force globals
-            // and derives the mode again — it must reconstruct the original.
-            const int replay_workers = std::atoi(cmd.c_str() + wpos + 10);
-            const int replay_faults = std::atoi(cmd.c_str() + fpos + 9);
-            const int replay_lifecycle = std::atoi(cmd.c_str() + lpos + 12);
-            const int replay_class = std::atoi(cmd.c_str() + cpos + 17);
-            const ScenarioMode replay =
-                DeriveMode(seed, replay_workers, replay_faults, replay_lifecycle, replay_class);
-            EXPECT_EQ(replay.batch_steps, mode.batch_steps) << cmd;
-            EXPECT_EQ(replay.worker_threads, mode.worker_threads) << cmd;
-            EXPECT_EQ(replay.fault_rotation, mode.fault_rotation) << cmd;
-            EXPECT_EQ(replay.lifecycle_rotation, mode.lifecycle_rotation) << cmd;
-            EXPECT_EQ(replay.scenario_class, mode.scenario_class) << cmd;
-          }
+    for (int ff : fault_forces) {
+      for (int fl : lifecycle_forces) {
+        for (int fc : class_forces) {
+          const ScenarioMode mode = DeriveMode(seed, ff, fl, fc);
+          const std::string cmd = ReproCommand(seed, mode);
+          ASSERT_NE(cmd.find("--seed=" + std::to_string(seed)), std::string::npos) << cmd;
+          ASSERT_NE(cmd.find("--iters=1"), std::string::npos) << cmd;
+          // All rotation flags must be pinned unconditionally.
+          const size_t fpos = cmd.find("--faults=");
+          const size_t lpos = cmd.find("--lifecycle=");
+          const size_t cpos = cmd.find("--scenario-class=");
+          ASSERT_NE(fpos, std::string::npos) << cmd;
+          ASSERT_NE(lpos, std::string::npos) << cmd;
+          ASSERT_NE(cpos, std::string::npos) << cmd;
+          // Replay: the harness parses these flags into the force globals
+          // and derives the mode again — it must reconstruct the original.
+          const int replay_faults = std::atoi(cmd.c_str() + fpos + 9);
+          const int replay_lifecycle = std::atoi(cmd.c_str() + lpos + 12);
+          const int replay_class = std::atoi(cmd.c_str() + cpos + 17);
+          const ScenarioMode replay =
+              DeriveMode(seed, replay_faults, replay_lifecycle, replay_class);
+          EXPECT_EQ(replay.batch_steps, mode.batch_steps) << cmd;
+          EXPECT_EQ(replay.fault_rotation, mode.fault_rotation) << cmd;
+          EXPECT_EQ(replay.lifecycle_rotation, mode.lifecycle_rotation) << cmd;
+          EXPECT_EQ(replay.scenario_class, mode.scenario_class) << cmd;
         }
       }
     }
@@ -582,7 +540,6 @@ TEST(DifferentialHarnessTest, InjectedFaultIsCaughtAndShrunk) {
 
   int caught = 0;
   g_current_batch_steps = 0;
-  g_current_workers = 0;
   for (uint64_t seed = 9000; seed < 9120 && caught == 0; ++seed) {
     g_current_seed = seed;
     Scenario scenario = GenerateScenario(seed, knobs);
@@ -628,7 +585,6 @@ TEST(DifferentialHarnessTest, InjectedFaultIsCaughtAndShrunk) {
 TEST(DifferentialHarnessTest, ScenarioReplayIsByteStable) {
   g_current_seed = 4242;
   g_current_batch_steps = 0;
-  g_current_workers = 0;
   Scenario scenario = GenerateScenario(4242);
   auto run_dump = [&] {
     auto world = BuildWorld(scenario.catalog, scenario.query);
@@ -647,8 +603,20 @@ TEST(DifferentialHarnessTest, ScenarioReplayIsByteStable) {
 }  // namespace
 }  // namespace iqro::testing
 
+namespace {
+
+constexpr char kUsage[] =
+    "usage: differential_test [--seed=N] [--iters=N] [--time_budget_ms=N]\n"
+    "                         [--faults=N] [--lifecycle=N] [--scenario-class=N]\n"
+    "                         [--gtest_*...]\n"
+    "Any other --flag is rejected; see the header of tests/differential_test.cpp.\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  // Strip harness flags before handing the rest to gtest.
+  // Strip harness flags before handing the rest to gtest. An unknown `--`
+  // flag is an error, not a gtest passthrough: gtest ignores flags it does
+  // not know, so a typo would silently run a different rotation.
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -658,14 +626,18 @@ int main(int argc, char** argv) {
       iqro::testing::g_iters = std::atoi(arg + 8);
     } else if (std::strncmp(arg, "--time_budget_ms=", 17) == 0) {
       iqro::testing::g_time_budget_ms = std::atoi(arg + 17);
-    } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      iqro::testing::g_force_workers = std::atoi(arg + 10);
     } else if (std::strncmp(arg, "--faults=", 9) == 0) {
       iqro::testing::g_force_faults = std::atoi(arg + 9);
     } else if (std::strncmp(arg, "--lifecycle=", 12) == 0) {
       iqro::testing::g_force_lifecycle = std::atoi(arg + 12);
     } else if (std::strncmp(arg, "--scenario-class=", 17) == 0) {
       iqro::testing::g_force_class = std::atoi(arg + 17);
+    } else if (std::strcmp(arg, "--help") == 0) {
+      std::fputs(kUsage, stdout);  // then gtest lists its own flags
+      argv[out++] = argv[i];
+    } else if (std::strncmp(arg, "--", 2) == 0 && std::strncmp(arg, "--gtest_", 8) != 0) {
+      std::fprintf(stderr, "differential_test: unknown flag %s\n%s", arg, kUsage);
+      return 2;
     } else {
       argv[out++] = argv[i];
     }

@@ -6,7 +6,8 @@
 // (tests/differential_test.cpp, batch mode, including the notification
 // oracle); these tests pin the small contracts — net-zero absorption,
 // duplicate collapse, task dedup, multi-query dispatch, handle lifecycle,
-// subscriber exactness and reentrancy, policy triggers, unregistration.
+// subscriber exactness and reentrancy, policy triggers, unregistration,
+// mutator threads racing the owner's flush.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1228,36 +1229,6 @@ TEST(QuarantineTest, FaultedQueryIsIsolatedAndPeersComplete) {
   EXPECT_EQ(sub_a.plan_events[0].new_cost, a.BestCost());
 }
 
-TEST(QuarantineTest, PooledFlushIsolatesTheFaultedQueryToo) {
-  auto world = ChainWorld();
-  DeclarativeOptimizer a(world->enumerator.get(), world->cost_model.get(), &world->registry);
-  DeclarativeOptimizer b(world->enumerator.get(), world->cost_model.get(), &world->registry);
-  a.Optimize();
-  b.Optimize();
-  ReoptSessionOptions so;
-  so.worker_threads = 2;
-  ReoptSession session(&world->registry, so);
-  QueryHandle ha = session.Register(a);
-  QueryHandle hb = session.Register(b);
-
-  FaultInjector::Instance().set_enabled(false);
-  FaultInjector::ArmSpec spec;
-  spec.site = "service.pass";  // pool: WHICH query faults is a race — either is valid
-  ScopedFaultArm arm(spec);
-
-  world->registry.SetBaseRows(1, world->registry.base_rows(1) * 64);
-  FaultedFlush(session);
-  EXPECT_EQ(session.num_quarantined(), 1);  // exactly one struck, one survived
-  const std::string scratch = ScratchDump(*world, OptimizerOptions::Default());
-  DeclarativeOptimizer& healthy = ha.state() == QueryState::kHealthy ? a : b;
-  EXPECT_EQ(healthy.CanonicalDumpState(), scratch);
-
-  FaultedFlush(session);  // rehab
-  EXPECT_EQ(session.num_quarantined(), 0);
-  EXPECT_EQ(a.CanonicalDumpState(), scratch);
-  EXPECT_EQ(b.CanonicalDumpState(), scratch);
-}
-
 TEST(QuarantineTest, WorkBudgetExceededQuarantinesWithTypedReason) {
   auto world = ChainWorld();
   DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
@@ -1557,6 +1528,97 @@ TEST(PollTest, PollStormFiresExactlyOneFlushPerDeadlineEpoch) {
   EXPECT_EQ(session.metrics().flushes, kEpochs);
   EXPECT_EQ(session.metrics().empty_flushes, 0);  // every flush carried changes
   EXPECT_FALSE(session.HasPending());
+  opt.ValidateInvariants();
+  EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
+}
+
+// ---------------------------------------------------------------------------
+// Mutator threads: the registry lock against the owner's flush
+// ---------------------------------------------------------------------------
+//
+// A session flushes on one thread, but statistics producers may Record()
+// from others. These pin the registry-lock contract; the TSan CI job
+// repeats them, so their value is as much "TSan sees these interleavings
+// race-free" as the assertions themselves.
+
+// Record() racing Flush() from a second thread: every mutation either
+// makes the batch a flush drains or stays pending for the next one —
+// nothing is lost, nothing applies twice. After the mutator joins, one
+// final flush must land every optimizer exactly in its oracle state.
+TEST(MutatorThreadTest, RecordRacingFlushLandsInNextEpoch) {
+  auto world = ChainWorld(6, 17);
+  std::vector<std::unique_ptr<DeclarativeOptimizer>> opts;
+  for (const OptimizerOptions& o :
+       {OptimizerOptions::Default(), OptimizerOptions::UseAggSel(),
+        OptimizerOptions::UseAggSelRefCount(), OptimizerOptions::UseAggSelBounding(),
+        OptimizerOptions::UseNoPruning()}) {
+    opts.push_back(std::make_unique<DeclarativeOptimizer>(
+        world->enumerator.get(), world->cost_model.get(), &world->registry, o));
+    opts.back()->Optimize();
+  }
+  ReoptSessionOptions so;
+  // Exporter attached: the flush epilogue's metrics snapshot must be
+  // race-free against the concurrent mutator (TSan checks it here).
+  JsonMetricsExporter exporter;
+  so.metrics_exporter = &exporter;
+  ReoptSession session(&world->registry, so);
+  std::vector<QueryHandle> handles;
+  for (auto& o : opts) handles.push_back(session.Register(*o));
+
+  constexpr int kMutations = 200;
+  const double rows0 = world->registry.base_rows(0);
+  std::thread mutator([&world, rows0] {
+    for (int i = 1; i <= kMutations; ++i) {
+      // Strictly changing values: every call records (and bumps the epoch).
+      world->registry.SetBaseRows(0, rows0 + i);
+      if (i % 16 == 0) std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  // Flush continuously while the mutator runs: each flush drains whatever
+  // epoch-consistent batch exists at that instant.
+  int flushed_batches = 0;
+  for (int i = 0; i < 50; ++i) {
+    if (session.Flush() > 0) ++flushed_batches;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  mutator.join();
+  session.Flush();  // whatever raced past the last mid-stream flush
+  EXPECT_FALSE(world->registry.HasPending());
+
+  // No lost update: the registry's value is the mutator's last write, and
+  // every optimizer is at the fixpoint of exactly that value.
+  EXPECT_EQ(world->registry.base_rows(0), rows0 + kMutations);
+  // No double-apply/over-count: every one of the 200 distinct writes was
+  // observed exactly once.
+  EXPECT_EQ(session.metrics().mutations_observed, kMutations);
+  for (auto& o : opts) {
+    o->ValidateInvariants();
+    EXPECT_EQ(o->CanonicalDumpState(), ScratchDump(*world, o->options()));
+  }
+  // Sanity: the race was real — some batches were drained mid-stream.
+  EXPECT_GE(flushed_batches, 1);
+}
+
+// Auto-flush on a mutator thread: the threshold callback fires Flush() on
+// the *mutator's* thread, which runs the passes there.
+TEST(MutatorThreadTest, AutoFlushDispatchesFromMutatorThread) {
+  auto world = ChainWorld(6, 17);
+  DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
+                           &world->registry);
+  opt.Optimize();
+  ReoptSessionOptions so;
+  so.flush_policy = std::make_shared<CountPolicy>(4);
+  ReoptSession session(&world->registry, so);
+  QueryHandle handle = session.Register(opt);
+
+  std::thread mutator([&world] {
+    for (int i = 1; i <= 40; ++i) {
+      world->registry.SetBaseRows(1, 100.0 + i);
+    }
+  });
+  mutator.join();
+  session.Flush();  // tail below the last threshold
+  EXPECT_GE(session.metrics().flushes, 1);
   opt.ValidateInvariants();
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
 }
