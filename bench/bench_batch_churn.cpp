@@ -30,9 +30,6 @@
 #include "service/reopt_session.h"
 
 namespace iqro::bench {
-/// --text: also render the flush trajectory as a Prometheus text artifact
-/// (BENCH_bench_batch_churn_flushes.prom) next to the JSON.
-bool g_text_mode = false;
 namespace {
 
 // Q5 relation slots: r, n, c, o, l, s.
@@ -260,7 +257,6 @@ void Run() {
     }
   }
   exporter.WriteBenchReport("bench_batch_churn_flushes");
-  if (g_text_mode) exporter.WriteTextReport("bench_batch_churn_flushes");
 
   // ---- sparse-scope axis: seeding cost vs memo size -----------------------
   // Each round mutates ONE scan-cost multiplier (singleton scope) and
@@ -357,10 +353,7 @@ void Run() {
 }  // namespace
 }  // namespace iqro::bench
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--text") iqro::bench::g_text_mode = true;
-  }
+int main() {
   iqro::bench::Run();
   return 0;
 }

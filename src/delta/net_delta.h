@@ -54,12 +54,6 @@ class NetDeltaTable {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// True when `key` already has an entry in the current batch. Lets an
-  /// overloaded owner keep accepting mutations that coalesce into existing
-  /// entries (they cost no memory) while rejecting ones that would grow
-  /// the table.
-  bool Contains(uint64_t key) const { return index_.Find(key) != nullptr; }
-
   /// Entries in insertion order (the order their keys first mutated).
   const Entry& entry(size_t i) const { return entries_[i]; }
 

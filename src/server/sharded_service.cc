@@ -66,7 +66,6 @@ void AddSessionMetrics(ReoptSessionMetrics* sum, const ReoptSessionMetrics& m) {
   sum->quarantines += m.quarantines;
   sum->rehabilitations += m.rehabilitations;
   sum->queries_parked += m.queries_parked;
-  sum->watermark_flushes += m.watermark_flushes;
   sum->evictions += m.evictions;
   sum->rehydrations += m.rehydrations;
   sum->resident_memo_bytes += m.resident_memo_bytes;
@@ -411,13 +410,7 @@ ShardedService::RegisterResult ShardedService::RegisterOnShard(
   q->optimizer->Optimize();
   q->sink = sink;
   IndexQuery(shard_idx, *group, q.get());
-  try {
-    q->handle = group->session->Register(*q->optimizer, q.get());
-  } catch (const SessionOverloaded& e) {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    queries_.erase(q->id);
-    throw ServiceError(WireErrorCode::kOverloaded, e.what());
-  }
+  q->handle = group->session->Register(*q->optimizer, q.get());
   const RegisterResult result{q->id, shard_idx, q->optimizer->BestCost()};
   group->queries.push_back(std::move(q));
   return result;

@@ -80,7 +80,7 @@ enum class WireErrorCode : uint8_t {
   kUnknownQuery = 3,   // query id never registered or already released
   kSpecMismatch = 4,   // world key reused with different catalog/query specs
   kUnknownOptions = 5, // options_name not in the NamedOptionSets vocabulary
-  kOverloaded = 6,     // session shed the registration (SessionOverloaded)
+  kOverloaded = 6,     // reserved: no request answers it in this version
   kShuttingDown = 7,   // daemon is draining; no new work
 };
 

@@ -45,10 +45,7 @@ bool DeadlinePolicy::ShouldFlush(const FlushPolicyContext& ctx) {
   return clock_->Now() - batch_opened_ >= deadline_;
 }
 
-void DeadlinePolicy::OnFlush(const FlushOptStats& stats, int64_t changes,
-                             size_t pending_after) {
-  (void)stats;
-  (void)changes;
+void DeadlinePolicy::OnFlush(size_t pending_after) {
   if (pending_after > 0) {
     // Mutations raced this flush into the next epoch's batch: their wait
     // is already running, so the window restarts now rather than at the

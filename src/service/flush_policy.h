@@ -18,10 +18,8 @@
 //    flight (the next mutation or Poll re-asks).
 //  * OnFlush() is called at the end of every Flush() that drained the
 //    registry — including one whose batch coalesced to nothing — with the
-//    aggregated FlushOptStats, the number of StatChanges dispatched
-//    (0 for an absorbed batch), and the count of statistics already
-//    pending again (mutations that raced the flush into the next epoch's
-//    batch). This is the policy's history feed and its reset hook.
+//    count of statistics already pending again (mutations that raced the
+//    flush into the next epoch's batch). This is the policy's reset hook.
 //  * Both methods are invoked under the session's policy mutex: calls are
 //    serialized across mutator threads and the owner thread, so policies
 //    need no internal locking. They must not call back into the session or
@@ -40,8 +38,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-
-#include "service/session_metrics.h"
 
 namespace iqro {
 
@@ -67,8 +63,6 @@ struct FlushPolicyContext {
   /// size. From the under-lock mutation snapshot (mutation path) or a
   /// locked registry probe (Poll).
   size_t pending_stats = 0;
-  /// Registry epoch after the triggering mutation; 0 on a Poll() probe.
-  uint64_t epoch = 0;
 };
 
 class FlushPolicy {
@@ -78,20 +72,12 @@ class FlushPolicy {
   /// Flush now? See the contract above for when this is consulted.
   virtual bool ShouldFlush(const FlushPolicyContext& ctx) = 0;
 
-  /// A flush drained the registry: `stats` aggregates the dispatched
-  /// passes, `changes` is the coalesced StatChange count (0 when the batch
-  /// was absorbed), `pending_after` the distinct statistics already
-  /// pending again at flush end — mutations that raced the flush and
-  /// landed in the NEXT epoch's batch, which a time-based policy must not
-  /// silently disarm on. Default: stateless policies ignore history.
-  virtual void OnFlush(const FlushOptStats& stats, int64_t changes, size_t pending_after) {
-    (void)stats;
-    (void)changes;
-    (void)pending_after;
-  }
-
-  /// Stable identifier for logs and metrics export.
-  virtual const char* name() const = 0;
+  /// A flush drained the registry: `pending_after` is the distinct
+  /// statistics already pending again at flush end — mutations that raced
+  /// the flush and landed in the NEXT epoch's batch, which a time-based
+  /// policy must not silently disarm on. Default: stateless policies
+  /// ignore it.
+  virtual void OnFlush(size_t pending_after) { (void)pending_after; }
 };
 
 /// Flush once N value-changing mutations accumulated. The latency/batching knob when mutation *count*
@@ -101,7 +87,6 @@ class CountPolicy final : public FlushPolicy {
   /// `flush_after` must be >= 1.
   explicit CountPolicy(int64_t flush_after);
   bool ShouldFlush(const FlushPolicyContext& ctx) override;
-  const char* name() const override { return "count"; }
 
  private:
   int64_t flush_after_;
@@ -125,8 +110,7 @@ class DeadlinePolicy final : public FlushPolicy {
   /// for the next batch (`pending_after > 0`), in which case the window
   /// re-arms immediately so their wait is bounded from now, not from
   /// whenever the next consultation happens to arrive.
-  void OnFlush(const FlushOptStats& stats, int64_t changes, size_t pending_after) override;
-  const char* name() const override { return "deadline"; }
+  void OnFlush(size_t pending_after) override;
 
  private:
   std::chrono::milliseconds deadline_;

@@ -1,7 +1,6 @@
 #include "service/metrics_exporter.h"
 
 #include <cstdio>
-#include <stdexcept>
 
 #include "bench_util/json_report.h"
 
@@ -29,24 +28,6 @@ void PromSample(std::string* out, const char* name, const char* type, const std:
   out->append(buf);
 }
 
-void PromSampleF(std::string* out, const char* name, const char* type, const std::string& labels,
-                 double value) {
-  out->append("# TYPE ");
-  out->append(name);
-  out->push_back(' ');
-  out->append(type);
-  out->push_back('\n');
-  out->append(name);
-  if (!labels.empty()) {
-    out->push_back('{');
-    out->append(labels);
-    out->push_back('}');
-  }
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), " %.6f\n", value);
-  out->append(buf);
-}
-
 bench::JsonObj ReportJson(const FlushReport& r) {
   bench::JsonObj opt;
   opt.Put("passes", r.opt.passes)
@@ -70,7 +51,6 @@ bench::JsonObj ReportJson(const FlushReport& r) {
       .Put("quarantines", r.session.quarantines)
       .Put("rehabilitations", r.session.rehabilitations)
       .Put("queries_parked", r.session.queries_parked)
-      .Put("watermark_flushes", r.session.watermark_flushes)
       .Put("evictions", r.session.evictions)
       .Put("rehydrations", r.session.rehydrations)
       .Put("resident_memo_bytes", r.session.resident_memo_bytes);
@@ -87,7 +67,6 @@ bench::JsonObj ReportJson(const FlushReport& r) {
       .Put("evictions", r.evictions)
       .Put("rehydrations", r.rehydrations)
       .Put("resident_memo_bytes", r.resident_memo_bytes)
-      .Put("mutations_rejected", r.mutations_rejected)
       .Put("summary_shared_hits", r.summary_shared_hits)
       .Put("summary_shared_misses", r.summary_shared_misses)
       .Put("flush_ms", r.flush_ms)
@@ -118,7 +97,6 @@ std::string PrometheusSessionText(const ReoptSessionMetrics& m, const std::strin
   PromSample(&out, "iqro_session_quarantines_total", "counter", labels, m.quarantines);
   PromSample(&out, "iqro_session_rehabilitations_total", "counter", labels, m.rehabilitations);
   PromSample(&out, "iqro_session_queries_parked_total", "counter", labels, m.queries_parked);
-  PromSample(&out, "iqro_session_watermark_flushes_total", "counter", labels, m.watermark_flushes);
   PromSample(&out, "iqro_session_evictions_total", "counter", labels, m.evictions);
   PromSample(&out, "iqro_session_rehydrations_total", "counter", labels, m.rehydrations);
   PromSample(&out, "iqro_session_resident_memo_bytes", "gauge", labels, m.resident_memo_bytes);
@@ -135,27 +113,6 @@ void JsonMetricsExporter::WriteBenchReport(const std::string& name) const {
   bench::JsonObj root;
   root.Put("flushes", ReportsArr(reports_));
   bench::WriteBenchJson(name, root);
-}
-
-std::string JsonMetricsExporter::ToPrometheusText() const {
-  if (reports_.empty()) return "# no flushes reported\n";
-  const FlushReport& last = reports_.back();
-  std::string out = PrometheusSessionText(last.session, "");
-  PromSample(&out, "iqro_flush_index", "gauge", "", last.flush_index);
-  PromSample(&out, "iqro_flush_changes", "gauge", "", last.changes);
-  PromSample(&out, "iqro_flush_plan_changes", "gauge", "", last.plan_changes);
-  PromSampleF(&out, "iqro_flush_ms", "gauge", "", last.flush_ms);
-  return out;
-}
-
-void JsonMetricsExporter::WriteTextReport(const std::string& name) const {
-  const std::string path = bench::BenchOutDir() + "/BENCH_" + name + ".prom";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw std::runtime_error("cannot write " + path);
-  const std::string text = ToPrometheusText();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace iqro

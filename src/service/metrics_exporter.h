@@ -48,9 +48,6 @@ struct FlushReport {
   /// Estimated resident memo bytes after this flush's budget enforcement
   /// (ReoptSessionMetrics::resident_memo_bytes at report time).
   int64_t resident_memo_bytes = 0;
-  /// Cumulative registry mutations refused by the pending-backlog limit
-  /// (StatsRegistry CoalesceStats::rejected at report time).
-  int64_t mutations_rejected = 0;
   /// Cumulative shared-summary-cache outcomes at report time
   /// (ReoptSession::summary_cache() — cross-query summary sharing).
   int64_t summary_shared_hits = 0;
@@ -69,9 +66,8 @@ struct FlushReport {
 /// snapshot: one `iqro_session_<counter>` sample per ReoptSessionMetrics
 /// field (counters suffixed `_total`, the residency gauge bare), each
 /// preceded by its `# TYPE` header. `labels` is a pre-rendered label body
-/// ('shard="0"') spliced into every sample, or empty for none. Shared by
-/// the daemon's GET /metrics scrape and the bench `--text` artifacts so
-/// both surfaces expose the same names.
+/// ('shard="0"') spliced into every sample, or empty for none. The
+/// daemon's GET /metrics scrape renders each shard's session with it.
 std::string PrometheusSessionText(const ReoptSessionMetrics& m, const std::string& labels);
 
 class MetricsExporter {
@@ -102,16 +98,6 @@ class JsonMetricsExporter final : public MetricsExporter {
   /// Writes `{"flushes": [...]}` to BENCH_<name>.json via
   /// bench_util/json_report (honors $IQRO_BENCH_OUT_DIR).
   void WriteBenchReport(const std::string& name) const;
-
-  /// Prometheus text rendering of the accumulated trajectory: the LAST
-  /// report's cumulative session counters (PrometheusSessionText) plus
-  /// per-flush gauges of that report (flush_ms, changes, plan_changes).
-  /// A comment-only document when no flush has reported yet.
-  std::string ToPrometheusText() const;
-
-  /// Writes ToPrometheusText() to BENCH_<name>.prom next to the JSON
-  /// artifact (same $IQRO_BENCH_OUT_DIR rule) — the bench `--text` mode.
-  void WriteTextReport(const std::string& name) const;
 
  private:
   std::vector<FlushReport> reports_;

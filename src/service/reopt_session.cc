@@ -20,9 +20,6 @@ ReoptSession::ReoptSession(StatsRegistry* registry, ReoptSessionOptions options)
   IQRO_CHECK(options_.quarantine_backoff_base_ticks >= 1);
   IQRO_CHECK(options_.quarantine_backoff_cap_ticks >=
              options_.quarantine_backoff_base_ticks);
-  if (options_.pending_hard_watermark > 0) {
-    registry_->SetPendingLimit(options_.pending_hard_watermark);
-  }
   registry_->Subscribe(this);
 }
 
@@ -34,9 +31,6 @@ ReoptSession::~ReoptSession() {
   // point must no-op instead of calling back into a dying session.
   *alive_ = false;
   registry_->Unsubscribe(this);
-  // The backlog limit was this session's overload policy, not the
-  // registry's: lift it for whoever uses the registry next.
-  if (options_.pending_hard_watermark > 0) registry_->SetPendingLimit(0);
 }
 
 ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer,
@@ -45,15 +39,6 @@ ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer
   // Growing queries_ mid-notification would invalidate the event walk; the
   // reentrancy rules forbid it (docs/API.md).
   IQRO_CHECK(!notifying_);
-  // Overload degradation: at the hard watermark the session sheds load —
-  // taking on MORE standing queries while the backlog is pinned at its
-  // ceiling only digs the hole deeper.
-  if (options_.pending_hard_watermark > 0 &&
-      registry_->PendingStatCount() >= options_.pending_hard_watermark) {
-    throw SessionOverloaded(
-        "ReoptSession::Register rejected: pending backlog at the hard "
-        "watermark (overload)");
-  }
   // The session dispatches drained change lists; an optimizer wired to a
   // different registry would be seeded with deltas its statistics never
   // saw, and an un-optimized one has no state to maintain.
@@ -190,7 +175,7 @@ void ReoptSession::SetSubscriber(QueryId id, PlanSubscriber* subscriber) {
 ReoptSession::PassResult ReoptSession::RunPass(DeclarativeOptimizer* optimizer,
                                                const std::vector<StatChange>& changes,
                                                uint64_t epoch, bool want_digest,
-                                               bool force_digest, int64_t work_budget) {
+                                               bool force_digest) {
   IQRO_FAULT_POINT("service.pass");
   PassResult r;
   r.dispatched = true;
@@ -219,40 +204,30 @@ ReoptSession::PassResult ReoptSession::RunPass(DeclarativeOptimizer* optimizer,
       r.digest = optimizer->ComputePlanDigest();
       r.digest_computed = true;
     }
+    ++metrics_.queries_skipped;
     return r;
   }
-  r.eps_seeded = optimizer->ReoptimizeBatch(changes, epoch, work_budget);
-  const OptMetrics& m = optimizer->metrics();
-  r.eps_scanned = m.round_eps_scanned;
-  r.fixpoint_steps = m.round_steps;
-  r.best_changes = m.round_best_changes;
-  r.rebest_eps = m.round_rebest_eps;
-  r.touched_eps = m.round_touched_eps;
-  r.touched_alts = m.round_touched_alts;
-  r.tasks_enqueued = m.tasks_enqueued - enqueued_before;
+  const int64_t eps_seeded =
+      optimizer->ReoptimizeBatch(changes, epoch, options_.per_query_work_budget);
   if (want_digest) {
     r.digest = optimizer->ComputePlanDigest();
     r.digest_computed = true;
   }
-  return r;
-}
-
-void ReoptSession::AggregatePass(const PassResult& r) {
-  if (!r.affected) {
-    ++metrics_.queries_skipped;
-    return;
-  }
-  metrics_.eps_seeded += r.eps_seeded;
+  // Aggregated only once the whole pass, digest included, has returned: a
+  // pass that throws is quarantined and counts toward nothing.
+  const OptMetrics& m = optimizer->metrics();
+  metrics_.eps_seeded += eps_seeded;
   ++metrics_.reopt_passes;
   ++last_flush_.passes;
-  last_flush_.eps_seeded += r.eps_seeded;
-  last_flush_.eps_scanned += r.eps_scanned;
-  last_flush_.fixpoint_steps += r.fixpoint_steps;
-  last_flush_.best_changes += r.best_changes;
-  last_flush_.rebest_eps += r.rebest_eps;
-  last_flush_.touched_eps += r.touched_eps;
-  last_flush_.touched_alts += r.touched_alts;
-  last_flush_.tasks_enqueued += r.tasks_enqueued;
+  last_flush_.eps_seeded += eps_seeded;
+  last_flush_.eps_scanned += m.round_eps_scanned;
+  last_flush_.fixpoint_steps += m.round_steps;
+  last_flush_.best_changes += m.round_best_changes;
+  last_flush_.rebest_eps += m.round_rebest_eps;
+  last_flush_.touched_eps += m.round_touched_eps;
+  last_flush_.touched_alts += m.round_touched_alts;
+  last_flush_.tasks_enqueued += m.tasks_enqueued - enqueued_before;
+  return r;
 }
 
 void ReoptSession::RecordStrike(Slot& slot, const std::exception_ptr& err, uint64_t epoch,
@@ -720,7 +695,7 @@ size_t ReoptSession::Flush() {
     // its baseline and the coalescer absorbed it: no optimizer runs, no
     // events fire (net-zero churn is invisible by construction).
     if (batch.had_pending) ++metrics_.empty_flushes;
-    PolicyOnFlush(FlushOptStats{}, 0);
+    PolicyOnFlush();
     return 0;
   }
   if (!batch.changes.empty()) {
@@ -778,17 +753,15 @@ size_t ReoptSession::Flush() {
       // exporter contract is one report per non-empty flush.
       if (s->options_.metrics_exporter != nullptr && changes > 0) {
         FlushReport report;
-        // Registry reads BEFORE policy_mu_ (lock order; see PolicyOnFlush).
-        report.mutations_rejected = s->registry_->RejectedCount();
         // Safe relaxed reads: the dispatch window is over, so no pass can
         // still be feeding the store.
         report.summary_shared_hits = s->summary_cache_.hits();
         report.summary_shared_misses = s->summary_cache_.misses();
         {
-          // metrics_.mutations_observed/watermark_flushes are written by
-          // mutator threads under policy_mu_ (concurrent Record() during a
-          // flush is supported), so the struct copy snapshots under the
-          // same mutex; every other field is flushing-thread only.
+          // metrics_.mutations_observed is written by mutator threads
+          // under policy_mu_ (concurrent Record() during a flush is
+          // supported), so the struct copy snapshots under the same mutex;
+          // every other field is flushing-thread only.
           std::lock_guard<std::mutex> lock(s->policy_mu_);
           report.session = s->metrics_;
         }
@@ -810,7 +783,7 @@ size_t ReoptSession::Flush() {
         report.opt = s->last_flush_;
         s->options_.metrics_exporter->OnFlushMetrics(report);
       }
-      s->PolicyOnFlush(s->last_flush_, changes);
+      s->PolicyOnFlush();
     }
   } epilogue{this,
              flush_started,
@@ -870,9 +843,8 @@ size_t ReoptSession::Flush() {
       }
       const bool want_digest = slot.subscriber != nullptr;
       try {
-        results.push_back(RunPass(slot.optimizer, batch.changes, batch.epoch,
-                                  want_digest, want_digest && slot.rediff_pending,
-                                  options_.per_query_work_budget));
+        results.push_back(RunPass(slot.optimizer, batch.changes, batch.epoch, want_digest,
+                                  want_digest && slot.rediff_pending));
       } catch (...) {
         errors[i] = std::current_exception();
         results.push_back(PassResult{});
@@ -880,10 +852,10 @@ size_t ReoptSession::Flush() {
     }
   }
 
-  // Aggregate metrics, quarantine the failures, and compute the events —
-  // outside the reader lock (subscriber callbacks may mutate statistics; a
-  // same-thread mutation while holding the shared lock would deadlock on
-  // the exclusive lock).
+  // Quarantine the failures and compute the events — outside the reader
+  // lock (subscriber callbacks may mutate statistics; a same-thread
+  // mutation while holding the shared lock would deadlock on the exclusive
+  // lock).
   struct PendingEvent {
     QueryId query;
     /// The subscription generation the event was computed for (the
@@ -908,8 +880,8 @@ size_t ReoptSession::Flush() {
     Slot& slot = queries_[i];
     PassResult& r = results[i];
     if (errors[i] != nullptr) {
-      // Exactly this query failed: quarantine it; its peers' results
-      // aggregate and notify normally below.
+      // Exactly this query failed: quarantine it; its peers notify
+      // normally below.
       RecordStrike(slot, errors[i], batch.epoch, &service_events, &strikes_this_flush);
       continue;
     }
@@ -923,7 +895,6 @@ size_t ReoptSession::Flush() {
       }
       continue;
     }
-    AggregatePass(r);
     if (r.affected) {
       slot.last_active_tick = ticks_.load(std::memory_order_relaxed);
     } else {
@@ -1033,7 +1004,7 @@ size_t ReoptSession::Flush() {
   return batch.changes.size();
 }
 
-void ReoptSession::PolicyOnFlush(const FlushOptStats& stats, int64_t changes) {
+void ReoptSession::PolicyOnFlush() {
   if (options_.flush_policy == nullptr) return;  // no registry probe either
   // Mutations that raced this flush are already pending for the next
   // epoch; a time-based policy re-arms on them instead of disarming. The
@@ -1053,19 +1024,16 @@ void ReoptSession::PolicyOnFlush(const FlushOptStats& stats, int64_t changes) {
   // reset-before-drain over-count.
   const size_t pending_after =
       std::max(probed, mutations_since_flush_ > 0 ? size_t{1} : size_t{0});
-  options_.flush_policy->OnFlush(stats, changes, pending_after);
+  options_.flush_policy->OnFlush(pending_after);
 }
 
 size_t ReoptSession::MaybePolicyFlush(const StatsMutationEvent* event) {
   bool fire = false;
-  bool via_watermark = false;
   // Poll() probe: no under-lock mutation snapshot to map, so read the
   // registry up front — never while holding policy_mu_ (lock order, see
-  // PolicyOnFlush). The soft watermark needs the same count.
-  const bool want_probe =
-      options_.flush_policy != nullptr || options_.pending_soft_watermark > 0;
+  // PolicyOnFlush).
   const size_t polled_pending =
-      event == nullptr && want_probe ? registry_->PendingStatCount() : 0;
+      event == nullptr && options_.flush_policy != nullptr ? registry_->PendingStatCount() : 0;
   const size_t pending = event != nullptr ? event->pending_stats : polled_pending;
   {
     std::lock_guard<std::mutex> lock(policy_mu_);
@@ -1079,28 +1047,13 @@ size_t ReoptSession::MaybePolicyFlush(const StatsMutationEvent* event) {
       FlushPolicyContext ctx;
       ctx.mutations_since_flush = mutations_since_flush_;
       ctx.pending_stats = pending;
-      if (event != nullptr) ctx.epoch = event->epoch;
       fire = options_.flush_policy->ShouldFlush(ctx);
-    }
-    if (!fire && options_.pending_soft_watermark > 0 &&
-        pending >= options_.pending_soft_watermark) {
-      // Soft watermark: the backlog is deep enough that waiting — on the
-      // policy's judgement, or for a manual Flush() with no policy at all
-      // — costs more than flushing early.
-      fire = true;
-      via_watermark = true;
     }
   }
   // Flush() itself rejects reentrancy and cross-thread races via
   // in_flush_; a rejected policy flush just means the policy fires again
   // on the next mutation or Poll.
-  if (fire && !in_flush_.load()) {
-    if (via_watermark) {
-      std::lock_guard<std::mutex> lock(policy_mu_);
-      ++metrics_.watermark_flushes;
-    }
-    return Flush();
-  }
+  if (fire && !in_flush_.load()) return Flush();
   return 0;
 }
 

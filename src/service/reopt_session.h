@@ -93,15 +93,6 @@
 // more retries, release the handle to dispose of it. query_state() is the
 // authoritative state; events are at-most-once notifications.
 //
-// Overload sheds load before it becomes a failure: past
-// `pending_soft_watermark` distinct pending statistics the session forces
-// an early flush (counted in ReoptSessionMetrics::watermark_flushes); at
-// `pending_hard_watermark` the registry starts rejecting NEW pending
-// entries (StatsRegistry::SetPendingLimit — mutations that coalesce into
-// an existing entry still apply) and Register() of additional queries
-// throws SessionOverloaded, so backlog memory stays bounded instead of
-// growing without limit.
-//
 // ## Ownership
 //
 // The session borrows everything: the registry and every registered
@@ -172,7 +163,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -188,16 +178,6 @@
 namespace iqro {
 
 class QueryHandle;
-
-/// Thrown by Register() when the pending backlog sits at or above the hard
-/// watermark: the session is shedding load, not accepting more work.
-/// Mutations are shed separately (RecordOutcome::kRejectedBacklog — a
-/// return code, not a throw, since mutators are hot paths).
-class SessionOverloaded : public std::runtime_error {
- public:
-  explicit SessionOverloaded(const std::string& what_arg)
-      : std::runtime_error(what_arg) {}
-};
 
 /// Failure-domain state of one registered query (authoritative; the
 /// subscriber events are at-most-once notifications of transitions).
@@ -232,20 +212,6 @@ struct ReoptSessionOptions {
   int64_t quarantine_backoff_base_ticks = 1;
   int64_t quarantine_backoff_cap_ticks = 8;
 
-  // ---- overload degradation ----
-
-  /// > 0: once this many distinct statistics are pending, the session
-  /// forces a flush on the next mutation/Poll even if the policy declines
-  /// (counted in ReoptSessionMetrics::watermark_flushes). 0: off.
-  size_t pending_soft_watermark = 0;
-  /// > 0: backlog ceiling. The registry refuses to create NEW pending
-  /// entries past it (StatsRegistry::SetPendingLimit semantics: coalescing
-  /// writes to already-pending statistics still apply, rejected mutations
-  /// return RecordOutcome::kRejectedBacklog) and Register() throws
-  /// SessionOverloaded while the backlog sits at the ceiling. Bounds the
-  /// session's memory under mutation storms. 0: unbounded.
-  size_t pending_hard_watermark = 0;
-
   // ---- memo lifecycle ----
 
   /// > 0: session-wide memo residency budget in (estimated) bytes. After
@@ -267,8 +233,7 @@ class ReoptSession final : public StatsSubscriber {
  public:
   using QueryId = int;
 
-  /// `registry` must outlive the session. Subscribes immediately and
-  /// applies `pending_hard_watermark` to the registry before returning.
+  /// `registry` must outlive the session. Subscribes immediately.
   explicit ReoptSession(StatsRegistry* registry, ReoptSessionOptions options = {});
   ~ReoptSession() override;
 
@@ -284,7 +249,6 @@ class ReoptSession final : public StatsSubscriber {
   /// changes at registration time are fine — the next flush seeds them.
   /// `subscriber`, when non-null, is attached as by
   /// QueryHandle::Subscribe() with the current plan as the baseline.
-  /// Throws SessionOverloaded at the hard watermark (see options).
   [[nodiscard]] QueryHandle Register(DeclarativeOptimizer& optimizer,
                                      PlanSubscriber* subscriber = nullptr);
 
@@ -442,21 +406,12 @@ class ReoptSession final : public StatsSubscriber {
     int64_t last_active_tick = 0;
   };
 
-  /// What one dispatched pass reports back to Flush for aggregation and
-  /// event computation.
+  /// What one dispatched pass reports back to Flush for event computation.
   struct PassResult {
     /// False for the placeholder of a quarantined/parked (skipped) or
     /// failed pass; RunPass sets it true on every path that returns.
     bool dispatched = false;
     bool affected = false;
-    int64_t eps_seeded = 0;
-    int64_t eps_scanned = 0;
-    int64_t fixpoint_steps = 0;
-    int64_t best_changes = 0;
-    int64_t rebest_eps = 0;
-    int64_t touched_eps = 0;
-    int64_t touched_alts = 0;
-    int64_t tasks_enqueued = 0;
     /// Post-flush winner closure; computed only for affected queries with
     /// a subscriber attached (an unaffected query's plan cannot change —
     /// the prefilter already guarantees its state is exact).
@@ -476,14 +431,13 @@ class ReoptSession final : public StatsSubscriber {
     QueryRehabilitatedEvent rehabilitated;
   };
 
-  /// One per-query pass: prefilter, ReoptimizeBatch, metrics delta, digest.
-  /// `force_digest` re-derives the digest even for a prefiltered-away
-  /// query (Slot::rediff_pending — an unsettled event from a prior flush).
-  /// `work_budget` > 0 bounds the fixpoint (quarantine on excess).
-  static PassResult RunPass(DeclarativeOptimizer* optimizer,
-                            const std::vector<StatChange>& changes, uint64_t epoch,
-                            bool want_digest, bool force_digest, int64_t work_budget);
-  void AggregatePass(const PassResult& r);
+  /// One per-query pass: prefilter, ReoptimizeBatch, digest, then the
+  /// pass's round counters added to metrics_/last_flush_ (a pass that
+  /// throws adds nothing). `force_digest` re-derives the digest even for a
+  /// prefiltered-away query (Slot::rediff_pending — an unsettled event
+  /// from a prior flush).
+  PassResult RunPass(DeclarativeOptimizer* optimizer, const std::vector<StatChange>& changes,
+                     uint64_t epoch, bool want_digest, bool force_digest);
 
   QueryId RegisterImpl(DeclarativeOptimizer* optimizer, PlanSubscriber* subscriber);
   /// Unregisters `id` — immediately, or deferred to flush end when called
@@ -522,14 +476,13 @@ class ReoptSession final : public StatsSubscriber {
   /// resident_memo_bytes gauge either way.
   void EnforceMemoBudget(int64_t* evictions_this_flush);
 
-  /// Evaluates the policy and the soft watermark under `policy_mu_` and
-  /// flushes on demand. `event` is null for Poll() probes.
+  /// Evaluates the policy under `policy_mu_` and flushes on demand.
+  /// `event` is null for Poll() probes.
   size_t MaybePolicyFlush(const StatsMutationEvent* event);
   /// The one OnFlush protocol (empty and dispatched flushes alike): read
-  /// the post-drain pending count, then hand the flush summary to the
-  /// policy under `policy_mu_`. Registry reads always happen BEFORE the
-  /// policy mutex.
-  void PolicyOnFlush(const FlushOptStats& stats, int64_t changes);
+  /// the post-drain pending count, then hand it to the policy under
+  /// `policy_mu_`. Registry reads always happen BEFORE the policy mutex.
+  void PolicyOnFlush();
 
   StatsRegistry* registry_;
   ReoptSessionOptions options_;

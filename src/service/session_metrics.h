@@ -1,7 +1,6 @@
-// Session-level counter types, split out of reopt_session.h so the flush
-// policies (service/flush_policy.h) and the metrics exporter
-// (service/metrics_exporter.h) can speak them without pulling in the
-// session itself.
+// Session-level counter types, split out of reopt_session.h so the metrics
+// exporter (service/metrics_exporter.h) can speak them without pulling in
+// the session itself.
 #ifndef IQRO_SERVICE_SESSION_METRICS_H_
 #define IQRO_SERVICE_SESSION_METRICS_H_
 
@@ -22,7 +21,6 @@ struct ReoptSessionMetrics {
   int64_t quarantines = 0;         // failed passes/rebuilds (strikes recorded)
   int64_t rehabilitations = 0;     // quarantined queries restored by a rebuild
   int64_t queries_parked = 0;      // queries that exhausted their strikes
-  int64_t watermark_flushes = 0;   // flushes forced by the soft watermark
   // ---- memo lifecycle (docs/ARCHITECTURE.md "Memo lifecycle") ----
   int64_t evictions = 0;           // memos spilled to a serialized seed
   int64_t rehydrations = 0;        // evicted memos restored (seed or rebuild)
@@ -33,9 +31,9 @@ struct ReoptSessionMetrics {
 };
 
 /// Aggregated OptMetrics deltas of the most recent non-empty flush, summed
-/// over every dispatched pass. Collected from the per-pass results on the
-/// flushing thread — never written by two threads at once, since only the
-/// thread that won `in_flush_` writes it. Read it only when no flush can be in flight (see
+/// over every dispatched pass. Each pass adds its own round counters on
+/// the flushing thread — never written by two threads at once, since only
+/// the thread that won `in_flush_` writes it. Read it only when no flush can be in flight (see
 /// ReoptSession::metrics()).
 struct FlushOptStats {
   int64_t passes = 0;          // ReoptimizeBatch fixpoints this flush

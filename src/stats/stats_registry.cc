@@ -27,7 +27,6 @@ void StatsRegistry::Reset(int num_relations) {
   frozen_ = false;
   epoch_ = 1;
   drained_epoch_ = 1;
-  pending_limit_ = 0;
   pending_.Clear();
   coalesce_ = CoalesceStats{};
 }
@@ -37,14 +36,6 @@ int StatsRegistry::AddEdge(RelSet endpoints, double selectivity) {
   IQRO_CHECK(RelCount(endpoints) == 2);
   edges_.push_back({endpoints, selectivity});
   return static_cast<int>(edges_.size()) - 1;
-}
-
-bool StatsRegistry::RejectLocked(StatId stat, uint64_t target) {
-  if (!frozen_ || pending_limit_ == 0) return false;
-  if (pending_.size() < pending_limit_) return false;
-  if (pending_.Contains(StatKey(stat, target))) return false;  // coalesces: free
-  ++coalesce_.rejected;
-  return true;
 }
 
 bool StatsRegistry::RecordLocked(StatId stat, uint64_t target, double value_before) {
@@ -83,24 +74,19 @@ void StatsRegistry::NotifySubscribers(const StatsMutationEvent& event) {
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
-RecordOutcome StatsRegistry::SetScalar(StatId stat, int target, std::vector<double>& slots,
-                                       double value) {
+void StatsRegistry::SetScalar(StatId stat, int target, std::vector<double>& slots, double value) {
   bool notify;
   StatsMutationEvent event;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     double& v = slots[static_cast<size_t>(target)];
-    if (v == value) return RecordOutcome::kApplied;  // no-op
-    if (RejectLocked(stat, static_cast<uint64_t>(target))) {
-      return RecordOutcome::kRejectedBacklog;
-    }
+    if (v == value) return;  // no-op
     const double before = v;
     v = value;
     notify = RecordLocked(stat, static_cast<uint64_t>(target), before);
     event = SnapshotEventLocked();
   }
   if (notify) NotifySubscribers(event);
-  return RecordOutcome::kApplied;
 }
 
 double StatsRegistry::CurrentValue(StatId stat, uint64_t target) const {
@@ -121,82 +107,67 @@ double StatsRegistry::CurrentValue(StatId stat, uint64_t target) const {
   IQRO_CHECK(false);
 }
 
-RecordOutcome StatsRegistry::SetBaseRows(int rel, double rows) {
-  return SetScalar(StatId::kBaseRows, rel, base_rows_, rows);
+void StatsRegistry::SetBaseRows(int rel, double rows) {
+  SetScalar(StatId::kBaseRows, rel, base_rows_, rows);
 }
 
-RecordOutcome StatsRegistry::SetLocalSelectivity(int rel, double sel) {
-  return SetScalar(StatId::kLocalSel, rel, local_sel_, sel);
+void StatsRegistry::SetLocalSelectivity(int rel, double sel) {
+  SetScalar(StatId::kLocalSel, rel, local_sel_, sel);
 }
 
-RecordOutcome StatsRegistry::SetRowWidth(int rel, double width) {
-  return SetScalar(StatId::kRowWidth, rel, row_width_, width);
+void StatsRegistry::SetRowWidth(int rel, double width) {
+  SetScalar(StatId::kRowWidth, rel, row_width_, width);
 }
 
-RecordOutcome StatsRegistry::SetScanCostMultiplier(int rel, double mult) {
-  return SetScalar(StatId::kScanMult, rel, scan_mult_, mult);
+void StatsRegistry::SetScanCostMultiplier(int rel, double mult) {
+  SetScalar(StatId::kScanMult, rel, scan_mult_, mult);
 }
 
-RecordOutcome StatsRegistry::SetJoinSelectivity(int edge_id, double sel) {
+void StatsRegistry::SetJoinSelectivity(int edge_id, double sel) {
   IQRO_CHECK(edge_id >= 0 && edge_id < num_edges());
   bool notify;
   StatsMutationEvent event;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     double& v = edges_[static_cast<size_t>(edge_id)].selectivity;
-    if (v == sel) return RecordOutcome::kApplied;
-    if (RejectLocked(StatId::kJoinSel, static_cast<uint64_t>(edge_id))) {
-      return RecordOutcome::kRejectedBacklog;
-    }
+    if (v == sel) return;
     const double before = v;
     v = sel;
     notify = RecordLocked(StatId::kJoinSel, static_cast<uint64_t>(edge_id), before);
     event = SnapshotEventLocked();
   }
   if (notify) NotifySubscribers(event);
-  return RecordOutcome::kApplied;
 }
 
-bool StatsRegistry::SetCardMultiplierLocked(RelSet scope, double factor, bool* rejected) {
+bool StatsRegistry::SetCardMultiplierLocked(RelSet scope, double factor) {
   for (auto& [s, f] : card_mults_) {
     if (s == scope) {
       if (f == factor) return false;
-      if (RejectLocked(StatId::kCardMult, scope)) {
-        *rejected = true;
-        return false;
-      }
       const double before = f;
       f = factor;
       return RecordLocked(StatId::kCardMult, scope, before);
     }
   }
   if (factor == 1.0) return false;  // absent scope already means factor 1
-  if (RejectLocked(StatId::kCardMult, scope)) {
-    *rejected = true;
-    return false;
-  }
   card_mults_.emplace_back(scope, factor);
   return RecordLocked(StatId::kCardMult, scope, 1.0);
 }
 
-RecordOutcome StatsRegistry::SetCardMultiplier(RelSet scope, double factor) {
+void StatsRegistry::SetCardMultiplier(RelSet scope, double factor) {
   IQRO_CHECK(RelCount(scope) >= 1);
   bool notify;
-  bool rejected = false;
   StatsMutationEvent event;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    notify = SetCardMultiplierLocked(scope, factor, &rejected);
+    notify = SetCardMultiplierLocked(scope, factor);
     event = SnapshotEventLocked();
   }
   if (notify) NotifySubscribers(event);
-  return rejected ? RecordOutcome::kRejectedBacklog : RecordOutcome::kApplied;
 }
 
-RecordOutcome StatsRegistry::ScaleCardMultiplier(RelSet scope, double factor) {
+void StatsRegistry::ScaleCardMultiplier(RelSet scope, double factor) {
   IQRO_CHECK(RelCount(scope) >= 1);
   bool notify;
-  bool rejected = false;
   StatsMutationEvent event;
   {
     // One critical section for the whole read-modify-write: the read half
@@ -204,11 +175,10 @@ RecordOutcome StatsRegistry::ScaleCardMultiplier(RelSet scope, double factor) {
     // reallocate) and the write half must see the same vector, and two
     // racing Scales must compose rather than lose one factor.
     std::unique_lock<std::shared_mutex> lock(mu_);
-    notify = SetCardMultiplierLocked(scope, ScopeMultiplier(scope) * factor, &rejected);
+    notify = SetCardMultiplierLocked(scope, ScopeMultiplier(scope) * factor);
     event = SnapshotEventLocked();
   }
   if (notify) NotifySubscribers(event);
-  return rejected ? RecordOutcome::kRejectedBacklog : RecordOutcome::kApplied;
 }
 
 double StatsRegistry::ScopeMultiplier(RelSet scope) const {

@@ -107,8 +107,8 @@ struct StatsMutationEvent {
   /// Registry epoch after this mutation.
   uint64_t epoch = 0;
   /// Distinct statistics with a pending (possibly net-zero) delta,
-  /// including this one — the pending-scope mask size the session's soft
-  /// watermark and flush policy read (FlushPolicyContext::pending_stats).
+  /// including this one — the pending-scope mask size the session's flush
+  /// policy reads (FlushPolicyContext::pending_stats).
   size_t pending_stats = 0;
 };
 
@@ -132,18 +132,6 @@ struct CoalesceStats {
   int64_t emitted = 0;     // StatChanges returned by TakePending
   int64_t net_zero = 0;    // pending entries dropped: value back at baseline
   int64_t scope_merged = 0;  // entries merged into an equal (kind, scope)
-  int64_t rejected = 0;    // mutations refused by the pending-backlog limit
-};
-
-/// What happened to one mutation. Mutators return this so overload-aware
-/// callers can surface backpressure; callers that ignore it keep compiling
-/// (pre-limit behavior is unchanged — without a pending limit nothing is
-/// ever rejected).
-enum class RecordOutcome : uint8_t {
-  kApplied,          // value written (or already equal — a no-op)
-  kRejectedBacklog,  // refused: pending backlog at its hard limit and this
-                     // statistic has no entry to coalesce into; the value
-                     // is unchanged
 };
 
 class StatsRegistry {
@@ -163,20 +151,17 @@ class StatsRegistry {
   const JoinEdgeStats& edge(int e) const { return edges_[static_cast<size_t>(e)]; }
 
   // ---- mutators (record coalesced StatChanges once frozen) ----
-  // Each returns whether the mutation was applied or rejected by the
-  // pending-backlog limit (see SetPendingLimit); without a limit the
-  // return is always kApplied.
-  RecordOutcome SetBaseRows(int rel, double rows);
-  RecordOutcome SetLocalSelectivity(int rel, double sel);
-  RecordOutcome SetRowWidth(int rel, double width);
-  RecordOutcome SetScanCostMultiplier(int rel, double mult);
-  RecordOutcome SetJoinSelectivity(int edge_id, double sel);
+  void SetBaseRows(int rel, double rows);
+  void SetLocalSelectivity(int rel, double sel);
+  void SetRowWidth(int rel, double width);
+  void SetScanCostMultiplier(int rel, double mult);
+  void SetJoinSelectivity(int edge_id, double sel);
   /// Scales the cardinality of every expression containing `scope` by
   /// `factor` relative to the base formula (factor 1 removes the override).
-  RecordOutcome SetCardMultiplier(RelSet scope, double factor);
+  void SetCardMultiplier(RelSet scope, double factor);
   /// Multiplies the existing multiplier of exactly `scope` by `factor`
   /// (runtime-feedback corrections compose multiplicatively).
-  RecordOutcome ScaleCardMultiplier(RelSet scope, double factor);
+  void ScaleCardMultiplier(RelSet scope, double factor);
   /// The multiplier stored for exactly `scope` (1 if none).
   double ScopeMultiplier(RelSet scope) const;
 
@@ -257,29 +242,6 @@ class StatsRegistry {
 
   const CoalesceStats& coalesce_stats() const { return coalesce_; }
 
-  /// coalesce_stats().rejected under the shared lock: the one coalescing
-  /// counter read while mutators may be racing (the session's FlushReport
-  /// snapshots it mid-run; the plain struct accessor is quiescent-only).
-  int64_t RejectedCount() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return coalesce_.rejected;
-  }
-
-  /// Hard watermark on the coalesced pending backlog: once the
-  /// NetDeltaTable holds `limit` entries, post-freeze mutations that would
-  /// create a NEW entry are refused (kRejectedBacklog) instead of growing
-  /// it — the value stays unchanged, no epoch bump, no notification, one
-  /// `rejected` count. Mutations that coalesce into an existing entry are
-  /// still accepted (they cost no memory). 0 (the default) disables the
-  /// limit. This is the "never unbounded memory" half of the service
-  /// layer's overload degradation; the session wires its
-  /// pending_hard_watermark here.
-  void SetPendingLimit(size_t limit) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    pending_limit_ = limit;
-  }
-  size_t pending_limit() const { return pending_limit_; }
-
   // ---- lifecycle serialization (service snapshots) ----
 
   /// Appends an epoch-stamped serialization of every statistic value (base
@@ -334,17 +296,13 @@ class StatsRegistry {
   /// notified (post-freeze mutation), which the caller does after
   /// unlocking.
   bool RecordLocked(StatId stat, uint64_t target, double value_before);
-  /// True when the pending-backlog limit refuses a new entry for this
-  /// statistic (caller holds `mu_` exclusively; counts the rejection).
-  bool RejectLocked(StatId stat, uint64_t target);
   /// Body of SetCardMultiplier under an already-held exclusive `mu_` —
   /// also the write half of ScaleCardMultiplier's atomic read-modify-write.
-  /// Returns whether subscribers must be notified; sets `*rejected` when
-  /// the backlog limit refused the write.
-  bool SetCardMultiplierLocked(RelSet scope, double factor, bool* rejected);
+  /// Returns whether subscribers must be notified.
+  bool SetCardMultiplierLocked(RelSet scope, double factor);
   /// Shared body of the per-relation scalar setters: lock, no-op check,
   /// baseline capture, record, then unlocked subscriber notification.
-  RecordOutcome SetScalar(StatId stat, int target, std::vector<double>& slots, double value);
+  void SetScalar(StatId stat, int target, std::vector<double>& slots, double value);
   /// Caller holds `mu_` exclusively; snapshots the post-mutation epoch and
   /// pending size for the subscriber event.
   StatsMutationEvent SnapshotEventLocked() const { return {epoch_, pending_.size()}; }
@@ -365,7 +323,6 @@ class StatsRegistry {
   bool frozen_ = false;
   uint64_t epoch_ = 1;
   uint64_t drained_epoch_ = 1;
-  size_t pending_limit_ = 0;  // 0: unlimited
   NetDeltaTable pending_;
   CoalesceStats coalesce_;
   std::vector<StatsSubscriber*> subscribers_;

@@ -1161,10 +1161,5 @@ TEST(PrometheusTest, SessionTextRendersAllCounters) {
   EXPECT_EQ(bare.find("{"), std::string::npos);
 }
 
-TEST(PrometheusTest, ExporterTextModeReportsLastFlush) {
-  JsonMetricsExporter exporter;
-  EXPECT_NE(exporter.ToPrometheusText().find("# no flushes reported"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace iqro

@@ -764,13 +764,10 @@ TEST(PlanSubscriberTest, ThrowingSubscriberDoesNotWedgeTheSession) {
     bool ShouldFlush(const FlushPolicyContext& ctx) override {
       return on_flush_calls_ == 0 && ctx.mutations_since_flush > 0;
     }
-    void OnFlush(const FlushOptStats& stats, int64_t changes, size_t pending_after) override {
-      (void)stats;
-      (void)changes;
+    void OnFlush(size_t pending_after) override {
       (void)pending_after;
       ++on_flush_calls_;
     }
-    const char* name() const override { return "first_mutation"; }
     int on_flush_calls() const { return on_flush_calls_; }
 
    private:
@@ -1150,7 +1147,7 @@ TEST(MetricsExporterTest, JsonExporterReceivesOneReportPerDispatchedFlush) {
 }
 
 // ---------------------------------------------------------------------------
-// Failure domain: quarantine, retry/backoff, park, overload watermarks
+// Failure domain: quarantine, retry/backoff, park
 // ---------------------------------------------------------------------------
 
 /// Records all three event kinds; optionally throws from a chosen callback.
@@ -1332,62 +1329,6 @@ TEST(QuarantineTest, ThrowingQuarantineCallbackLeavesSessionConsistent) {
   EXPECT_EQ(a.CanonicalDumpState(), b.CanonicalDumpState());
   // The quarantine event is at-most-once: it is NOT redelivered.
   EXPECT_EQ(sub_a.quarantine_events.size(), 1u);
-}
-
-TEST(OverloadTest, SoftWatermarkForcesEarlyFlushWithoutAPolicy) {
-  auto world = ChainWorld();
-  DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
-                           &world->registry);
-  opt.Optimize();
-  ReoptSessionOptions so;
-  so.pending_soft_watermark = 2;
-  ReoptSession session(&world->registry, so);
-  QueryHandle handle = session.Register(opt);
-
-  world->registry.SetBaseRows(0, 111);  // pending=1 < soft: waits
-  EXPECT_EQ(session.metrics().flushes, 0);
-  world->registry.SetBaseRows(1, 222);  // pending=2 hits the watermark
-  EXPECT_EQ(session.metrics().flushes, 1);
-  EXPECT_EQ(session.metrics().watermark_flushes, 1);
-  EXPECT_FALSE(session.HasPending());
-  EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
-}
-
-TEST(OverloadTest, HardWatermarkRejectsNewStatsAndRegistrations) {
-  auto world = ChainWorld();
-  DeclarativeOptimizer a(world->enumerator.get(), world->cost_model.get(), &world->registry);
-  DeclarativeOptimizer b(world->enumerator.get(), world->cost_model.get(), &world->registry);
-  a.Optimize();
-  b.Optimize();
-  ReoptSessionOptions so;
-  so.pending_hard_watermark = 2;
-  ReoptSession session(&world->registry, so);
-  QueryHandle ha = session.Register(a);
-
-  EXPECT_EQ(world->registry.SetBaseRows(0, 111), RecordOutcome::kApplied);
-  EXPECT_EQ(world->registry.SetBaseRows(1, 222), RecordOutcome::kApplied);
-  // At the ceiling: a NEW pending statistic is refused and the value does
-  // not change — memory stays bounded, the caller is told.
-  const double rows2 = world->registry.base_rows(2);
-  EXPECT_EQ(world->registry.SetBaseRows(2, 333), RecordOutcome::kRejectedBacklog);
-  EXPECT_EQ(world->registry.base_rows(2), rows2);
-  EXPECT_EQ(world->registry.RejectedCount(), 1);
-  // ...but a write COALESCING into an already-pending entry still lands
-  // (it grows nothing).
-  EXPECT_EQ(world->registry.SetBaseRows(0, 123), RecordOutcome::kApplied);
-  // New standing queries are refused too, with a typed exception.
-  EXPECT_THROW(QueryHandle h = session.Register(b), SessionOverloaded);
-
-  // Draining the backlog lifts both refusals. (b sat out the drained
-  // epoch, so it catches up first — the registration freshness CHECK is
-  // orthogonal to the overload gate.)
-  session.Flush();
-  b.Reoptimize();
-  QueryHandle hb = session.Register(b);
-  EXPECT_EQ(world->registry.SetBaseRows(2, 333), RecordOutcome::kApplied);
-  session.Flush();
-  EXPECT_EQ(a.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
-  EXPECT_EQ(b.CanonicalDumpState(), a.CanonicalDumpState());
 }
 
 // Idle Poll() ticks alone — no mutation, no manual Flush() — age a

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -267,6 +270,93 @@ TEST(StatsRegistryTest, CardMultiplierSubsetSemantics) {
   EXPECT_EQ(reg.CardMultiplier(0b111), 8.0);  // multipliers compose
   reg.SetCardMultiplier(0b011, 1.0);          // reset one
   EXPECT_EQ(reg.CardMultiplier(0b111), 2.0);
+}
+
+// The pending batch holds at most one entry per statistic the registry
+// has: 4 per relation, 1 per join edge, and 1 per card-multiplier scope
+// that exists — i.e. that was ever set to a factor other than 1 (setting
+// an absent scope to 1 is a no-op). A seeded stream over all seven
+// mutators, drained at random intervals, must never push
+// PendingStatCount() past that bound, and must match a shadow set of the
+// statistics whose value changed since the last drain.
+TEST(StatsRegistryTest, PendingEntriesNeverExceedTheRegistrysStatistics) {
+  constexpr int kRelations = 6;
+  StatsRegistry reg(kRelations);
+  for (int r = 0; r + 1 < kRelations; ++r) {
+    reg.AddEdge(RelSingleton(r) | RelSingleton(r + 1), 0.1);
+  }
+  reg.AddEdge(RelSingleton(0) | RelSingleton(kRelations - 1), 0.2);
+  reg.AddEdge(RelSingleton(1) | RelSingleton(2), 0.3);  // parallel edge
+  reg.Freeze();
+  const std::vector<RelSet> scopes = {0b000001, 0b000011, 0b000110, 0b001100,
+                                      0b111000, 0b010101, 0b111111, 0b100000};
+  const double values[] = {0.5, 1.0, 2.0, 4.0};
+  const size_t base_bound = 4 * kRelations + static_cast<size_t>(reg.num_edges());
+
+  Rng rng(20240607);
+  std::set<RelSet> scopes_set_off_one;
+  std::set<std::pair<int, uint64_t>> shadow;  // (mutator, target) changed since drain
+  size_t max_pending = 0;
+  for (int i = 0; i < 10000; ++i) {
+    int kind = static_cast<int>(rng.NextBelow(7));
+    const int rel = static_cast<int>(rng.NextBelow(kRelations));
+    const int edge = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(reg.num_edges())));
+    const RelSet scope = scopes[rng.NextBelow(scopes.size())];
+    const double v = values[rng.NextBelow(4)];
+    bool changed = false;
+    uint64_t target = static_cast<uint64_t>(rel);
+    switch (kind) {
+      case 0:
+        changed = reg.base_rows(rel) != v * 100;
+        reg.SetBaseRows(rel, v * 100);
+        break;
+      case 1:
+        changed = reg.local_selectivity(rel) != v / 4;
+        reg.SetLocalSelectivity(rel, v / 4);
+        break;
+      case 2:
+        changed = reg.row_width(rel) != v * 8;
+        reg.SetRowWidth(rel, v * 8);
+        break;
+      case 3:
+        changed = reg.scan_cost_multiplier(rel) != v;
+        reg.SetScanCostMultiplier(rel, v);
+        break;
+      case 4:
+        target = static_cast<uint64_t>(edge);
+        changed = reg.join_selectivity(edge) != v / 8;
+        reg.SetJoinSelectivity(edge, v / 8);
+        break;
+      case 5:
+      case 6: {
+        target = scope;
+        const double before = reg.ScopeMultiplier(scope);
+        if (kind == 5) {
+          reg.SetCardMultiplier(scope, v);
+        } else {
+          reg.ScaleCardMultiplier(scope, rng.NextBool(0.5) ? 0.5 : 2.0);
+        }
+        changed = reg.ScopeMultiplier(scope) != before;
+        kind = 5;  // both mutate the one statistic of `scope`
+        break;
+      }
+    }
+    if (changed) shadow.insert({kind, target});
+    for (RelSet s : scopes) {
+      if (reg.ScopeMultiplier(s) != 1.0) scopes_set_off_one.insert(s);
+    }
+    const size_t pending = reg.PendingStatCount();
+    ASSERT_LE(pending, base_bound + scopes_set_off_one.size()) << "mutation " << i;
+    ASSERT_EQ(pending, shadow.size()) << "mutation " << i;
+    max_pending = std::max(max_pending, pending);
+    if (rng.NextBelow(50) == 0) {
+      reg.TakePendingBatch();
+      shadow.clear();
+      ASSERT_EQ(reg.PendingStatCount(), 0u);
+    }
+  }
+  // The stream explores deep backlogs, not just a handful of entries.
+  EXPECT_GT(max_pending, base_bound / 2);
 }
 
 TEST(SummaryTest, CanonicalCardinality) {
