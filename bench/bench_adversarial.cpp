@@ -35,7 +35,7 @@
 #include "cost/cost_model.h"
 #include "query/bind_stats.h"
 #include "service/flush_policy.h"
-#include "service/metrics_exporter.h"
+#include "bench_util/json_metrics_exporter.h"
 #include "service/reopt_session.h"
 #include "stats/summary.h"
 #include "stream/linear_road.h"

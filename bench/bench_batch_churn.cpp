@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_util/bench_util.h"
+#include "bench_util/json_metrics_exporter.h"
 #include "core/declarative_optimizer.h"
 #include "service/reopt_session.h"
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <tuple>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/fault_injection.h"
@@ -25,15 +24,71 @@ DeclarativeOptimizer::DeclarativeOptimizer(PlanEnumerator* enumerator,
     : enumerator_(enumerator),
       cost_model_(cost_model),
       registry_(registry),
-      options_(options) {
+      options_(options),
+      state_(std::make_shared<State>()) {
   IQRO_CHECK(options_.Valid());
-  memo_.Reserve(256);  // skip the first few rehashes of every optimization
+  const std::vector<QueryRelation>& rels = enumerator_->query().relations;
+  alias_slot_.reserve(rels.size());
+  for (const QueryRelation& rel : rels) {
+    int first = 0;
+    while (rels[static_cast<size_t>(first)].alias != rel.alias) ++first;
+    alias_slot_.push_back(first);
+  }
 }
 
-DeclarativeOptimizer::~DeclarativeOptimizer() {
+DeclarativeOptimizer::~DeclarativeOptimizer() = default;
+
+DeclarativeOptimizer::State::State() {
+  memo.Reserve(256);  // skip the first few rehashes of every optimization
+}
+
+DeclarativeOptimizer::State::~State() {
   // EPState nodes live in the arena, which releases memory without running
   // destructors; the vectors and aggregates inside each node own heap.
-  for (EPState* ep : eps_in_order_) ep->~EPState();
+  for (EPState* ep : eps_in_order) ep->~EPState();
+}
+
+// ---------------------------------------------------------------------------
+// Shared fixpoint state
+// ---------------------------------------------------------------------------
+
+bool DeclarativeOptimizer::CanShareStateWith(const DeclarativeOptimizer& other) const {
+  // A pass reads costs through the calling optimizer's cost model. Two
+  // models with equal parameters over one registry compute identical
+  // values (a summary is a pure function of registry state), so either
+  // optimizer's pass lands the shared memo on the same fixpoint.
+  return enumerator_ == other.enumerator_ && registry_ == other.registry_ &&
+         options_ == other.options_ && &cost_model_->summaries().registry() == registry_ &&
+         &other.cost_model_->summaries().registry() == registry_ &&
+         cost_model_->params() == other.cost_model_->params();
+}
+
+void DeclarativeOptimizer::ShareStateWith(const DeclarativeOptimizer& other) {
+  IQRO_CHECK(CanShareStateWith(other));
+  state_ = other.state_;
+}
+
+void DeclarativeOptimizer::DetachState() {
+  if (state_.use_count() == 1) return;
+  // The seed round trip is the exact copy path eviction and snapshots
+  // already rely on: the restored memo is byte-identical in every
+  // observable.
+  const bool warm = state_->optimized;
+  const uint64_t epoch = state_->stats_epoch;
+  std::string seed;
+  if (warm) SerializeState(&seed);
+  const OptMetrics metrics = state_->metrics;
+  state_ = std::make_shared<State>();
+  state_->metrics = metrics;
+  if (!warm) return;
+  try {
+    RestoreState(seed, epoch);
+    state_->stats_epoch = epoch;
+  } catch (...) {
+    // Only an allocation failure can get here (the seed matches this world
+    // and these options by construction). RestoreState left the private
+    // state torn down, from which RebuildFromScratch() recovers.
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -41,28 +96,28 @@ DeclarativeOptimizer::~DeclarativeOptimizer() {
 // ---------------------------------------------------------------------------
 
 DeclarativeOptimizer::EPState* DeclarativeOptimizer::GetOrCreateEP(RelSet expr, PropId prop) {
-  ++metrics_.memo_probes;
-  auto [slot, inserted] = memo_.TryEmplace(MakeEPKey(expr, prop), nullptr);
+  ++state_->metrics.memo_probes;
+  auto [slot, inserted] = state_->memo.TryEmplace(MakeEPKey(expr, prop), nullptr);
   if (!inserted) {
-    ++metrics_.memo_hits;
+    ++state_->metrics.memo_hits;
     return *slot;
   }
-  EPState* ep = arena_.New<EPState>();
+  EPState* ep = state_->arena.New<EPState>();
   ep->expr = expr;
   ep->prop = prop;
-  ep->id = static_cast<uint32_t>(eps_in_order_.size());
+  ep->id = static_cast<uint32_t>(state_->eps_in_order.size());
   ep->last_best = kInf;
   ep->last_bound = kInf;
   *slot = ep;
-  eps_in_order_.push_back(ep);
-  scope_index_.Insert(expr, ep);
-  reopt_order_stale_ = true;
-  ++memo_growth_gen_;
+  state_->eps_in_order.push_back(ep);
+  state_->scope_index.Insert(expr, ep);
+  state_->reopt_order_stale = true;
+  ++state_->memo_growth_gen;
   return ep;
 }
 
 DeclarativeOptimizer::EPState* DeclarativeOptimizer::FindEP(RelSet expr, PropId prop) const {
-  EPState* const* slot = memo_.Find(MakeEPKey(expr, prop));
+  EPState* const* slot = state_->memo.Find(MakeEPKey(expr, prop));
   return slot == nullptr ? nullptr : *slot;
 }
 
@@ -107,18 +162,18 @@ double DeclarativeOptimizer::CachedLocalCost(const EPState& ep, AltState& alt) c
 }
 
 void DeclarativeOptimizer::Touch(EPState* ep) {
-  if (ep->touched_round != round_) {
-    ep->touched_round = round_;
-    ++metrics_.round_touched_eps;
+  if (ep->touched_round != state_->round) {
+    ep->touched_round = state_->round;
+    ++state_->metrics.round_touched_eps;
   }
 }
 
 void DeclarativeOptimizer::Touch(EPState* ep, uint32_t alt_idx) {
   Touch(ep);
   AltState& a = ep->alts[alt_idx];
-  if (a.touched_round != round_) {
-    a.touched_round = round_;
-    ++metrics_.round_touched_alts;
+  if (a.touched_round != state_->round) {
+    a.touched_round = state_->round;
+    ++state_->metrics.round_touched_alts;
   }
 }
 
@@ -127,27 +182,27 @@ void DeclarativeOptimizer::Touch(EPState* ep, uint32_t alt_idx) {
 // ---------------------------------------------------------------------------
 
 void DeclarativeOptimizer::Push(Task t) {
-  ++metrics_.tasks_enqueued;
-  if (!by_level_) {
-    queue_.push_back(t);
+  ++state_->metrics.tasks_enqueued;
+  if (!state_->by_level) {
+    state_->queue.push_back(t);
     return;
   }
   const size_t level = static_cast<size_t>(RelCount(t.ep->expr));
-  levels_[level].push_back(t);
-  if (level < level_cursor_) level_cursor_ = level;
+  state_->levels[level].push_back(t);
+  if (level < state_->level_cursor) state_->level_cursor = level;
 }
 
 RingBuffer<DeclarativeOptimizer::Task>* DeclarativeOptimizer::NextQueue() {
-  if (!by_level_) return queue_.empty() ? nullptr : &queue_;
-  for (; level_cursor_ < levels_.size(); ++level_cursor_) {
-    if (!levels_[level_cursor_].empty()) return &levels_[level_cursor_];
+  if (!state_->by_level) return state_->queue.empty() ? nullptr : &state_->queue;
+  for (; state_->level_cursor < state_->levels.size(); ++state_->level_cursor) {
+    if (!state_->levels[state_->level_cursor].empty()) return &state_->levels[state_->level_cursor];
   }
   return nullptr;
 }
 
 void DeclarativeOptimizer::ScheduleEnumerate(EPState* ep) {
   if (ep->enumerate_queued) {
-    ++metrics_.tasks_deduped;
+    ++state_->metrics.tasks_deduped;
     return;
   }
   ep->enumerate_queued = true;
@@ -158,7 +213,7 @@ void DeclarativeOptimizer::ScheduleDrive(EPState* ep, uint32_t alt_idx) {
   if (!ep->enumerated) return;  // will be driven by enumeration
   AltState& a = ep->alts[alt_idx];
   if (a.drive_queued) {
-    ++metrics_.tasks_deduped;
+    ++state_->metrics.tasks_deduped;
     return;
   }
   a.drive_queued = true;
@@ -167,8 +222,16 @@ void DeclarativeOptimizer::ScheduleDrive(EPState* ep, uint32_t alt_idx) {
 
 void DeclarativeOptimizer::ScheduleBestDirty(EPState* ep) {
   if (ep->best_dirty) {
-    ++metrics_.tasks_deduped;
+    ++state_->metrics.tasks_deduped;
     return;
+  }
+  // As for bounds: every change to the best aggregate schedules this
+  // check, so a batch pass skips it while the winning entry still equals
+  // the propagated one (RunBestDirty would return at once).
+  if (state_->by_level) {
+    const auto [best, idx] = ep->best_agg.MinEntry();
+    const uint32_t best_idx = ep->best_agg.empty() ? kNoWinner : idx;
+    if (best == ep->last_best && best_idx == ep->last_best_idx) return;
   }
   ep->best_dirty = true;
   Push({Task::Kind::kBestDirty, ep, 0});
@@ -177,9 +240,14 @@ void DeclarativeOptimizer::ScheduleBestDirty(EPState* ep) {
 void DeclarativeOptimizer::ScheduleBoundDirty(EPState* ep) {
   if (!options_.use_bounding) return;
   if (ep->bound_dirty) {
-    ++metrics_.tasks_deduped;
+    ++state_->metrics.tasks_deduped;
     return;
   }
+  // Every change to a bound's inputs (the best aggregate, the parent
+  // contributions) schedules this check, so a batch pass can skip the
+  // task when the bound already equals its propagated value: RunBoundDirty
+  // would return at once. Initial optimization keeps its task stream.
+  if (state_->by_level && CurrentBound(*ep) == ep->last_bound) return;
   ep->bound_dirty = true;
   Push({Task::Kind::kBoundDirty, ep, 0});
 }
@@ -187,11 +255,11 @@ void DeclarativeOptimizer::ScheduleBoundDirty(EPState* ep) {
 void DeclarativeOptimizer::Drain() {
   const bool lifo = options_.discipline == QueueDiscipline::kLifo;
   while (RingBuffer<Task>* queue = NextQueue()) {
-    ++metrics_.steps;
-    ++metrics_.round_steps;
-    IQRO_CHECK(metrics_.steps < static_cast<int64_t>(options_.max_steps));
-    if (work_budget_ > 0 && metrics_.round_steps > work_budget_) {
-      throw WorkBudgetExceeded(work_budget_, metrics_.round_steps);
+    ++state_->metrics.steps;
+    ++state_->metrics.round_steps;
+    IQRO_CHECK(state_->metrics.steps < static_cast<int64_t>(options_.max_steps));
+    if (work_budget_ > 0 && state_->metrics.round_steps > work_budget_) {
+      throw WorkBudgetExceeded(work_budget_, state_->metrics.round_steps);
     }
     IQRO_FAULT_POINT("reopt.fixpoint");
     Task t = lifo ? queue->pop_back() : queue->pop_front();
@@ -217,7 +285,7 @@ void DeclarativeOptimizer::Drain() {
 // ---------------------------------------------------------------------------
 
 void DeclarativeOptimizer::Optimize() {
-  if (optimized_) return;
+  if (state_->optimized) return;
   try {
     OptimizeImpl();
   } catch (...) {
@@ -227,12 +295,12 @@ void DeclarativeOptimizer::Optimize() {
 }
 
 void DeclarativeOptimizer::OptimizeImpl() {
-  optimized_ = true;
-  stats_epoch_ = registry_->epoch();
-  ++round_;
-  metrics_.BeginRound();
-  root_ = GetOrCreateEP(EPExpr(enumerator_->RootKey()), EPProp(enumerator_->RootKey()));
-  RefUp(root_);  // the query itself holds one virtual reference on the root
+  state_->optimized = true;
+  state_->stats_epoch = registry_->epoch();
+  ++state_->round;
+  state_->metrics.BeginRound();
+  state_->root = GetOrCreateEP(EPExpr(enumerator_->RootKey()), EPProp(enumerator_->RootKey()));
+  RefUp(state_->root);  // the query itself holds one virtual reference on the root
   Drain();
   UpdatePeakMemoBytes();
 }
@@ -244,27 +312,31 @@ void DeclarativeOptimizer::RebuildFromScratch() {
 }
 
 void DeclarativeOptimizer::TearDown() {
-  for (EPState* ep : eps_in_order_) ep->~EPState();
-  eps_in_order_.clear();
-  memo_.Clear();
-  queue_.clear();
-  std::vector<RingBuffer<Task>>().swap(levels_);
-  level_cursor_ = 0;
-  by_level_ = false;
-  arena_.Reset();
-  scope_index_.Clear();
-  seed_scratch_.clear();
-  reopt_order_.clear();
-  reopt_order_stale_ = false;
-  per_ep_walk_key_ = -1;
-  per_ep_vector_bytes_cache_ = 0;
-  agg_entries_ = 0;
-  root_ = nullptr;
-  optimized_ = false;
-  stats_epoch_ = 0;
+  state_->Clear();
   work_budget_ = 0;
-  // metrics_ is cumulative across the rebuild (counters are lifetime
-  // totals); round_ keeps advancing so touched_round stamps stay unique.
+}
+
+void DeclarativeOptimizer::State::Clear() {
+  for (EPState* ep : eps_in_order) ep->~EPState();
+  eps_in_order.clear();
+  memo.Clear();
+  queue.clear();
+  std::vector<RingBuffer<Task>>().swap(levels);
+  level_cursor = 0;
+  by_level = false;
+  arena.Reset();
+  scope_index.Clear();
+  seed_scratch.clear();
+  reopt_order.clear();
+  reopt_order_stale = false;
+  per_ep_walk_key = -1;
+  per_ep_vector_bytes_cache = 0;
+  agg_entries = 0;
+  root = nullptr;
+  optimized = false;
+  stats_epoch = 0;
+  // metrics is cumulative across the rebuild (counters are lifetime
+  // totals); round keeps advancing so touched_round stamps stay unique.
 }
 
 void DeclarativeOptimizer::Reoptimize() {
@@ -291,16 +363,16 @@ int64_t DeclarativeOptimizer::ReoptimizeBatch(const std::vector<StatChange>& cha
 
 int64_t DeclarativeOptimizer::ReoptimizeBatchImpl(const std::vector<StatChange>& changes,
                                                   uint64_t stats_epoch, int64_t work_budget) {
-  IQRO_CHECK(optimized_);
+  IQRO_CHECK(state_->optimized);
   work_budget_ = work_budget;
   // `changes` is (the net of) everything since the last drain, so the
   // post-fixpoint state reflects the drained epoch — passed in by a flush
   // dispatcher, or read live when the caller owns the registry's thread.
-  stats_epoch_ = stats_epoch != 0 ? stats_epoch : registry_->epoch();
+  state_->stats_epoch = stats_epoch != 0 ? stats_epoch : registry_->epoch();
   // An empty batch still opens a (trivial) round: the per-round touched
   // counters must read 0 after it, not the previous round's values.
-  ++round_;
-  metrics_.BeginRound();
+  ++state_->round;
+  state_->metrics.BeginRound();
   if (changes.empty()) {
     work_budget_ = 0;
     return 0;
@@ -331,12 +403,12 @@ int64_t DeclarativeOptimizer::ReoptimizeBatchImpl(const std::vector<StatChange>&
   // Both seeding paths below use the same total order — the legacy
   // full-memo stable sort restricted to the affected set — so fault-point
   // ordinals and differential traces are path-independent.
-  if (levels_.empty()) {
-    const size_t num_levels = static_cast<size_t>(RelCount(root_->expr)) + 1;
-    levels_.reserve(num_levels);
-    for (size_t i = 0; i < num_levels; ++i) levels_.emplace_back(kLevelBucketCapacity);
+  if (state_->levels.empty()) {
+    const size_t num_levels = static_cast<size_t>(RelCount(state_->root->expr)) + 1;
+    state_->levels.reserve(num_levels);
+    for (size_t i = 0; i < num_levels; ++i) state_->levels.emplace_back(kLevelBucketCapacity);
   }
-  by_level_ = true;
+  state_->by_level = true;
   int64_t seeded = 0;
   auto seed_one = [&](EPState* ep) {
     ++seeded;
@@ -357,47 +429,47 @@ int64_t DeclarativeOptimizer::ReoptimizeBatchImpl(const std::vector<StatChange>&
   // are substantially smaller than the memo: each candidate it examines
   // costs a posting-entry load, a subset test, a mark probe and a scratch
   // push, and the affected set pays an O(k log k) sort the presorted
-  // reopt_order_ walk never does. Empirically the crossover sits around a
+  // reopt_order walk never does. Empirically the crossover sits around a
   // quarter of the memo (a 1–2-relation cardinality scope on a single query
   // already examines ~half the index — cheaper as one full presorted pass),
   // so take the index path only when the estimated volume stays under
   // size/4. Genuinely sparse batches — scan-cost changes (exact key) and
   // narrow-impact feedback in a many-query session — stay O(affected).
-  const int64_t sparse_limit = static_cast<int64_t>(scope_index_.size() / 4);
+  const int64_t sparse_limit = static_cast<int64_t>(state_->scope_index.size() / 4);
   int64_t estimated = 0;
   for (const StatChange& c : changes) {
     estimated += c.kind == StatChange::Kind::kCardinality
-                     ? scope_index_.SupersetScanCost(c.scope)
-                     : scope_index_.ExactScanCost(c.scope);
+                     ? state_->scope_index.SupersetScanCost(c.scope)
+                     : state_->scope_index.ExactScanCost(c.scope);
     if (estimated >= sparse_limit) break;
   }
   int64_t scanned = 0;
   if (estimated < sparse_limit) {
-    seed_scratch_.clear();
+    state_->seed_scratch.clear();
     auto consider = [&](EPState* ep) {
-      if (ep->seed_mark == round_) return;  // matched by an earlier change
-      ep->seed_mark = round_;
-      if (ep->enumerated) seed_scratch_.push_back(ep);
+      if (ep->seed_mark == state_->round) return;  // matched by an earlier change
+      ep->seed_mark = state_->round;
+      if (ep->enumerated) state_->seed_scratch.push_back(ep);
     };
     for (const StatChange& c : changes) {
       if (c.kind == StatChange::Kind::kCardinality) {
-        scanned += scope_index_.ForEachSupersetOf(c.scope, consider);
+        scanned += state_->scope_index.ForEachSupersetOf(c.scope, consider);
       } else {  // kScanCost: only the relation's own leaf alternatives move
-        scanned += scope_index_.ForEachWithKey(c.scope, consider);
+        scanned += state_->scope_index.ForEachWithKey(c.scope, consider);
       }
     }
-    std::sort(seed_scratch_.begin(), seed_scratch_.end(), SeedOrderLess);
-    for (EPState* ep : seed_scratch_) seed_one(ep);
-    seed_scratch_.clear();
+    std::sort(state_->seed_scratch.begin(), state_->seed_scratch.end(), SeedOrderLess);
+    for (EPState* ep : state_->seed_scratch) seed_one(ep);
+    state_->seed_scratch.clear();
   } else {
-    if (reopt_order_stale_) {
-      reopt_order_ = eps_in_order_;
-      std::sort(reopt_order_.begin(), reopt_order_.end(), SeedOrderLess);
-      reopt_order_stale_ = false;
+    if (state_->reopt_order_stale) {
+      state_->reopt_order = state_->eps_in_order;
+      std::sort(state_->reopt_order.begin(), state_->reopt_order.end(), SeedOrderLess);
+      state_->reopt_order_stale = false;
     }
     RelSet union_mask = 0;
     for (const StatChange& c : changes) union_mask |= c.scope;
-    for (EPState* ep : reopt_order_) {
+    for (EPState* ep : state_->reopt_order) {
       if ((ep->expr & union_mask) == 0 || !ep->enumerated) continue;
       for (const StatChange& c : changes) {
         const bool affected = c.kind == StatChange::Kind::kCardinality
@@ -409,12 +481,12 @@ int64_t DeclarativeOptimizer::ReoptimizeBatchImpl(const std::vector<StatChange>&
         }
       }
     }
-    scanned = static_cast<int64_t>(eps_in_order_.size());
+    scanned = static_cast<int64_t>(state_->eps_in_order.size());
   }
-  metrics_.eps_scanned += scanned;
-  metrics_.round_eps_scanned += scanned;
+  state_->metrics.eps_scanned += scanned;
+  state_->metrics.round_eps_scanned += scanned;
   Drain();
-  by_level_ = false;
+  state_->by_level = false;
   work_budget_ = 0;
   UpdatePeakMemoBytes();  // O(1) unless this round enumerated new state
   return seeded;
@@ -432,7 +504,7 @@ void DeclarativeOptimizer::RunEnumerate(EPState* ep) {
   ep->enumerate_queued = false;
   if (!ep->enumerated) {
     ep->enumerated = true;
-    ++metrics_.eps_enumerated;
+    ++state_->metrics.eps_enumerated;
     Touch(ep);
     const std::vector<Alt>& alts = enumerator_->Split(ep->expr, ep->prop);
     IQRO_CHECK(!alts.empty());  // every demanded (expr, prop) has an alternative
@@ -441,7 +513,7 @@ void DeclarativeOptimizer::RunEnumerate(EPState* ep) {
       AltState a;
       a.def = alts[i];
       ep->alts.push_back(a);
-      ++metrics_.alts_created;
+      ++state_->metrics.alts_created;
       // Register permanent parent links (delta propagation and bounds) on
       // the children; creation does not derive them.
       for (int s = 0; s < a.def.NumChildren(); ++s) {
@@ -451,7 +523,7 @@ void DeclarativeOptimizer::RunEnumerate(EPState* ep) {
         c->parents.push_back({ep, i, static_cast<uint8_t>(s)});
       }
     }
-    ++memo_growth_gen_;  // alt/parent vectors grew: per-EP bytes are stale
+    ++state_->memo_growth_gen;  // alt/parent vectors grew: per-EP bytes are stale
   }
   // Drive cheapest-local-cost alternatives first: "the sooner a min-cost
   // plan is encountered, the more effective the pruning is" (§3.1). With
@@ -460,7 +532,7 @@ void DeclarativeOptimizer::RunEnumerate(EPState* ep) {
   // buffer with an explicit index tie-break — equivalent to a stable sort,
   // but std::sort neither allocates a merge buffer nor falls back to
   // merge passes, and RunEnumerate fires once per EP per round.
-  std::vector<std::pair<double, uint32_t>>& order = enum_scratch_;
+  std::vector<std::pair<double, uint32_t>>& order = state_->enum_scratch;
   order.resize(ep->alts.size());
   for (uint32_t i = 0; i < ep->alts.size(); ++i) {
     order[i] = {CachedLocalCost(*ep, ep->alts[i]), i};
@@ -476,6 +548,28 @@ void DeclarativeOptimizer::RunEnumerate(EPState* ep) {
   for (const auto& [local, i] : order) ScheduleDrive(ep, i);
 }
 
+DeclarativeOptimizer::DriveInputs DeclarativeOptimizer::ReadDriveInputs(const EPState& ep,
+                                                                        AltState& a) const {
+  DriveInputs in;
+  in.nch = a.def.NumChildren();
+  in.local = CachedLocalCost(ep, a);
+  in.lc = in.nch >= 1 ? ChildEP(a, 0) : nullptr;
+  in.rc = in.nch == 2 ? ChildEP(a, 1) : nullptr;
+  // Cross-pair reads go through the child's *propagated* best (last_best),
+  // never the raw aggregate: change detection dedups against the
+  // propagated value, so reading it keeps "value seen" and "delta
+  // delivered" consistent under any task order. A child's best is usable
+  // even when its reference count is zero — collected state stays exact
+  // until a statistics change evicts it.
+  in.l_known = in.lc != nullptr && std::isfinite(in.lc->last_best);
+  in.r_known = in.rc != nullptr && std::isfinite(in.rc->last_best);
+  in.l_best = in.l_known ? in.lc->last_best : 0.0;
+  in.r_best = in.r_known ? in.rc->last_best : 0.0;
+  in.full = (in.nch == 0) || (in.nch == 1 && in.l_known) ||
+            (in.nch == 2 && in.l_known && in.r_known);
+  return in;
+}
+
 void DeclarativeOptimizer::RunDrive(EPState* ep, uint32_t alt_idx) {
   AltState& a = ep->alts[alt_idx];
   a.drive_queued = false;
@@ -484,29 +578,16 @@ void DeclarativeOptimizer::RunDrive(EPState* ep, uint32_t alt_idx) {
   // resurrection wakes it up first.
   if (ep->dormant) return;
 
-  const int nch = a.def.NumChildren();
-  const double local = CachedLocalCost(*ep, a);
-  EPState* lc = nch >= 1 ? ChildEP(a, 0) : nullptr;
-  EPState* rc = nch == 2 ? ChildEP(a, 1) : nullptr;
-  // Cross-pair reads go through the child's *propagated* best (last_best),
-  // never the raw aggregate: change detection dedups against the
-  // propagated value, so reading it keeps "value seen" and "delta
-  // delivered" consistent under any task order. A child's best is usable
-  // even when its reference count is zero — collected state stays exact
-  // until a statistics change evicts it.
-  const bool l_known = lc != nullptr && std::isfinite(lc->last_best);
-  const bool r_known = rc != nullptr && std::isfinite(rc->last_best);
-  const double l_best = l_known ? lc->last_best : 0.0;
-  const double r_best = r_known ? rc->last_best : 0.0;
-  const bool full = (nch == 0) || (nch == 1 && l_known) || (nch == 2 && l_known && r_known);
+  const auto [nch, local, lc, rc, l_known, r_known, l_best, r_best, full] =
+      ReadDriveInputs(*ep, a);
 
   // ---- PlanCost maintenance (R6-R8): derivable tuples only ----
   if (full) {
     const double cost = CostModel::Sum(nch >= 1 ? l_best : 0.0, nch == 2 ? r_best : 0.0, local);
-    ++metrics_.cost_computations;
+    ++state_->metrics.cost_computations;
     if (!a.ever_costed) {
       a.ever_costed = true;
-      ++metrics_.alts_full_costed;
+      ++state_->metrics.alts_full_costed;
     }
     if (!a.cost_known || a.cost != cost) {
       a.cost_known = true;
@@ -517,7 +598,7 @@ void DeclarativeOptimizer::RunDrive(EPState* ep, uint32_t alt_idx) {
       // behind the peak-bytes estimate.
       const size_t agg_size = ep->best_agg.size();
       if (ep->best_agg.Set(alt_idx, cost)) ScheduleBestDirty(ep);
-      agg_entries_ += static_cast<int64_t>(ep->best_agg.size() - agg_size);
+      state_->agg_entries += static_cast<int64_t>(ep->best_agg.size() - agg_size);
     }
   } else if (a.cost_known) {
     // Cascading deletion: a supporting child's BestCost is gone.
@@ -525,23 +606,21 @@ void DeclarativeOptimizer::RunDrive(EPState* ep, uint32_t alt_idx) {
     Touch(ep, alt_idx);
     const size_t agg_size = ep->best_agg.size();
     if (ep->best_agg.Erase(alt_idx)) ScheduleBestDirty(ep);
-    agg_entries_ -= static_cast<int64_t>(agg_size - ep->best_agg.size());
+    state_->agg_entries -= static_cast<int64_t>(agg_size - ep->best_agg.size());
   }
 
   // ---- Aggregate selection (§3.1) / recursive bounding (§3.3) gate ----
   const double cert = full ? a.cost : local + l_best + r_best;
-  const double thr = Threshold(*ep);
-  bool viable = true;
-  if (options_.use_agg_selection) {
-    const auto min_entry = ep->best_agg.MinEntry();
-    const bool is_min =
-        a.cost_known && min_entry.second == alt_idx && min_entry.first == a.cost;
-    viable = is_min || cert < thr;
-  }
+  const GateDecision gate = DecideGate(a, alt_idx, Threshold(*ep), ep->best_agg.MinEntry(), local,
+                                      l_known, l_best, full, cert);
+  const bool viable = gate.viable;
   if (!a.ever_won && a.cost_known) {
     const auto min_entry = ep->best_agg.MinEntry();
     if (min_entry.second == alt_idx && min_entry.first == a.cost) a.ever_won = true;
   }
+  a.decided = true;
+  a.last_viable = gate.viable;
+  a.last_right_gate = gate.right_gate;
 
   // ---- Exploration demand: staged descent, gated by the threshold ----
   // Exploration is monotone within a fixpoint run; it re-fires whenever a
@@ -549,11 +628,7 @@ void DeclarativeOptimizer::RunDrive(EPState* ep, uint32_t alt_idx) {
   // pair converging to its exact optimum regardless of task order.
   if (viable || !options_.use_source_suppression) {
     if (nch >= 1) DemandChild(lc);
-    if (nch == 2) {
-      const bool gate = !options_.use_source_suppression ||
-                        (l_known && local + l_best < thr) || full;
-      if (gate) DemandChild(rc);
-    }
+    if (gate.right_gate) DemandChild(rc);
   }
 
   // ---- SearchSpace presence (tuple source suppression, §3.1/§4.1) ----
@@ -565,18 +640,56 @@ void DeclarativeOptimizer::RunDrive(EPState* ep, uint32_t alt_idx) {
       a.active = true;
       Touch(ep, alt_idx);
       if (a.ever_active) {
-        ++metrics_.reintroductions;  // undoing tuple source suppression (§4.1)
+        ++state_->metrics.reintroductions;  // undoing tuple source suppression (§4.1)
       }
       a.ever_active = true;
       AltPresenceRefs(ep, alt_idx, +1);
     } else if (!want_active && a.active) {
       a.active = false;
       Touch(ep, alt_idx);
-      ++metrics_.suppressions;
+      ++state_->metrics.suppressions;
       RemoveAltContributions(ep, alt_idx);
       AltPresenceRefs(ep, alt_idx, -1);
     }
     if (options_.use_bounding && a.active) UpdateAltContributions(ep, alt_idx);
+  }
+}
+
+void DeclarativeOptimizer::RecheckDrives(EPState* ep, bool liveness_changed) {
+  if (!state_->by_level || !ep->enumerated) {
+    for (uint32_t i = 0; i < ep->alts.size(); ++i) ScheduleDrive(ep, i);
+    return;
+  }
+  const double thr = Threshold(*ep);
+  const auto min_entry = ep->best_agg.MinEntry();
+  for (uint32_t i = 0; i < ep->alts.size(); ++i) {
+    AltState& a = ep->alts[i];
+    if (a.drive_queued || !a.decided) {
+      ScheduleDrive(ep, i);
+      continue;
+    }
+    // Read the drive's inputs as RunDrive does. If the cost they give
+    // differs from what the last drive stored, the drive is owed anyway.
+    const auto [nch, local, lc, rc, l_known, r_known, l_best, r_best, full] =
+        ReadDriveInputs(*ep, a);
+    const bool cost_settled =
+        full ? a.cost_known && a.cost == CostModel::Sum(nch >= 1 ? l_best : 0.0,
+                                                         nch == 2 ? r_best : 0.0, local)
+             : !a.cost_known;
+    if (cost_settled) {
+      const double cert = full ? a.cost : local + l_best + r_best;
+      const GateDecision gate =
+          DecideGate(a, i, thr, min_entry, local, l_known, l_best, full, cert);
+      // A new winner is still driven, so it records ever_won; so is every
+      // alternative whose presence a liveness change may restore.
+      const bool presence_owed =
+          liveness_changed && (gate.viable || !options_.use_source_suppression);
+      if (gate.viable == a.last_viable && gate.right_gate == a.last_right_gate &&
+          !(gate.is_min && !a.ever_won) && !presence_owed) {
+        continue;
+      }
+    }
+    ScheduleDrive(ep, i);
   }
 }
 
@@ -594,21 +707,19 @@ void DeclarativeOptimizer::RunBestDirty(EPState* ep) {
       // group's rows must be re-checked or the new winner can stay
       // suppressed forever (found by the differential fuzzer, seed 280).
       ep->last_best_idx = best_idx;
-      if (options_.use_agg_selection && !ep->dormant) {
-        for (uint32_t i = 0; i < ep->alts.size(); ++i) ScheduleDrive(ep, i);
-      }
+      if (options_.use_agg_selection && !ep->dormant) RecheckDrives(ep);
     }
     return;
   }
   ep->last_best = best;
   ep->last_best_idx = best_idx;
   Touch(ep);
-  ++metrics_.round_best_changes;
-  if (ep->best_round != round_) {
-    ep->best_round = round_;
-  } else if (ep->rebest_round != round_) {
-    ep->rebest_round = round_;
-    ++metrics_.round_rebest_eps;
+  ++state_->metrics.round_best_changes;
+  if (ep->best_round != state_->round) {
+    ep->best_round = state_->round;
+  } else if (ep->rebest_round != state_->round) {
+    ep->rebest_round = state_->round;
+    ++state_->metrics.round_rebest_eps;
   }
   // Propagate the BestCost delta to every registered parent alternative —
   // present or suppressed (a suppressed parent may become viable again).
@@ -628,9 +739,7 @@ void DeclarativeOptimizer::RunBestDirty(EPState* ep) {
   // above the true optimum (found by the differential fuzzer, seed 3014).
   // Dormant pairs stay asleep: RunDrive early-outs on them until a demand
   // resurrects the pair.
-  if (options_.use_agg_selection && !ep->dormant) {
-    for (uint32_t i = 0; i < ep->alts.size(); ++i) ScheduleDrive(ep, i);
-  }
+  if (options_.use_agg_selection && !ep->dormant) RecheckDrives(ep);
   if (options_.use_bounding) ScheduleBoundDirty(ep);  // r4
 }
 
@@ -642,7 +751,7 @@ void DeclarativeOptimizer::RunBoundDirty(EPState* ep) {
   Touch(ep);
   // A raised bound may re-introduce previously pruned plans; a lowered
   // bound may prune previously viable ones (§4.3 cases 2 and 3).
-  for (uint32_t i = 0; i < ep->alts.size(); ++i) ScheduleDrive(ep, i);
+  RecheckDrives(ep);
   // The bound feeds the ParentBound contributions of this pair's own
   // children (r1/r2), recursively.
   for (uint32_t i = 0; i < ep->alts.size(); ++i) {
@@ -682,15 +791,15 @@ void DeclarativeOptimizer::AltPresenceRefs(EPState* ep, uint32_t alt_idx, int de
 void DeclarativeOptimizer::RefUp(EPState* child) {
   ++child->refcount;
   if (child->refcount == 1) {
-    ++metrics_.ep_activations;
+    ++state_->metrics.ep_activations;
     child->ever_live = true;
     child->dormant = false;
-    ScheduleEnumerate(child);
     // Restore SearchSpace presence of a previously collected pair: its
-    // alternatives re-evaluate viability on the scheduled drives.
-    if (child->enumerated) {
-      for (uint32_t i = 0; i < child->alts.size(); ++i) ScheduleDrive(child, i);
-    }
+    // alternatives re-evaluate viability on the scheduled drives. In a
+    // batch pass an enumerated pair needs no enumeration task, which would
+    // only drive every alternative a second time.
+    if (!child->enumerated || !state_->by_level) ScheduleEnumerate(child);
+    if (child->enumerated) RecheckDrives(child, /*liveness_changed=*/true);
   }
 }
 
@@ -704,7 +813,7 @@ void DeclarativeOptimizer::OnDeath(EPState* ep) {
   // §3.2: a zero reference count removes every plan of this pair from the
   // SearchSpace; the removal cascades through children's counts. The
   // associated cost state stays exact until a statistics change evicts it.
-  ++metrics_.ep_gcs;
+  ++state_->metrics.ep_gcs;
   Touch(ep);
   for (uint32_t i = 0; i < ep->alts.size(); ++i) {
     AltState& a = ep->alts[i];
@@ -721,7 +830,7 @@ void DeclarativeOptimizer::Evict(EPState* ep) {
   Touch(ep);
   ep->dormant = true;
   for (AltState& a : ep->alts) a.cost_known = false;
-  agg_entries_ -= static_cast<int64_t>(ep->best_agg.size());
+  state_->agg_entries -= static_cast<int64_t>(ep->best_agg.size());
   ep->best_agg.Clear();
   // The deletion of this pair's BestCost cascades to every dependent
   // PlanCost tuple through the normal delta path.
@@ -771,7 +880,7 @@ void DeclarativeOptimizer::UpdateAltContributions(EPState* ep, uint32_t alt_idx)
     if (child->parent_bounds.Set(ContributionKey(*ep, alt_idx, s), contribution)) {
       ScheduleBoundDirty(child);  // r3: MaxBound is the max of contributions
     }
-    agg_entries_ += static_cast<int64_t>(child->parent_bounds.size() - agg_size);
+    state_->agg_entries += static_cast<int64_t>(child->parent_bounds.size() - agg_size);
   }
 }
 
@@ -785,7 +894,7 @@ void DeclarativeOptimizer::RemoveAltContributions(EPState* ep, uint32_t alt_idx)
     if (child->parent_bounds.Erase(ContributionKey(*ep, alt_idx, s))) {
       ScheduleBoundDirty(child);
     }
-    agg_entries_ -= static_cast<int64_t>(agg_size - child->parent_bounds.size());
+    state_->agg_entries -= static_cast<int64_t>(agg_size - child->parent_bounds.size());
   }
 }
 
@@ -801,7 +910,7 @@ constexpr size_t kAggEntryBytes = 40;
 
 size_t DeclarativeOptimizer::PerEpVectorBytes() const {
   size_t bytes = 0;
-  for (const EPState* ep : eps_in_order_) {
+  for (const EPState* ep : state_->eps_in_order) {
     bytes += ep->alts.capacity() * sizeof(AltState);
     bytes += ep->parents.capacity() * sizeof(ParentRef);
   }
@@ -811,22 +920,22 @@ size_t DeclarativeOptimizer::PerEpVectorBytes() const {
 size_t DeclarativeOptimizer::PerEpBytes() const {
   // Exact for the vectors; the ExtremeAgg contribution is an estimate. The
   // aggregate entries are re-counted from the memo here rather than read
-  // from agg_entries_, so EstimatedMemoBytes() independently cross-checks
+  // from agg_entries, so EstimatedMemoBytes() independently cross-checks
   // the incremental counter the peak metric relies on.
   size_t entries = 0;
-  for (const EPState* ep : eps_in_order_) {
+  for (const EPState* ep : state_->eps_in_order) {
     entries += ep->best_agg.size() + ep->parent_bounds.size();
   }
   return PerEpVectorBytes() + entries * kAggEntryBytes;
 }
 
 size_t DeclarativeOptimizer::StructuralBytes() const {
-  size_t bytes = arena_.bytes_reserved() + memo_.capacity_bytes() +
-                 eps_in_order_.capacity() * sizeof(EPState*) + scope_index_.bytes() +
-                 seed_scratch_.capacity() * sizeof(EPState*) +
-                 reopt_order_.capacity() * sizeof(EPState*) + queue_.capacity_bytes() +
-                 levels_.capacity() * sizeof(RingBuffer<Task>);
-  for (const RingBuffer<Task>& bucket : levels_) bytes += bucket.capacity_bytes();
+  size_t bytes = state_->arena.bytes_reserved() + state_->memo.capacity_bytes() +
+                 state_->eps_in_order.capacity() * sizeof(EPState*) + state_->scope_index.bytes() +
+                 state_->seed_scratch.capacity() * sizeof(EPState*) +
+                 state_->reopt_order.capacity() * sizeof(EPState*) + state_->queue.capacity_bytes() +
+                 state_->levels.capacity() * sizeof(RingBuffer<Task>);
+  for (const RingBuffer<Task>& bucket : state_->levels) bytes += bucket.capacity_bytes();
   return bytes;
 }
 
@@ -837,38 +946,38 @@ void DeclarativeOptimizer::UpdatePeakMemoBytes() {
   // aggregate-entry term comes from the incrementally maintained exact
   // counter — so churn that refills aggregates on an already-enumerated
   // memo advances the peak — and the vector-capacity walk is cached, keyed
-  // on memo_growth_gen_ (bumped only by the structural growth events: new
+  // on memo_growth_gen (bumped only by the structural growth events: new
   // pairs and first-time enumerations).
-  if (per_ep_walk_key_ != memo_growth_gen_) {
-    per_ep_vector_bytes_cache_ = PerEpVectorBytes();
-    per_ep_walk_key_ = memo_growth_gen_;
+  if (state_->per_ep_walk_key != state_->memo_growth_gen) {
+    state_->per_ep_vector_bytes_cache = PerEpVectorBytes();
+    state_->per_ep_walk_key = state_->memo_growth_gen;
   }
   const int64_t bytes =
-      static_cast<int64_t>(StructuralBytes() + per_ep_vector_bytes_cache_ +
-                           static_cast<size_t>(agg_entries_) * kAggEntryBytes);
-  if (bytes > metrics_.peak_memo_bytes) metrics_.peak_memo_bytes = bytes;
+      static_cast<int64_t>(StructuralBytes() + state_->per_ep_vector_bytes_cache +
+                           static_cast<size_t>(state_->agg_entries) * kAggEntryBytes);
+  if (bytes > state_->metrics.peak_memo_bytes) state_->metrics.peak_memo_bytes = bytes;
 }
 
 double DeclarativeOptimizer::BestCost() const {
-  if (root_ == nullptr || root_->best_agg.empty()) return kInf;
-  return root_->best_agg.MinValue();
+  if (state_->root == nullptr || state_->root->best_agg.empty()) return kInf;
+  return state_->root->best_agg.MinValue();
 }
 
 std::unique_ptr<PlanTree> DeclarativeOptimizer::GetBestPlan() const {
-  IQRO_CHECK(root_ != nullptr && !root_->best_agg.empty());
+  IQRO_CHECK(state_->root != nullptr && !state_->root->best_agg.empty());
   AltChooser chooser = [this](RelSet expr, PropId prop) -> std::pair<Alt, double> {
     EPState* ep = FindEP(expr, prop);
     IQRO_CHECK(ep != nullptr && !ep->best_agg.empty());
     auto [cost, idx] = ep->best_agg.MinEntry();
     return {ep->alts[idx].def, cost};
   };
-  return BuildPlanTree(root_->expr, root_->prop, chooser, cost_model_->summaries(),
+  return BuildPlanTree(state_->root->expr, state_->root->prop, chooser, cost_model_->summaries(),
                        enumerator_->props());
 }
 
 int64_t DeclarativeOptimizer::NumLiveEps() const {
   int64_t n = 0;
-  for (const EPState* ep : eps_in_order_) {
+  for (const EPState* ep : state_->eps_in_order) {
     if (Live(*ep) && ep->enumerated) ++n;
   }
   return n;
@@ -876,7 +985,7 @@ int64_t DeclarativeOptimizer::NumLiveEps() const {
 
 int64_t DeclarativeOptimizer::NumActiveAlts() const {
   int64_t n = 0;
-  for (const EPState* ep : eps_in_order_) {
+  for (const EPState* ep : state_->eps_in_order) {
     for (const AltState& a : ep->alts) {
       if (a.active) ++n;
     }
@@ -886,7 +995,7 @@ int64_t DeclarativeOptimizer::NumActiveAlts() const {
 
 int64_t DeclarativeOptimizer::NumViableAlts() const {
   int64_t n = 0;
-  for (const EPState* ep : eps_in_order_) {
+  for (const EPState* ep : state_->eps_in_order) {
     for (const AltState& a : ep->alts) {
       if (a.ever_won) ++n;
     }
@@ -896,7 +1005,7 @@ int64_t DeclarativeOptimizer::NumViableAlts() const {
 
 int64_t DeclarativeOptimizer::NumCostedAlts() const {
   int64_t n = 0;
-  for (const EPState* ep : eps_in_order_) {
+  for (const EPState* ep : state_->eps_in_order) {
     for (const AltState& a : ep->alts) {
       if (a.cost_known) ++n;
     }
@@ -908,7 +1017,7 @@ std::string DeclarativeOptimizer::DumpState() const {
   std::string out;
   const QuerySpec& q = enumerator_->query();
   const PropTable& props = enumerator_->props();
-  for (const EPState* ep : eps_in_order_) {
+  for (const EPState* ep : state_->eps_in_order) {
     if (!ep->enumerated) continue;
     out += StrFormat("EP %s %s live=%d ref=%d best=%s bound=%s\n",
                      RelSetToString(ep->expr).c_str(), props.ToString(ep->prop, &q).c_str(),
@@ -929,18 +1038,32 @@ std::string DeclarativeOptimizer::DumpState() const {
 }
 
 std::string DeclarativeOptimizer::CanonicalDumpState() const {
-  // Render-only walk: string callers (tests, oracles) skip the structured
-  // ops/join-order views the service layer's notifications need.
-  return ComputePlanDigestImpl(/*want_structured=*/false).canonical;
+  // The only place the winner closure becomes text: digests stay
+  // structured, and PlanDigest::SamePlan compares what this renders.
+  const QuerySpec& q = enumerator_->query();
+  std::string out;
+  for (const PlanDigestOp& op : ComputePlanDigest().ops) {
+    out += StrFormat("EP %s %s best=%s\n", RelSetToString(op.expr).c_str(),
+                     PropTable::Render(op.prop, &q).c_str(), DoubleToString(op.cost).c_str());
+    if (!op.has_win) continue;
+    std::string children;
+    if (op.lexpr != 0) {  // a child expression is never empty
+      children += StrFormat(" l=%s%s", RelSetToString(op.lexpr).c_str(),
+                            PropTable::Render(op.lprop, &q).c_str());
+    }
+    if (op.rexpr != 0) {
+      children += StrFormat(" r=%s%s", RelSetToString(op.rexpr).c_str(),
+                            PropTable::Render(op.rprop, &q).c_str());
+    }
+    out += StrFormat("  win %s %s%s cost=%s\n", LogOpName(op.logop), PhysOpName(op.phyop),
+                     children.c_str(), DoubleToString(op.win_cost).c_str());
+  }
+  return out;
 }
 
 PlanDigest DeclarativeOptimizer::ComputePlanDigest() const {
-  return ComputePlanDigestImpl(/*want_structured=*/true);
-}
-
-PlanDigest DeclarativeOptimizer::ComputePlanDigestImpl(bool want_structured) const {
-  const QuerySpec& q = enumerator_->query();
   const PropTable& props = enumerator_->props();
+  const EPState* root = state_->root;
   // Collect the winner closure: from the root, each pair contributes its
   // BestCost-winning alternative (deterministically tie-broken by the
   // aggregate's (value, alt-index) order) and recurses into that winner's
@@ -952,20 +1075,19 @@ PlanDigest DeclarativeOptimizer::ComputePlanDigestImpl(bool want_structured) con
   // costs; real ties are decided by history). The winner closure — the DP
   // optimum's full substructure with exact values at every node — is the
   // state §4's equality claim pins down, so that is what the canonical
-  // dump projects.
+  // dump projects. The closure is the best plan's substructure, a few
+  // dozen pairs, so a linear duplicate probe beats hashing.
   std::vector<const EPState*> reach;
-  std::unordered_set<const EPState*> seen;
-  if (root_ != nullptr && root_->enumerated) {
-    seen.insert(root_);
-    reach.push_back(root_);
-  }
+  if (root != nullptr && root->enumerated) reach.push_back(root);
   for (size_t i = 0; i < reach.size(); ++i) {
     const EPState* ep = reach[i];
     if (ep->best_agg.empty()) continue;
     const AltState& win = ep->alts[ep->best_agg.MinEntry().second];
     for (int s = 0; s < win.def.NumChildren(); ++s) {
       const EPState* c = ChildEP(win, s);
-      if (c != nullptr && c->enumerated && seen.insert(c).second) reach.push_back(c);
+      if (c->enumerated && std::find(reach.begin(), reach.end(), c) == reach.end()) {
+        reach.push_back(c);
+      }
     }
   }
   // Sort by resolved property content, not PropId: interning order depends
@@ -981,42 +1103,42 @@ PlanDigest DeclarativeOptimizer::ComputePlanDigestImpl(bool want_structured) con
     if (a->expr != b->expr) return a->expr < b->expr;
     return prop_key(a->prop) < prop_key(b->prop);
   });
+  // A property as the dump renders it: content, with the relation slot
+  // folded to the first slot of the same alias.
+  auto content = [&](PropId id) {
+    Prop p = props.Get(id);
+    if (p.kind == Prop::Kind::kNone) return Prop{};
+    p.col.rel = alias_slot_[static_cast<size_t>(p.col.rel)];
+    return p;
+  };
   PlanDigest digest;
   digest.best_cost = BestCost();
-  if (want_structured) digest.ops.reserve(reach.size());
+  digest.ops.reserve(reach.size());
   for (const EPState* ep : reach) {
-    PlanDigestOp op;
+    PlanDigestOp& op = digest.ops.emplace_back();
     op.expr = ep->expr;
-    op.prop = props.ToString(ep->prop, &q);
-    op.cost = ep->best_agg.empty() ? kInf : ep->best_agg.MinValue();
-    digest.canonical += StrFormat("EP %s %s best=%s\n", RelSetToString(op.expr).c_str(),
-                                  op.prop.c_str(), DoubleToString(op.cost).c_str());
-    if (!ep->best_agg.empty()) {
-      const AltState& a = ep->alts[ep->best_agg.MinEntry().second];
-      op.has_win = true;
-      op.logop = a.def.logop;
-      op.phyop = a.def.phyop;
-      std::string children;
-      if (a.def.NumChildren() >= 1) {
-        op.lexpr = a.def.lexpr;
-        op.lprop = props.ToString(a.def.lprop, &q);
-        children += StrFormat(" l=%s%s", RelSetToString(op.lexpr).c_str(), op.lprop.c_str());
-      }
-      if (a.def.NumChildren() == 2) {
-        op.rexpr = a.def.rexpr;
-        op.rprop = props.ToString(a.def.rprop, &q);
-        children += StrFormat(" r=%s%s", RelSetToString(op.rexpr).c_str(), op.rprop.c_str());
-      }
-      digest.canonical +=
-          StrFormat("  win %s %s%s cost=%s\n", LogOpName(a.def.logop), PhysOpName(a.def.phyop),
-                    children.c_str(), DoubleToString(a.cost).c_str());
+    op.prop = content(ep->prop);
+    if (ep->best_agg.empty()) continue;
+    const auto [best, idx] = ep->best_agg.MinEntry();
+    const AltState& a = ep->alts[idx];
+    op.cost = best;
+    op.has_win = true;
+    op.logop = a.def.logop;
+    op.phyop = a.def.phyop;
+    op.win_cost = a.cost;
+    if (a.def.NumChildren() >= 1) {
+      op.lexpr = a.def.lexpr;
+      op.lprop = content(a.def.lprop);
     }
-    if (want_structured) digest.ops.push_back(std::move(op));
+    if (a.def.NumChildren() == 2) {
+      op.rexpr = a.def.rexpr;
+      op.rprop = content(a.def.rprop);
+    }
   }
   // Join order: the best plan's leaf slots in tree order (left before
   // right), following winners from the root — the executor-facing "which
   // pipelined prefix survived" view of the same closure.
-  if (want_structured && root_ != nullptr && root_->enumerated && !root_->best_agg.empty()) {
+  if (root != nullptr && root->enumerated && !root->best_agg.empty()) {
     auto walk = [this](auto&& self, const EPState* ep, std::vector<int>& out) -> void {
       if (ep == nullptr || !ep->enumerated || ep->best_agg.empty()) return;
       const AltState& win = ep->alts[ep->best_agg.MinEntry().second];
@@ -1028,7 +1150,7 @@ PlanDigest DeclarativeOptimizer::ComputePlanDigestImpl(bool want_structured) con
         self(self, ChildEP(win, s), out);
       }
     };
-    walk(walk, root_, digest.join_order);
+    walk(walk, root, digest.join_order);
   }
   return digest;
 }
@@ -1099,7 +1221,7 @@ Prop GetProp(ByteReader& r) {
 }  // namespace
 
 void DeclarativeOptimizer::SerializeState(std::string* out) const {
-  IQRO_CHECK(optimized_);
+  IQRO_CHECK(state_->optimized);
   const PropTable& props = enumerator_->props();
   ByteWriter w(out);
   w.PutU8(kMemoSeedVersion);
@@ -1107,14 +1229,14 @@ void DeclarativeOptimizer::SerializeState(std::string* out) const {
   const EPKey root_key = enumerator_->RootKey();
   w.PutU32(EPExpr(root_key));
   PutProp(w, props.Get(EPProp(root_key)));
-  w.PutU64(eps_in_order_.size());
-  for (const EPState* ep : eps_in_order_) {
+  w.PutU64(state_->eps_in_order.size());
+  for (const EPState* ep : state_->eps_in_order) {
     w.PutU32(ep->expr);
     PutProp(w, props.Get(ep->prop));
     w.PutU8(static_cast<uint8_t>((ep->enumerated ? 1 : 0) | (ep->ever_live ? 2 : 0) |
                                  (ep->dormant ? 4 : 0)));
   }
-  for (const EPState* ep : eps_in_order_) {
+  for (const EPState* ep : state_->eps_in_order) {
     if (!ep->enumerated) continue;
     w.PutU32(static_cast<uint32_t>(ep->alts.size()));
     for (const AltState& a : ep->alts) {
@@ -1129,7 +1251,7 @@ void DeclarativeOptimizer::SerializeState(std::string* out) const {
       w.PutF64(a.last_contrib[1]);
     }
   }
-  for (const EPState* ep : eps_in_order_) {
+  for (const EPState* ep : state_->eps_in_order) {
     w.PutU32(static_cast<uint32_t>(ep->parents.size()));
     for (const ParentRef& pr : ep->parents) {
       w.PutU32(pr.ep->id);
@@ -1167,7 +1289,7 @@ void DeclarativeOptimizer::RestoreState(const std::string& payload, uint64_t sta
     const uint64_t count = r.GetU64();
 
     // Pass 1: recreate every pair in insertion order — ids, the memo table,
-    // the scope index and eps_in_order_ all land exactly as serialized.
+    // the scope index and eps_in_order all land exactly as serialized.
     for (uint64_t i = 0; i < count; ++i) {
       const RelSet expr = r.GetU32();
       const Prop prop = GetProp(r);
@@ -1187,7 +1309,7 @@ void DeclarativeOptimizer::RestoreState(const std::string& payload, uint64_t sta
     // pointers, and apply the serialized per-alternative state. The closure
     // property of RunEnumerate (every child of an enumerated alternative is
     // itself a memo pair) guarantees FindEP succeeds on a well-formed seed.
-    for (EPState* ep : eps_in_order_) {
+    for (EPState* ep : state_->eps_in_order) {
       if (!ep->enumerated) continue;
       const uint32_t nalts = r.GetU32();
       const std::vector<Alt>& defs = enumerator_->Split(ep->expr, ep->prop);
@@ -1223,26 +1345,26 @@ void DeclarativeOptimizer::RestoreState(const std::string& payload, uint64_t sta
         if (a.cost_known) {
           const size_t agg_size = ep->best_agg.size();
           ep->best_agg.Set(i, a.cost);
-          agg_entries_ += static_cast<int64_t>(ep->best_agg.size() - agg_size);
+          state_->agg_entries += static_cast<int64_t>(ep->best_agg.size() - agg_size);
         }
       }
-      ++memo_growth_gen_;  // alt vectors grew, as in RunEnumerate
+      ++state_->memo_growth_gen;  // alt vectors grew, as in RunEnumerate
     }
 
     // Pass 3: parent links, in the serialized (execution-history) order,
     // each validated against the child wiring pass 2 produced.
-    for (EPState* ep : eps_in_order_) {
+    for (EPState* ep : state_->eps_in_order) {
       const uint32_t nparents = r.GetU32();
       ep->parents.reserve(nparents);
       for (uint32_t i = 0; i < nparents; ++i) {
         const uint32_t pid = r.GetU32();
         const uint32_t alt_idx = r.GetU32();
         const uint8_t side = r.GetU8();
-        if (pid >= eps_in_order_.size() || side > 1) {
+        if (pid >= state_->eps_in_order.size() || side > 1) {
           throw SerializeError(SerializeError::Code::kBadSection,
                                "memo seed: parent reference out of range");
         }
-        EPState* parent = eps_in_order_[pid];
+        EPState* parent = state_->eps_in_order[pid];
         if (!parent->enumerated || alt_idx >= parent->alts.size() ||
             parent->alts[alt_idx].child[side] != ep) {
           throw SerializeError(SerializeError::Code::kMismatch,
@@ -1265,13 +1387,13 @@ void DeclarativeOptimizer::RestoreState(const std::string& payload, uint64_t sta
     // alternative's non-NaN last_contrib; the propagated best/bound values
     // are structural at any drained-queue state (last_bound stays +inf with
     // bounding off because ScheduleBoundDirty never runs there).
-    root_ = FindEP(EPExpr(root_key), EPProp(root_key));
-    if (root_ == nullptr) {
+    state_->root = FindEP(EPExpr(root_key), EPProp(root_key));
+    if (state_->root == nullptr) {
       throw SerializeError(SerializeError::Code::kMismatch,
                            "memo seed: root pair missing from the seed");
     }
-    root_->refcount = 1;
-    for (EPState* ep : eps_in_order_) {
+    state_->root->refcount = 1;
+    for (EPState* ep : state_->eps_in_order) {
       for (uint32_t i = 0; i < ep->alts.size(); ++i) {
         AltState& a = ep->alts[i];
         if (!a.active) continue;
@@ -1282,12 +1404,12 @@ void DeclarativeOptimizer::RestoreState(const std::string& payload, uint64_t sta
             EPState* child = a.child[s];
             const size_t agg_size = child->parent_bounds.size();
             child->parent_bounds.Set(ContributionKey(*ep, i, s), contrib);
-            agg_entries_ += static_cast<int64_t>(child->parent_bounds.size() - agg_size);
+            state_->agg_entries += static_cast<int64_t>(child->parent_bounds.size() - agg_size);
           }
         }
       }
     }
-    for (EPState* ep : eps_in_order_) {
+    for (EPState* ep : state_->eps_in_order) {
       if (ep->best_agg.empty()) {
         ep->last_best = kInf;
         ep->last_best_idx = kNoWinner;
@@ -1298,9 +1420,9 @@ void DeclarativeOptimizer::RestoreState(const std::string& payload, uint64_t sta
       }
       ep->last_bound = options_.use_bounding ? CurrentBound(*ep) : kInf;
     }
-    optimized_ = true;
-    stats_epoch_ = stats_epoch != 0 ? stats_epoch : registry_->epoch();
-    ++round_;  // keep touched_round stamps unique across the restore
+    state_->optimized = true;
+    state_->stats_epoch = stats_epoch != 0 ? stats_epoch : registry_->epoch();
+    ++state_->round;  // keep touched_round stamps unique across the restore
     UpdatePeakMemoBytes();
   } catch (...) {
     TearDown();  // all-or-nothing: no partial restore survives a throw
@@ -1309,19 +1431,19 @@ void DeclarativeOptimizer::RestoreState(const std::string& payload, uint64_t sta
 }
 
 void DeclarativeOptimizer::ValidateInvariants() const {
-  IQRO_CHECK(queue_.empty());  // only meaningful at fixpoint
-  IQRO_CHECK(!by_level_);
-  for (const RingBuffer<Task>& bucket : levels_) IQRO_CHECK(bucket.empty());
+  IQRO_CHECK(state_->queue.empty());  // only meaningful at fixpoint
+  IQRO_CHECK(!state_->by_level);
+  for (const RingBuffer<Task>& bucket : state_->levels) IQRO_CHECK(bucket.empty());
   // The incremental aggregate-entry counter behind peak_memo_bytes must
   // agree with a fresh count over the memo.
   int64_t agg_entries = 0;
-  for (const EPState* ep : eps_in_order_) {
+  for (const EPState* ep : state_->eps_in_order) {
     agg_entries += static_cast<int64_t>(ep->best_agg.size() + ep->parent_bounds.size());
   }
-  IQRO_CHECK(agg_entries == agg_entries_);
-  for (const EPState* ep : eps_in_order_) {
+  IQRO_CHECK(agg_entries == state_->agg_entries);
+  for (const EPState* ep : state_->eps_in_order) {
     // Reference counts equal the number of active parent alternatives.
-    int expected = (ep == root_) ? 1 : 0;
+    int expected = (ep == state_->root) ? 1 : 0;
     for (const ParentRef& pr : ep->parents) {
       if (pr.ep->alts[pr.alt_idx].active) ++expected;
     }

@@ -42,8 +42,8 @@
 // plus a task push/pop:
 //  * EPState nodes are bump-allocated from an Arena (common/arena.h) and
 //    never move — the memo, the parent-link graph, and the worklist all hold
-//    raw EPState pointers across memo growth. The optimizer's destructor
-//    runs ~EPState() over eps_in_order_ because the arena does not.
+//    raw EPState pointers across memo growth. The state's destructor
+//    runs ~EPState() over eps_in_order because the arena does not.
 //  * The memo itself is a FlatMap64<EPState*> (common/flat_map.h), an
 //    open-addressing table keyed by the packed 64-bit (RelSet, PropId) key
 //    (MakeEPKey) with a multiplicative hash — one probe is a multiply, a
@@ -51,7 +51,7 @@
 //  * Tasks are 16-byte PODs in a growable power-of-two RingBuffer
 //    (common/ring_buffer.h) serving both queue disciplines — one ring for
 //    initial optimization, one per |expr| level while a ReoptimizeBatch
-//    pass drains bottom-up (levels_). Duplicate tasks are suppressed at
+//    pass drains bottom-up (levels). Duplicate tasks are suppressed at
 //    enqueue time by the intrusive queued bits on EPState/AltState
 //    (enumerate_queued, drive_queued, best_dirty, bound_dirty), so the
 //    worklist never holds two live tasks for the same (kind, ep, alt) and
@@ -175,7 +175,8 @@ class DeclarativeOptimizer {
   /// Optimize()/RebuildFromScratch(). The ReoptSession uses this to pin a
   /// query whose pass failed *outside* the fixpoint (so the optimizer was
   /// not self-torn-down) into the one canonical quarantined state — never
-  /// serve a plan that may have missed a drained batch.
+  /// serve a plan that may have missed a drained batch. A shared state is
+  /// torn down for every optimizer that shares it.
   void Invalidate() { TearDown(); }
 
   /// Serializes the complete fixpoint state — every memo pair in insertion
@@ -201,6 +202,35 @@ class DeclarativeOptimizer {
   /// rederived, and the work queue is empty.
   void RestoreState(const std::string& payload, uint64_t stats_epoch = 0);
 
+  // ---- shared fixpoint state (docs/ARCHITECTURE.md "Memo sharing") ----
+
+  /// True when this optimizer and `other` ask the same question: the same
+  /// enumerator (query and plan space), the same registry, equal options,
+  /// and cost models over that registry with equal CostParams. Their
+  /// fixpoints are then identical at every statistics state, so one memo
+  /// can serve both. The cost models need not be the same object.
+  bool CanShareStateWith(const DeclarativeOptimizer& other) const;
+
+  /// Drops this optimizer's own fixpoint state and from now on reads and
+  /// writes `other`'s (requires CanShareStateWith). Every entry point of
+  /// either optimizer then acts on the one shared memo: a pass run through
+  /// one is visible through the other, and so is a teardown. A pass uses
+  /// the calling optimizer's cost model, which the equivalence check makes
+  /// value-identical.
+  void ShareStateWith(const DeclarativeOptimizer& other);
+
+  /// True when this optimizer and `other` read one fixpoint state.
+  bool SharesStateWith(const DeclarativeOptimizer& other) const {
+    return state_ == other.state_;
+  }
+
+  /// Gives this optimizer a private, exact copy of a shared state (the
+  /// SerializeState/RestoreState round trip; OptMetrics are copied too), so
+  /// nothing done to it afterwards reaches its former peers. A no-op when
+  /// the state is not shared. A torn-down state detaches as a fresh empty
+  /// one; a copy that fails to allocate leaves the private state torn down.
+  void DetachState();
+
   /// Points this optimizer's summary calculator at a cross-query shared
   /// cache (stats/summary.h): summaries computed by any optimizer over the
   /// same registry become visible to all of them, keyed by registry epoch.
@@ -212,7 +242,7 @@ class DeclarativeOptimizer {
 
   /// True once Optimize() has run (the precondition of the reoptimize
   /// entry points and of ReoptSession::Register).
-  bool optimized() const { return optimized_; }
+  bool optimized() const { return state_->optimized; }
 
   /// The query's full relation set (every EP expression is a subset): the
   /// cheap whole-query prefilter for "can this StatChange affect me at
@@ -227,7 +257,7 @@ class DeclarativeOptimizer {
   /// it against StatsRegistry::drained_epoch() to reject an optimizer that
   /// missed an already-drained batch (it could never catch up — those
   /// deltas are gone).
-  uint64_t stats_epoch() const { return stats_epoch_; }
+  uint64_t stats_epoch() const { return state_->stats_epoch; }
 
   /// Best cumulative cost of the root (expr, prop); infinity before
   /// Optimize().
@@ -236,7 +266,7 @@ class DeclarativeOptimizer {
   /// Materializes the current best plan.
   std::unique_ptr<PlanTree> GetBestPlan() const;
 
-  const OptMetrics& metrics() const { return metrics_; }
+  const OptMetrics& metrics() const { return state_->metrics; }
 
   /// Freshly computed estimate of the memo's current resident footprint
   /// (the quantity peak_memo_bytes is the high-water mark of). O(#EPs);
@@ -250,11 +280,11 @@ class DeclarativeOptimizer {
   int64_t NumCostedAlts() const;    // alternatives with a derivable PlanCost
   /// Level buckets of the batch worklist: 0 until the first non-empty
   /// ReoptimizeBatch, |root expr| + 1 after it, 0 again after a teardown.
-  size_t NumLevelBuckets() const { return levels_.size(); }
+  size_t NumLevelBuckets() const { return state_->levels.size(); }
 
   /// Renders the raw memo (SearchSpace/PlanCost/BestCost/Bound) for
   /// debugging. Ordering guarantee: entries appear in memo *insertion*
-  /// order (eps_in_order_), never in hash-table order — two optimizers with
+  /// order (eps_in_order), never in hash-table order — two optimizers with
   /// identical histories dump byte-identically, but the output DOES depend
   /// on allocation history (it includes suppressed and dormant state, in
   /// the order it was first enumerated). For history-independent
@@ -275,14 +305,14 @@ class DeclarativeOptimizer {
   /// from-scratch optimizer at the same statistics (and the same pruning
   /// options) must produce byte-identical output — the equality the
   /// differential harness asserts (§4's "identical to a fresh
-  /// optimization"). Implemented as ComputePlanDigest().canonical.
+  /// optimization"). Rendered from ComputePlanDigest()'s nodes.
   std::string CanonicalDumpState() const;
 
-  /// The winner closure as a value (core/plan_digest.h): the canonical
-  /// rendering plus the structured ops/join-order views the service layer's
-  /// plan-change notifications diff. `digest.canonical` is byte-identical
-  /// to CanonicalDumpState() by construction, so digest equality and
-  /// canonical-dump equality can never disagree.
+  /// The winner closure as structured data (core/plan_digest.h): node
+  /// content, winners, raw costs and the join order, which the service
+  /// layer's plan-change notifications diff. No text is formatted;
+  /// PlanDigest::SamePlan holds exactly when the CanonicalDumpState()
+  /// renderings of the two states would compare equal.
   PlanDigest ComputePlanDigest() const;
 
   /// Asserts internal invariants at a fixpoint; used heavily by tests.
@@ -314,6 +344,13 @@ class DeclarativeOptimizer {
     bool ever_active = false;  // distinguishes first activation from re-introduction
     bool ever_won = false;     // metrics: ever was the group's minimum
     bool drive_queued = false;
+    // What the last drive that reached the pruning gate decided: whether
+    // the alternative survived aggregate selection and whether its right
+    // child's exploration gate was open. A threshold or winner move that
+    // changes neither needs no re-drive (see RecheckDrives).
+    bool decided = false;
+    bool last_viable = false;
+    bool last_right_gate = false;
     double cost = 0;           // current PlanCost (valid iff cost_known)
     uint32_t touched_round = 0;
     EPState* child[2] = {nullptr, nullptr};  // resolved child pairs
@@ -404,8 +441,9 @@ class DeclarativeOptimizer {
   int64_t ReoptimizeBatchImpl(const std::vector<StatChange>& changes, uint64_t stats_epoch,
                               int64_t work_budget);
   /// Destroys every piece of fixpoint state (memo, arena, worklist,
-  /// ordering caches) and returns to the pre-Optimize() configuration.
-  /// The exception-path half of the strong guarantee.
+  /// ordering caches) and returns to the pre-Optimize() configuration —
+  /// for every optimizer sharing the state. The exception-path half of the
+  /// strong guarantee.
   void TearDown();
 
   // ---- fixpoint tasks ----
@@ -418,6 +456,53 @@ class DeclarativeOptimizer {
   void ScheduleDrive(EPState* ep, uint32_t alt_idx);
   void ScheduleBestDirty(EPState* ep);
   void ScheduleBoundDirty(EPState* ep);
+
+  /// What a drive of an alternative reads: its local cost and its
+  /// children's propagated bests (`full`: every child's best is known).
+  struct DriveInputs {
+    int nch = 0;
+    double local = 0;
+    EPState* lc = nullptr;
+    EPState* rc = nullptr;
+    bool l_known = false;
+    bool r_known = false;
+    double l_best = 0;
+    double r_best = 0;
+    bool full = false;
+  };
+  DriveInputs ReadDriveInputs(const EPState& ep, AltState& a) const;
+  /// RunDrive's threshold-dependent decisions for alternative `alt_idx`
+  /// under threshold `thr` and the group's current minimum entry, given
+  /// its cost inputs (`local`, the left child's propagated best, `full`:
+  /// every child known) and `cert`, its certain cost: survival under
+  /// aggregate selection, the right child's exploration gate, and whether
+  /// it is the minimum.
+  struct GateDecision {
+    bool viable = true;
+    bool right_gate = false;
+    bool is_min = false;
+  };
+  GateDecision DecideGate(const AltState& a, uint32_t alt_idx, double thr,
+                          std::pair<double, uint32_t> min_entry, double local, bool l_known,
+                          double l_best, bool full, double cert) const {
+    GateDecision d;
+    if (options_.use_agg_selection) {
+      d.is_min = a.cost_known && min_entry.second == alt_idx && min_entry.first == a.cost;
+      d.viable = d.is_min || cert < thr;
+    }
+    d.right_gate = a.def.NumChildren() == 2 && (!options_.use_source_suppression ||
+                                                (l_known && local + l_best < thr) || full);
+    return d;
+  }
+  /// A move of `ep`'s threshold or winner, or its return to liveness
+  /// (`liveness_changed`), re-checks its alternatives. Initial
+  /// optimization drives them all. A batch pass drives only those whose
+  /// drive the move can change: every other input of a drive (local cost,
+  /// children's bests) schedules it directly when it changes, so an
+  /// unqueued alternative's inputs are the ones its last drive saw, and the
+  /// move matters only through the gate decisions — and, for a pair that
+  /// came back to life, through the presence of its viable alternatives.
+  void RecheckDrives(EPState* ep, bool liveness_changed = false);
 
   void RunEnumerate(EPState* ep);
   void RunDrive(EPState* ep, uint32_t alt_idx);
@@ -447,16 +532,11 @@ class DeclarativeOptimizer {
   void Touch(EPState* ep);
   void Touch(EPState* ep, uint32_t alt_idx);
 
-  /// Shared winner-closure walk behind CanonicalDumpState (string only)
-  /// and ComputePlanDigest (`want_structured`: also the ops vector and
-  /// join order).
-  PlanDigest ComputePlanDigestImpl(bool want_structured) const;
-
   /// Per-EP heap footprint (alt/parent vector capacities + aggregate
   /// entries, the latter estimated): the O(#EPs) walk behind the peak
   /// counter. PerEpVectorBytes is the capacity-only term; PerEpBytes adds
   /// the aggregate entries, re-counted from the memo (so callers comparing
-  /// it against the peak independently cross-check agg_entries_).
+  /// it against the peak independently cross-check agg_entries).
   size_t PerEpVectorBytes() const;
   size_t PerEpBytes() const;
   /// O(1)-ish footprint terms: arena blocks, flat table, order vector,
@@ -464,60 +544,79 @@ class DeclarativeOptimizer {
   size_t StructuralBytes() const;
   void UpdatePeakMemoBytes();
 
+  /// Everything a fixpoint pass reads and writes, behind one refcounted
+  /// pointer so equivalent optimizers can share it (ShareStateWith). The
+  /// configuration members of the optimizer (enumerator, cost model,
+  /// registry, options) stay per optimizer.
+  struct State {
+    State();
+    ~State();
+    State(const State&) = delete;
+    State& operator=(const State&) = delete;
+    /// Destroys the memo, arena, worklist and ordering caches and returns
+    /// to the pre-Optimize() configuration (metrics and round survive).
+    void Clear();
+
+    OptMetrics metrics;
+    Arena arena;                    // owns EPState storage (addresses stable)
+    FlatMap64<EPState*> memo;       // packed (RelSet, PropId) -> arena node
+    std::vector<EPState*> eps_in_order;  // insertion order, for deterministic walks
+    RingBuffer<Task> queue;
+    // The batch worklist, used while by_level (see ReoptimizeBatchImpl): one
+    // bucket per |expr| level of the query, allocated on the first non-empty
+    // batch and released by Clear(), so a state that is only ever
+    // Optimize()d pays nothing for them.
+    std::vector<RingBuffer<Task>> levels;
+    size_t level_cursor = 0;  // no bucket below it holds a task
+    bool by_level = false;
+    EPState* root = nullptr;
+    bool optimized = false;
+    uint32_t round = 0;
+    uint64_t stats_epoch = 0;  // registry epoch the current state reflects
+
+    // Seeding index: every memo pair keyed by its expression, so a batch of
+    // StatChanges enumerates exactly the candidate EPs (supersets of a
+    // cardinality scope; exact matches of a scan-cost scope) instead of
+    // walking the whole memo. Maintained incrementally in GetOrCreateEP;
+    // dormant pairs stay indexed because stale collected state is
+    // physically evicted by the seeding pass that invalidates it.
+    ScopeSubsetIndex<EPState*> scope_index;
+    // Scratch for the affected set of one batch (avoids a heap vector per
+    // flush); sorted into the legacy bottom-up seeding order before seeding.
+    std::vector<EPState*> seed_scratch;
+    // Dense-batch fallback order: all pairs presorted by (|expr|, prop !=
+    // none, id) — the bottom-up seeding order — rebuilt lazily on memo
+    // growth, so a full-scan seeding pass pays no per-flush sort. The
+    // sparse path sorts its (small) affected set instead and never touches
+    // this.
+    std::vector<EPState*> reopt_order;
+    bool reopt_order_stale = false;
+    // Peak-bytes accounting, O(1) per round. The per-EP footprint has two
+    // parts with different churn rates: vector capacities (alts/parents),
+    // which only grow on structural events — new pair, first-time
+    // enumeration — and aggregate entries, which insert and erase on every
+    // re-drive. The vector walk is cached keyed on memo_growth_gen (bumped
+    // by exactly those structural events); aggregate entries are counted
+    // exactly and incrementally (agg_entries, ±1 at every
+    // Set-growth/Erase/Clear site), so oscillating churn that re-admits
+    // entries advances the peak without ever re-walking the memo.
+    int64_t memo_growth_gen = 0;
+    int64_t per_ep_walk_key = -1;
+    size_t per_ep_vector_bytes_cache = 0;
+    int64_t agg_entries = 0;  // live best_agg + parent_bounds entries, exact
+    // RunEnumerate scratch (avoids a heap vector per task).
+    std::vector<std::pair<double, uint32_t>> enum_scratch;
+  };
+
   PlanEnumerator* enumerator_;
   const CostModel* cost_model_;
   StatsRegistry* registry_;
   OptimizerOptions options_;
-  OptMetrics metrics_;
-
-  Arena arena_;                    // owns EPState storage (addresses stable)
-  FlatMap64<EPState*> memo_;       // packed (RelSet, PropId) -> arena node
-  std::vector<EPState*> eps_in_order_;  // insertion order, for deterministic walks
-  RingBuffer<Task> queue_;
-  // The batch worklist, used while by_level_ (see ReoptimizeBatchImpl): one
-  // bucket per |expr| level of the query, allocated on the first non-empty
-  // batch and released by TearDown(), so an optimizer that is only ever
-  // Optimize()d pays nothing for them.
-  std::vector<RingBuffer<Task>> levels_;
-  size_t level_cursor_ = 0;  // no bucket below it holds a task
-  bool by_level_ = false;
-  EPState* root_ = nullptr;
-  bool optimized_ = false;
-  uint32_t round_ = 0;
-  uint64_t stats_epoch_ = 0;  // registry epoch the current state reflects
-  int64_t work_budget_ = 0;   // per-call cap on round_steps; 0 = unbudgeted
-
-  // Seeding index: every memo pair keyed by its expression, so a batch of
-  // StatChanges enumerates exactly the candidate EPs (supersets of a
-  // cardinality scope; exact matches of a scan-cost scope) instead of
-  // walking the whole memo. Maintained incrementally in GetOrCreateEP;
-  // dormant pairs stay indexed because stale collected state is physically
-  // evicted by the seeding pass that invalidates it.
-  ScopeSubsetIndex<EPState*> scope_index_;
-  // Scratch for the affected set of one batch (avoids a heap vector per
-  // flush); sorted into the legacy bottom-up seeding order before seeding.
-  std::vector<EPState*> seed_scratch_;
-  // Dense-batch fallback order: all pairs presorted by (|expr|, prop !=
-  // none, id) — the bottom-up seeding order — rebuilt lazily on memo
-  // growth, so a full-scan seeding pass pays no per-flush sort. The sparse
-  // path sorts its (small) affected set instead and never touches this.
-  std::vector<EPState*> reopt_order_;
-  bool reopt_order_stale_ = false;
-  // Peak-bytes accounting, O(1) per round. The per-EP footprint has two
-  // parts with different churn rates: vector capacities (alts/parents),
-  // which only grow on structural events — new pair, first-time enumeration
-  // — and aggregate entries, which insert and erase on every re-drive. The
-  // vector walk is cached keyed on memo_growth_gen_ (bumped by exactly
-  // those structural events); aggregate entries are counted exactly and
-  // incrementally (agg_entries_, ±1 at every Set-growth/Erase/Clear site),
-  // so oscillating churn that re-admits entries advances the peak without
-  // ever re-walking the memo.
-  int64_t memo_growth_gen_ = 0;
-  int64_t per_ep_walk_key_ = -1;
-  size_t per_ep_vector_bytes_cache_ = 0;
-  int64_t agg_entries_ = 0;  // live best_agg + parent_bounds entries, exact
-  // RunEnumerate scratch (avoids a heap vector per task).
-  std::vector<std::pair<double, uint32_t>> enum_scratch_;
+  int64_t work_budget_ = 0;  // per-call cap on round_steps; 0 = unbudgeted
+  // Per relation slot, the first slot with the same alias: the folding
+  // that makes PlanDigestOp property equality match the dump's rendering.
+  std::vector<int> alias_slot_;
+  std::shared_ptr<State> state_;
 };
 
 }  // namespace iqro

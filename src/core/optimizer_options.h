@@ -87,6 +87,8 @@ struct OptimizerOptions {
     return o;
   }
 
+  bool operator==(const OptimizerOptions&) const = default;
+
   bool Valid() const {
     if (use_source_suppression && !use_agg_selection) return false;
     if (use_ref_counting && !use_source_suppression) return false;

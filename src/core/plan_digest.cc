@@ -1,9 +1,32 @@
 #include "core/plan_digest.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+
+#include "common/str_util.h"
 
 namespace iqro {
+
+namespace {
+/// Equal as the dump renders them: bit-identical, or alike under %.6g.
+bool SameRenderedCost(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b) ||
+         DoubleToString(a) == DoubleToString(b);
+}
+}  // namespace
+
+bool PlanDigest::SamePlan(const PlanDigest& o) const {
+  if (ops.size() != o.ops.size()) return false;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const PlanDigestOp& a = ops[i];
+    const PlanDigestOp& b = o.ops[i];
+    if (!a.SameOperator(b) || !SameRenderedCost(a.cost, b.cost)) return false;
+    if (a.has_win && !SameRenderedCost(a.win_cost, b.win_cost)) return false;
+  }
+  return true;
+}
 
 PlanDiffSummary DiffPlanDigests(const PlanDigest& before, const PlanDigest& after) {
   PlanDiffSummary d;

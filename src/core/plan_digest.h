@@ -10,41 +10,36 @@
 // projection of optimizer state that is independent of execution history
 // (see the CanonicalDumpState comment in core/declarative_optimizer.h).
 //
-// A digest therefore holds three views of one walk:
-//  * `canonical` — the rendered winner closure, byte-identical to
-//    CanonicalDumpState() (which is implemented as ComputePlanDigest()'s
-//    rendering). Digest equality is DEFINED as equality of this string, so
-//    "the digest changed" and "the canonical dump changed" can never
-//    disagree — the property the differential harness pins. Costs are
-//    rendered with the same lossy %.6g formatting as the dump: two states
-//    whose costs differ only below 6 significant digits compare equal, by
-//    design (the dump's equality is the contract, not bit-exactness).
-//  * `ops` + `best_cost` — the structured form the diff summary and the
-//    PlanChangeEvent payload are computed from.
-//  * `join_order` — the best plan's leaf relations in tree order, for the
-//    "how much of the join-order prefix survived" signal an executor uses
-//    to decide whether switching plans mid-flight pays (pipelined prefixes
-//    that match can keep running).
+// A digest is structured data from one walk: each closure node's content,
+// its winner and its raw costs, plus the best plan's join order. It holds
+// no text. CanonicalDumpState() renders the same nodes, and SamePlan()
+// compares them field by field, so "the digest changed" and "the
+// canonical dump changed" can never disagree — the property the
+// differential harness pins. Costs compare equal when their bits match or
+// when the dump's lossy %.6g rendering of them matches: two states whose
+// costs differ only below 6 significant digits compare equal, by design
+// (the dump's equality is the contract, not bit-exactness).
 #ifndef IQRO_CORE_PLAN_DIGEST_H_
 #define IQRO_CORE_PLAN_DIGEST_H_
 
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "common/relset.h"
 #include "cost/physical.h"
+#include "cost/prop_table.h"
 
 namespace iqro {
 
 /// One winner-closure node: an (expr, prop) pair and its BestCost-winning
-/// alternative. Properties are stored *rendered* (resolved content, via
-/// PropTable::ToString), never as PropIds — interning order differs between
-/// optimizers with different exploration histories, rendered content does
-/// not.
+/// alternative. Properties are stored as resolved content, never as
+/// PropIds (interning order differs between optimizers with different
+/// exploration histories). A property's relation slot is the first slot
+/// with the same alias, so two properties are equal exactly when the dump
+/// renders them alike.
 struct PlanDigestOp {
   RelSet expr = 0;
-  std::string prop;
+  Prop prop;
   /// False only for a root whose aggregate is empty (no derivable plan —
   /// degenerate, but representable).
   bool has_win = false;
@@ -52,11 +47,12 @@ struct PlanDigestOp {
   PhysOp phyop = PhysOp::kSeqScan;
   RelSet lexpr = 0;
   RelSet rexpr = 0;
-  std::string lprop;
-  std::string rprop;
-  /// The pair's BestCost (== the winning alternative's cost). Raw double —
-  /// event payloads want the value; equality goes through `canonical`.
+  Prop lprop;
+  Prop rprop;
+  /// The pair's BestCost, and the winning alternative's PlanCost (equal at
+  /// a fixpoint; the dump prints both). Raw doubles.
   double cost = std::numeric_limits<double>::infinity();
+  double win_cost = std::numeric_limits<double>::infinity();
 
   /// Same operator at the same (expr, prop) slot: everything except cost.
   /// The diff summary counts operators, not price movements — a pure cost
@@ -70,8 +66,6 @@ struct PlanDigestOp {
 };
 
 struct PlanDigest {
-  /// Rendered winner closure; byte-identical to CanonicalDumpState().
-  std::string canonical;
   /// Root BestCost (infinity before Optimize() / with no derivable plan).
   double best_cost = std::numeric_limits<double>::infinity();
   /// Winner-closure nodes in canonical order: (|expr|, expr, resolved
@@ -82,8 +76,9 @@ struct PlanDigest {
   std::vector<int> join_order;
 
   /// THE change predicate: exactly "CanonicalDumpState() would compare
-  /// equal". Plan-change notifications fire on !SamePlan.
-  bool SamePlan(const PlanDigest& o) const { return canonical == o.canonical; }
+  /// equal" for two digests of one query. Plan-change notifications fire
+  /// on !SamePlan.
+  bool SamePlan(const PlanDigest& o) const;
 };
 
 /// What a PlanChangeEvent summarizes about old -> new.

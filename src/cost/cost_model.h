@@ -26,6 +26,8 @@ struct CostParams {
   double nl_pair_cpu = 0.25;    // per examined pair in a nested-loop join
   double output_row = 2.5;      // per produced join output row
   double index_ref = 8.0;       // fixed cost of opening an index handle
+
+  bool operator==(const CostParams&) const = default;
 };
 
 class CostModel {

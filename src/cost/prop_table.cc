@@ -26,8 +26,7 @@ PropId PropTable::Intern(const Prop& p) {
   return id;
 }
 
-std::string PropTable::ToString(PropId id, const QuerySpec* query) const {
-  const Prop& p = Get(id);
+std::string PropTable::Render(const Prop& p, const QuerySpec* query) {
   std::string col;
   if (p.kind != Prop::Kind::kNone) {
     if (query != nullptr) {

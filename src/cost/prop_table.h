@@ -40,7 +40,12 @@ class PropTable {
   const Prop& Get(PropId id) const { return props_[id]; }
   int size() const { return static_cast<int>(props_.size()); }
 
-  std::string ToString(PropId id, const QuerySpec* query = nullptr) const;
+  std::string ToString(PropId id, const QuerySpec* query = nullptr) const {
+    return Render(Get(id), query);
+  }
+  /// The rendering ToString uses, from content: `query` supplies relation
+  /// aliases ("r<slot>" without one).
+  static std::string Render(const Prop& p, const QuerySpec* query = nullptr);
 
  private:
   std::deque<Prop> props_;   // stable addresses: Get references never move

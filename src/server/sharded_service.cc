@@ -85,8 +85,6 @@ struct ShardedService::GroupQuery final : public PlanSubscriber {
   uint64_t id = 0;
   uint64_t world_key = 0;
   std::string options_name;
-  std::unique_ptr<SummaryCalculator> summaries;
-  std::unique_ptr<CostModel> cost_model;
   std::unique_ptr<DeclarativeOptimizer> optimizer;
   EventSink* sink = nullptr;
   /// Declared after the optimizer: released (unregistering from the
@@ -125,17 +123,21 @@ struct ShardedService::GroupQuery final : public PlanSubscriber {
 };
 
 /// One world: its catalog spec (kept for snapshots), the built world
-/// (which owns the query), the session, and the registered
-/// configurations. Destruction order matters: queries release their
-/// handles first, then the session unsubscribes from the registry, then
-/// the world dies.
+/// (which owns the query), the one summary calculator and cost model every
+/// configuration prices plans with, the registered configurations and the
+/// session. Destruction order matters: the session dies first (detaching
+/// from the optimizers and unsubscribing from the registry; the handles
+/// then no-op instead of detaching memos nobody will read), then the
+/// configurations, then the cost model, then the world.
 struct ShardedService::Group {
   uint64_t world_key = 0;
   uint64_t fingerprint = 0;
   CatalogSpec catalog;
   std::unique_ptr<QueryContext> world;
-  std::unique_ptr<ReoptSession> session;
+  std::unique_ptr<SummaryCalculator> summaries;
+  std::unique_ptr<CostModel> cost_model;
   std::vector<std::unique_ptr<GroupQuery>> queries;  // registration order
+  std::unique_ptr<ReoptSession> session;
 };
 
 /// One shard's worlds, summed on its thread.
@@ -143,6 +145,7 @@ struct ShardedService::ShardTotals {
   ReoptSessionMetrics sessions;
   size_t worlds = 0;
   size_t queries = 0;
+  size_t memos = 0;
 };
 
 struct ShardedService::Shard {
@@ -327,6 +330,8 @@ std::unique_ptr<ShardedService::Group> ShardedService::NewGroup(uint64_t world_k
   group->fingerprint = WorldFingerprint(catalog, query);
   group->world = BuildWorld(catalog, std::move(query));
   group->catalog = std::move(catalog);
+  group->summaries = std::make_unique<SummaryCalculator>(&group->world->registry);
+  group->cost_model = std::make_unique<CostModel>(group->summaries.get());
   ReoptSessionOptions so;
   so.per_query_work_budget = options_.per_query_work_budget;
   so.memo_byte_budget = options_.memo_byte_budget;
@@ -345,10 +350,8 @@ std::unique_ptr<ShardedService::GroupQuery> ShardedService::NewQuery(const Group
   auto q = std::make_unique<GroupQuery>();
   q->world_key = group.world_key;
   q->options_name = std::move(options_name);
-  q->summaries = std::make_unique<SummaryCalculator>(&group.world->registry);
-  q->cost_model = std::make_unique<CostModel>(q->summaries.get());
   q->optimizer = std::make_unique<DeclarativeOptimizer>(
-      group.world->enumerator.get(), q->cost_model.get(), &group.world->registry, options);
+      group.world->enumerator.get(), group.cost_model.get(), &group.world->registry, options);
   return q;
 }
 
@@ -407,7 +410,18 @@ ShardedService::RegisterResult ShardedService::RegisterOnShard(
                        "world key reused with different catalog/query specs");
   }
   auto q = NewQuery(*group, options_name);
-  q->optimizer->Optimize();
+  // One memo per distinct question: a configuration some live registration
+  // already asks shares that memo (the session joins it to the memo's
+  // slot), so only a new question pays for Optimize().
+  const auto peer = std::find_if(
+      group->queries.begin(), group->queries.end(), [&q](const auto& p) {
+        return p->optimizer->optimized() && p->optimizer->CanShareStateWith(*q->optimizer);
+      });
+  if (peer != group->queries.end()) {
+    q->optimizer->ShareStateWith(*(*peer)->optimizer);
+  } else {
+    q->optimizer->Optimize();
+  }
   q->sink = sink;
   IndexQuery(shard_idx, *group, q.get());
   q->handle = group->session->Register(*q->optimizer, q.get());
@@ -682,6 +696,7 @@ std::vector<ShardedService::ShardTotals> ShardedService::CollectTotals() {
     for (auto& [key, group] : shards_[i]->groups) {
       AddSessionMetrics(&t.sessions, group->session->metrics());
       t.queries += group->queries.size();
+      t.memos += static_cast<size_t>(group->session->num_memos());
     }
     return t;
   });
@@ -691,9 +706,11 @@ std::string ShardedService::MetricsText() {
   const std::vector<ShardTotals> totals = CollectTotals();
   ReoptSessionMetrics sum;
   size_t worlds = 0;
+  size_t memos = 0;
   for (const ShardTotals& t : totals) {
     AddSessionMetrics(&sum, t.sessions);
     worlds += t.worlds;
+    memos += t.memos;
   }
   std::string out = PrometheusSessionText(sum, "");
   char buf[96];
@@ -705,6 +722,10 @@ std::string ShardedService::MetricsText() {
   out += buf;
   out += "# TYPE iqro_service_queries gauge\n";
   std::snprintf(buf, sizeof(buf), "iqro_service_queries %zu\n", num_queries());
+  out += buf;
+  // Distinct memos the queries share: queries / memos is the sharing factor.
+  out += "# TYPE iqro_service_memos gauge\n";
+  std::snprintf(buf, sizeof(buf), "iqro_service_memos %zu\n", memos);
   out += buf;
   out += "# TYPE iqro_shard_queries gauge\n";
   for (uint32_t i = 0; i < totals.size(); ++i) {
@@ -720,6 +741,7 @@ ShardedServiceStats ShardedService::Stats() {
   for (const ShardTotals& t : CollectTotals()) {
     stats.worlds += static_cast<int64_t>(t.worlds);
     stats.queries += static_cast<int64_t>(t.queries);
+    stats.memos += static_cast<int64_t>(t.memos);
     stats.flushes += t.sessions.flushes;
     stats.changes_flushed += t.sessions.changes_flushed;
     stats.plan_changes += t.sessions.plan_changes;

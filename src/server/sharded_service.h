@@ -10,9 +10,11 @@
 // *query* within a world is one DeclarativeOptimizer configuration (a
 // named OptimizerOptions set, workload/world.h NamedOptionSets)
 // registered in that world's session — the scope-overlap storm idiom
-// (src/testing/scenario_class.cc): many optimizer configs sharing
-// one registry, each with its own SummaryCalculator/CostModel so the
-// session's SharedSummaryCache stays the only cross-query sharing edge.
+// (src/testing/scenario_class.cc): many optimizer configs sharing one
+// registry and the world's one SummaryCalculator/CostModel. Queries with
+// the same option set ask the same question, so they share one memo: the
+// session runs one pass per distinct memo, and a registration that joins
+// a live memo skips Optimize().
 //
 // Worlds are assigned to shards by ShardOfWorld(world_key, scope_mask):
 // FNV-1a64 over the key and the query's relation mask, mod num_shards —
@@ -125,6 +127,7 @@ struct ShardedServiceOptions {
 struct ShardedServiceStats {
   int64_t worlds = 0;
   int64_t queries = 0;
+  int64_t memos = 0;  // distinct memos the queries share (<= queries)
   int64_t flushes = 0;
   int64_t changes_flushed = 0;
   int64_t plan_changes = 0;

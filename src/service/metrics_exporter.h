@@ -1,19 +1,15 @@
 // MetricsExporter: the session's flush-level counters, wired out.
 //
-// ReoptSession::last_flush() has always exposed the most recent flush's
-// aggregated OptMetrics, but nothing *collected* the sequence — the
-// ROADMAP's "wire it to a reporter" item. A MetricsExporter attached via
-// ReoptSessionOptions receives one FlushReport per dispatched (non-empty)
-// flush, on the flushing thread, after subscribers have been notified; the
-// shipped JsonMetricsExporter accumulates them into the same JSON dialect
-// the bench reports use (bench_util/json_report), so flush trajectories
-// land next to BENCH_*.json artifacts and diff the same way.
+// A MetricsExporter attached via ReoptSessionOptions receives one
+// FlushReport per dispatched (non-empty) flush, on the flushing thread,
+// after subscribers have been notified. The JSON exporter the benches use
+// lives with the bench reporting code (bench_util/json_metrics_exporter.h),
+// so the service layer does not depend on it.
 #ifndef IQRO_SERVICE_METRICS_EXPORTER_H_
 #define IQRO_SERVICE_METRICS_EXPORTER_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "service/session_metrics.h"
 
@@ -29,7 +25,7 @@ struct FlushReport {
   uint64_t flush_epoch = 0;
   /// Coalesced StatChanges dispatched (> 0 by construction).
   int64_t changes = 0;
-  /// Registered queries at dispatch time / queries the prefilter skipped.
+  /// Registered queries at dispatch time / memos the prefilter skipped.
   int64_t queries = 0;
   int64_t queries_skipped = 0;
   /// PlanChangeEvents delivered by this flush.
@@ -79,28 +75,6 @@ class MetricsExporter {
   /// session, mutate the registry, or throw (invoked from the flush
   /// epilogue's destructor).
   virtual void OnFlushMetrics(const FlushReport& report) = 0;
-};
-
-/// Accumulates FlushReports and renders them as a JSON array (insertion
-/// order == flush order) via bench_util's serializer. Not thread-safe
-/// beyond the session contract (one flush at a time); attach one exporter
-/// per session.
-class JsonMetricsExporter final : public MetricsExporter {
- public:
-  void OnFlushMetrics(const FlushReport& report) override;
-
-  int64_t num_reports() const { return static_cast<int64_t>(reports_.size()); }
-  const std::vector<FlushReport>& reports() const { return reports_; }
-
-  /// The accumulated reports as a JSON array literal.
-  std::string ToJson() const;
-
-  /// Writes `{"flushes": [...]}` to BENCH_<name>.json via
-  /// bench_util/json_report (honors $IQRO_BENCH_OUT_DIR).
-  void WriteBenchReport(const std::string& name) const;
-
- private:
-  std::vector<FlushReport> reports_;
 };
 
 }  // namespace iqro

@@ -11,6 +11,19 @@
 
 namespace iqro {
 
+namespace {
+
+/// Restores registration order (query ids ascend with registration) over
+/// the events appended from index `from` on: the phases that build them
+/// walk memos, and each memo's handles in turn.
+template <typename Event>
+void SortByQuery(std::vector<Event>* events, size_t from) {
+  std::stable_sort(events->begin() + static_cast<std::ptrdiff_t>(from), events->end(),
+                   [](const Event& a, const Event& b) { return a.query < b.query; });
+}
+
+}  // namespace
+
 ReoptSession::ReoptSession(StatsRegistry* registry, ReoptSessionOptions options)
     : registry_(registry), options_(std::move(options)),
       alive_(std::make_shared<bool>(true)) {
@@ -25,8 +38,11 @@ ReoptSession::ReoptSession(StatsRegistry* registry, ReoptSessionOptions options)
 
 ReoptSession::~ReoptSession() {
   // Registered optimizers outlive the session, the summary store does not:
-  // detach every remaining calculator before it goes away.
-  for (Slot& slot : queries_) slot.optimizer->AttachSharedSummaryCache(nullptr);
+  // detach every remaining calculator before it goes away. Optimizers that
+  // shared a memo keep sharing it; no session maintains it any more.
+  for (Slot& slot : slots_) {
+    for (Handle& h : slot.handles) h.optimizer->AttachSharedSummaryCache(nullptr);
+  }
   // Flip the handle liveness token next: a handle destroyed after this
   // point must no-op instead of calling back into a dying session.
   *alive_ = false;
@@ -36,7 +52,7 @@ ReoptSession::~ReoptSession() {
 ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer,
                                                  PlanSubscriber* subscriber) {
   IQRO_CHECK(optimizer != nullptr);
-  // Growing queries_ mid-notification would invalidate the event walk; the
+  // Growing slots_ mid-notification would invalidate the event walk; the
   // reentrancy rules forbid it (docs/API.md).
   IQRO_CHECK(!notifying_);
   // The session dispatches drained change lists; an optimizer wired to a
@@ -49,25 +65,28 @@ ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer
   // forever. Pending-but-undrained changes are fine (the next flush seeds
   // them), as is being *ahead* of the last drain.
   IQRO_CHECK(optimizer->stats_epoch() >= registry_->drained_epoch());
-  Slot slot;
-  slot.id = next_id_;
-  slot.optimizer = optimizer;
+  // One memo per distinct question: an optimizer that can share a live
+  // memo drops its own state and joins that memo's slot. Both states are
+  // exact w.r.t. the statistics they were last brought to, and the next
+  // flush seeds whatever is pending into the shared one.
+  Slot* slot = ShareableSlot(*optimizer);
+  if (slot != nullptr) {
+    optimizer->ShareStateWith(slot->optimizer());
+  } else {
+    slot = &slots_.emplace_back();
+  }
   // Fresh registrations start "just touched" on the LRU clock: budget
-  // enforcement prefers spilling genuinely dormant peers first.
-  slot.last_active_tick = ticks_.load(std::memory_order_relaxed);
+  // enforcement prefers spilling genuinely dormant memos first.
+  slot->last_active_tick = ticks_.load(std::memory_order_relaxed);
+  Handle h;
+  h.id = next_id_;
+  h.optimizer = optimizer;
   if (subscriber != nullptr) {
-    slot.subscriber = subscriber;
-    slot.digest = optimizer->ComputePlanDigest();
+    h.subscriber = subscriber;
+    h.digest = optimizer->ComputePlanDigest();
   }
-  queries_.push_back(std::move(slot));
-  // Cross-query summary sharing: point every registered calculator at the
-  // session's epoch-keyed store (sound — same registry, checked above).
-  // The store is internally locked. Only attached from the second query
-  // on: a single-query session has nobody to share with, so it skips the
-  // store's lock traffic entirely.
-  if (queries_.size() >= 2) {
-    for (Slot& s : queries_) s.optimizer->AttachSharedSummaryCache(&summary_cache_);
-  }
+  slot->handles.push_back(std::move(h));
+  AttachSummaryCaches();
   // The resident gauge tracks the live set exactly — not just at flush
   // boundaries: a registration grows it immediately, so a monitor reading
   // metrics() between flushes never sees a stale total.
@@ -81,39 +100,74 @@ QueryHandle ReoptSession::Register(DeclarativeOptimizer& optimizer,
   return QueryHandle(this, id, &optimizer, alive_);
 }
 
-ReoptSession::Slot* ReoptSession::FindSlot(QueryId id) {
-  auto it = std::find_if(queries_.begin(), queries_.end(),
-                         [id](const Slot& s) { return s.id == id; });
-  return it == queries_.end() ? nullptr : &*it;
+std::pair<ReoptSession::Slot*, ReoptSession::Handle*> ReoptSession::Find(QueryId id) {
+  for (Slot& slot : slots_) {
+    for (Handle& h : slot.handles) {
+      if (h.id == id) return {&slot, &h};
+    }
+  }
+  return {nullptr, nullptr};
 }
 
-const ReoptSession::Slot* ReoptSession::FindSlot(QueryId id) const {
-  auto it = std::find_if(queries_.begin(), queries_.end(),
-                         [id](const Slot& s) { return s.id == id; });
-  return it == queries_.end() ? nullptr : &*it;
+const ReoptSession::Slot* ReoptSession::SlotOf(QueryId id) const {
+  for (const Slot& slot : slots_) {
+    for (const Handle& h : slot.handles) {
+      if (h.id == id) return &slot;
+    }
+  }
+  return nullptr;
+}
+
+ReoptSession::Slot* ReoptSession::ShareableSlot(const DeclarativeOptimizer& optimizer) {
+  for (Slot& slot : slots_) {
+    if (slot.resident() && slot.optimizer().CanShareStateWith(optimizer)) return &slot;
+  }
+  return nullptr;
+}
+
+void ReoptSession::AttachSummaryCaches() {
+  // Cross-memo summary sharing: point every registered calculator at the
+  // session's epoch-keyed store (sound — same registry, checked at
+  // Register). Only attached from the second memo on: with one memo every
+  // pass runs through one calculator, so there is nobody to share with
+  // and the store's lock traffic would buy nothing.
+  SummarySharedCache* shared = slots_.size() >= 2 ? &summary_cache_ : nullptr;
+  for (Slot& slot : slots_) {
+    for (Handle& h : slot.handles) h.optimizer->AttachSharedSummaryCache(shared);
+  }
+}
+
+int ReoptSession::num_queries() const {
+  int n = 0;
+  for (const Slot& s : slots_) n += static_cast<int>(s.handles.size());
+  return n;
 }
 
 QueryState ReoptSession::query_state(QueryId id) const {
-  const Slot* slot = FindSlot(id);
+  const Slot* slot = SlotOf(id);
   IQRO_CHECK(slot != nullptr);
   return slot->state;
 }
 
 int ReoptSession::num_quarantined() const {
   int n = 0;
-  for (const Slot& s : queries_) n += s.state == QueryState::kQuarantined ? 1 : 0;
+  for (const Slot& s : slots_) {
+    if (s.state == QueryState::kQuarantined) n += static_cast<int>(s.handles.size());
+  }
   return n;
 }
 
 int ReoptSession::num_parked() const {
   int n = 0;
-  for (const Slot& s : queries_) n += s.state == QueryState::kParked ? 1 : 0;
+  for (const Slot& s : slots_) {
+    if (s.state == QueryState::kParked) n += static_cast<int>(s.handles.size());
+  }
   return n;
 }
 
 void ReoptSession::UnregisterImpl(QueryId id) {
-  Slot* slot = FindSlot(id);
-  IQRO_CHECK(slot != nullptr);
+  auto [slot, handle] = Find(id);
+  IQRO_CHECK(handle != nullptr);
   if (notifying_) {
     // Unregistration from inside a subscriber callback is DEFERRED to the
     // end of the in-flight flush: the flush's remaining events (including
@@ -124,14 +178,21 @@ void ReoptSession::UnregisterImpl(QueryId id) {
     deferred_unregister_.push_back(id);
     return;
   }
+  DeclarativeOptimizer* optimizer = handle->optimizer;
   // The summary store dies with the session; the optimizer may not.
-  slot->optimizer->AttachSharedSummaryCache(nullptr);
-  queries_.erase(queries_.begin() + (slot - queries_.data()));
-  // Down to one query: nobody left to share with — detach the survivor so
-  // it stops paying the shared store's lock traffic.
-  if (queries_.size() == 1) {
-    queries_.front().optimizer->AttachSharedSummaryCache(nullptr);
+  optimizer->AttachSharedSummaryCache(nullptr);
+  if (slot->handles.size() > 1) {
+    slot->handles.erase(slot->handles.begin() + (handle - slot->handles.data()));
+    // The memo stays live for the other handles. The released optimizer
+    // leaves with a private, exact copy, so nothing its owner does with
+    // it afterwards can reach the session.
+    optimizer->DetachState();
+  } else {
+    slots_.erase(slots_.begin() + (slot - slots_.data()));
   }
+  // Re-attach the survivors (they may share the released optimizer's
+  // calculator), or detach them all when one memo is left.
+  AttachSummaryCaches();
   // Shrink the resident gauge NOW, not at the next dispatched flush: a
   // release followed by a coalesced-to-empty flush used to leave the dead
   // query's memo counted until the next real dispatch ran budget
@@ -142,32 +203,32 @@ void ReoptSession::UnregisterImpl(QueryId id) {
 }
 
 void ReoptSession::SetSubscriber(QueryId id, PlanSubscriber* subscriber) {
-  Slot* slot = FindSlot(id);
-  IQRO_CHECK(slot != nullptr);
-  slot->subscriber = subscriber;
+  auto [slot, h] = Find(id);
+  IQRO_CHECK(h != nullptr);
+  h->subscriber = subscriber;
   // Every (re)subscription is a new generation: a pending event computed
   // for an older generation never delivers, even to the same pointer. Any
   // pending rediff dies with the old subscription (the new baseline is
   // captured fresh below).
-  ++slot->subscription_gen;
-  slot->rediff_pending = false;
+  ++h->subscription_gen;
+  h->rediff_pending = false;
   if (subscriber != nullptr && slot->state == QueryState::kHealthy && !slot->evicted) {
     // The plan as of *now* is the baseline: the first event this
     // subscriber sees describes a change relative to the plan it attached
     // under, never a replay of older history.
-    slot->digest = slot->optimizer->ComputePlanDigest();
+    h->digest = h->optimizer->ComputePlanDigest();
   } else {
     // Detach — or an attach to a quarantined/evicted query, whose
-    // torn-down optimizer has no plan to baseline against: the empty
-    // digest plus the forced re-diff (at rehabilitation, or at the
-    // rehydrating flush) makes the first post-recovery event describe
-    // everything since attach.
-    slot->digest = PlanDigest{};
+    // torn-down memo has no plan to baseline against: the empty digest
+    // plus the forced re-diff (at rehabilitation, or at the rehydrating
+    // flush) makes the first post-recovery event describe everything since
+    // attach.
+    h->digest = PlanDigest{};
     if (subscriber != nullptr && slot->evicted) {
       // The pending re-diff also *triggers* the rehydration: the next
       // flush restores the memo and re-derives the digest even when its
       // batch cannot affect this query.
-      slot->rediff_pending = true;
+      h->rediff_pending = true;
     }
   }
 }
@@ -249,13 +310,14 @@ void ReoptSession::RecordStrike(Slot& slot, const std::exception_ptr& err, uint6
   // possibly short one drained batch, which is unrecoverable incrementally
   // (the drained deltas are gone): pin it to the one canonical quarantined
   // state so nothing reads a maybe-stale plan.
-  if (slot.optimizer->optimized()) slot.optimizer->Invalidate();
+  // The memo is shared, so every handle of the slot is quarantined with it.
+  if (slot.optimizer().optimized()) slot.optimizer().Invalidate();
   slot.state = QueryState::kQuarantined;
   ++slot.strikes;
-  // The digest BASELINE is kept (last plan the subscriber saw); only the
-  // unsettled-event flag is dropped — no digest exists to re-diff until a
-  // rebuild restores one.
-  slot.rediff_pending = false;
+  // The digest BASELINES are kept (last plan each subscriber saw); only
+  // the unsettled-event flags are dropped — no digest exists to re-diff
+  // until a rebuild restores one.
+  for (Handle& h : slot.handles) h.rediff_pending = false;
   ++metrics_.quarantines;
   ++*strikes;
   bool parked = false;
@@ -274,17 +336,18 @@ void ReoptSession::RecordStrike(Slot& slot, const std::exception_ptr& err, uint6
     backoff = std::min(backoff, options_.quarantine_backoff_cap_ticks);
     slot.eligible_at_tick = ticks_.load(std::memory_order_relaxed) + backoff;
   }
-  if (slot.subscriber != nullptr) {
+  for (const Handle& h : slot.handles) {
+    if (h.subscriber == nullptr) continue;
     ServiceEvent se;
     se.kind = ServiceEvent::Kind::kQuarantined;
-    se.query = slot.id;
-    se.computed_gen = slot.subscription_gen;
-    se.quarantined.query_id = slot.id;
-    se.quarantined.optimizer = slot.optimizer;
+    se.query = h.id;
+    se.computed_gen = h.subscription_gen;
+    se.quarantined.query_id = h.id;
+    se.quarantined.optimizer = h.optimizer;
     se.quarantined.flush_epoch = epoch;
     se.quarantined.flush_index = metrics_.flushes;
     se.quarantined.reason = reason;
-    se.quarantined.message = std::move(message);
+    se.quarantined.message = message;
     se.quarantined.strikes = slot.strikes;
     se.quarantined.parked = parked;
     se.quarantined.retry_in_ticks = backoff;
@@ -299,7 +362,8 @@ void ReoptSession::AttemptRehabs(uint64_t epoch, std::vector<ServiceEvent>* even
       next_rehab_tick_.load(std::memory_order_relaxed) > tick) {
     return;
   }
-  for (Slot& slot : queries_) {
+  const size_t first_event = events->size();
+  for (Slot& slot : slots_) {
     if (slot.state != QueryState::kQuarantined || slot.eligible_at_tick > tick) continue;
     try {
       // Same freeze the dispatch window uses: the rebuild reads the
@@ -307,24 +371,25 @@ void ReoptSession::AttemptRehabs(uint64_t epoch, std::vector<ServiceEvent>* even
       // per rebuild so a long rebuild chain doesn't starve mutators of
       // the whole window at once.
       auto stats_frozen = registry_->ReaderLock();
-      slot.optimizer->RebuildFromScratch();
+      slot.optimizer().RebuildFromScratch();
       slot.state = QueryState::kHealthy;
       const int cleared = slot.strikes;
       slot.strikes = 0;
       slot.eligible_at_tick = 0;
       ++metrics_.rehabilitations;
       ++*rehabs;
-      if (slot.subscriber != nullptr) {
+      for (Handle& h : slot.handles) {
+        if (h.subscriber == nullptr) continue;
         // The pre-quarantine baseline was kept: force a re-diff so THIS
         // flush fires exactly one PlanChangeEvent iff the rebuilt plan
         // differs from the last one the subscriber actually saw.
-        slot.rediff_pending = true;
+        h.rediff_pending = true;
         ServiceEvent se;
         se.kind = ServiceEvent::Kind::kRehabilitated;
-        se.query = slot.id;
-        se.computed_gen = slot.subscription_gen;
-        se.rehabilitated.query_id = slot.id;
-        se.rehabilitated.optimizer = slot.optimizer;
+        se.query = h.id;
+        se.computed_gen = h.subscription_gen;
+        se.rehabilitated.query_id = h.id;
+        se.rehabilitated.optimizer = h.optimizer;
         se.rehabilitated.flush_epoch = epoch;
         se.rehabilitated.flush_index = metrics_.flushes;
         se.rehabilitated.strikes_cleared = cleared;
@@ -336,13 +401,14 @@ void ReoptSession::AttemptRehabs(uint64_t epoch, std::vector<ServiceEvent>* even
       RecordStrike(slot, std::current_exception(), epoch, events, strikes);
     }
   }
+  SortByQuery(events, first_event);
   RefreshQuarantineIndex();
 }
 
 void ReoptSession::RefreshQuarantineIndex() {
   int64_t n = 0;
   int64_t next = std::numeric_limits<int64_t>::max();
-  for (const Slot& s : queries_) {
+  for (const Slot& s : slots_) {
     if (s.state != QueryState::kQuarantined) continue;
     ++n;
     next = std::min(next, s.eligible_at_tick);
@@ -356,20 +422,22 @@ void ReoptSession::RefreshQuarantineIndex() {
 // ---------------------------------------------------------------------------
 
 void ReoptSession::EvictSlot(Slot& slot) {
+  DeclarativeOptimizer& memo = slot.optimizer();
   slot.seed.clear();
-  slot.optimizer->SerializeState(&slot.seed);
-  slot.seed_epoch = slot.optimizer->stats_epoch();
-  slot.optimizer->Invalidate();
+  memo.SerializeState(&slot.seed);
+  slot.seed_epoch = memo.stats_epoch();
+  memo.Invalidate();
   slot.evicted = true;
-  // The digest BASELINE is kept, exactly as for a quarantine: rehydration
-  // restores the identical plan, so the next diff describes only changes
-  // the subscriber has not seen. An unsettled re-diff stays pending — it
-  // will trigger (and be satisfied by) the rehydrating flush.
+  // The digest BASELINES are kept, exactly as for a quarantine:
+  // rehydration restores the identical plan, so the next diff describes
+  // only changes the subscribers have not seen. An unsettled re-diff stays
+  // pending — it will trigger (and be satisfied by) the rehydrating flush.
   ++metrics_.evictions;
 }
 
 bool ReoptSession::RehydrateSlot(Slot& slot, uint64_t epoch,
                                  std::vector<ServiceEvent>* events, int64_t* strikes) {
+  DeclarativeOptimizer& memo = slot.optimizer();
   try {
     // Same statistics freeze the rehab rebuilds use: the fallback rebuild
     // reads the statistics values directly. (The seed restore itself reads
@@ -377,12 +445,12 @@ bool ReoptSession::RehydrateSlot(Slot& slot, uint64_t epoch,
     // paths indistinguishable to racing mutators.)
     auto stats_frozen = registry_->ReaderLock();
     try {
-      slot.optimizer->RestoreState(slot.seed, slot.seed_epoch);
+      memo.RestoreState(slot.seed, slot.seed_epoch);
     } catch (const SerializeError&) {
       // Seed unusable (corruption, an options change since eviction): the
       // from-scratch path is the fallback, never an outage. The restore
       // already tore back down, so the rebuild starts clean.
-      slot.optimizer->RebuildFromScratch();
+      memo.RebuildFromScratch();
     }
     slot.evicted = false;
     slot.seed.clear();
@@ -393,7 +461,7 @@ bool ReoptSession::RehydrateSlot(Slot& slot, uint64_t epoch,
     return true;
   } catch (...) {
     // Even the rebuild failed: this is a failed rebuild like any other —
-    // the query leaves eviction into quarantine (its seed is gone; the
+    // the memo leaves eviction into quarantine (its seed is gone; the
     // rehab path owns recovery from here).
     slot.evicted = false;
     slot.seed.clear();
@@ -406,10 +474,8 @@ bool ReoptSession::RehydrateSlot(Slot& slot, uint64_t epoch,
 
 size_t ReoptSession::ComputeResidentBytes() const {
   size_t total = 0;
-  for (const Slot& s : queries_) {
-    if (s.state == QueryState::kHealthy && !s.evicted && s.optimizer->optimized()) {
-      total += s.optimizer->EstimatedMemoBytes();
-    }
+  for (const Slot& s : slots_) {
+    if (s.resident()) total += s.optimizer().EstimatedMemoBytes();
   }
   return total;
 }
@@ -418,20 +484,18 @@ void ReoptSession::EnforceMemoBudget(int64_t* evictions_this_flush) {
   size_t resident = ComputeResidentBytes();
   if (options_.memo_byte_budget > 0) {
     while (resident > options_.memo_byte_budget) {
-      // LRU victim: the evictable query least recently affected by a
-      // flush (ties break toward the earliest registration — stable and
+      // LRU victim: the resident memo least recently affected by a flush
+      // (ties break toward the earliest registration — stable and
       // deterministic, which the differential harness relies on).
       Slot* victim = nullptr;
-      for (Slot& s : queries_) {
-        if (s.state != QueryState::kHealthy || s.evicted || !s.optimizer->optimized()) {
-          continue;
-        }
+      for (Slot& s : slots_) {
+        if (!s.resident()) continue;
         if (victim == nullptr || s.last_active_tick < victim->last_active_tick) {
           victim = &s;
         }
       }
       if (victim == nullptr) break;  // nothing left to spill
-      const size_t bytes = victim->optimizer->EstimatedMemoBytes();
+      const size_t bytes = victim->optimizer().EstimatedMemoBytes();
       EvictSlot(*victim);
       if (evictions_this_flush != nullptr) ++*evictions_this_flush;
       resident -= std::min(resident, bytes);
@@ -442,12 +506,9 @@ void ReoptSession::EnforceMemoBudget(int64_t* evictions_this_flush) {
 
 bool ReoptSession::EvictQuery(QueryId id) {
   IQRO_CHECK(!notifying_);
-  Slot* slot = FindSlot(id);
+  Slot* slot = Find(id).first;
   IQRO_CHECK(slot != nullptr);
-  if (slot->state != QueryState::kHealthy || slot->evicted ||
-      !slot->optimizer->optimized()) {
-    return false;
-  }
+  if (!slot->resident()) return false;
   EvictSlot(*slot);
   metrics_.resident_memo_bytes = static_cast<int64_t>(ComputeResidentBytes());
   return true;
@@ -455,7 +516,7 @@ bool ReoptSession::EvictQuery(QueryId id) {
 
 bool ReoptSession::RehydrateQuery(QueryId id) {
   IQRO_CHECK(!notifying_);
-  Slot* slot = FindSlot(id);
+  Slot* slot = Find(id).first;
   IQRO_CHECK(slot != nullptr);
   if (!slot->evicted) return false;
   // A manual rehydration outside a flush has no batch epoch or event
@@ -472,7 +533,7 @@ bool ReoptSession::RehydrateQuery(QueryId id) {
 
 int ReoptSession::num_evicted() const {
   int n = 0;
-  for (const Slot& s : queries_) n += s.evicted ? 1 : 0;
+  for (const Slot& s : slots_) n += s.evicted ? static_cast<int>(s.handles.size()) : 0;
   return n;
 }
 
@@ -501,7 +562,11 @@ void ReoptSession::SaveSnapshot(const std::string& path) {
     registry_->SerializeState(&stats);
     writer.AddSection(kStatsSection, std::move(stats));
   }
-  for (Slot& slot : queries_) {
+  // One record per handle, in registration order; the handles of one memo
+  // carry the same record.
+  std::vector<std::string> records;
+  std::vector<std::pair<QueryId, size_t>> order;  // handle id -> record
+  for (Slot& slot : slots_) {
     std::string payload;
     ByteWriter w(&payload);
     if (slot.evicted) {
@@ -510,11 +575,11 @@ void ReoptSession::SaveSnapshot(const std::string& path) {
       w.PutU64(slot.seed_epoch);
       w.PutU64(slot.seed.size());
       w.PutBytes(slot.seed.data(), slot.seed.size());
-    } else if (slot.state == QueryState::kHealthy && slot.optimizer->optimized()) {
+    } else if (slot.resident()) {
       std::string seed;
-      slot.optimizer->SerializeState(&seed);
+      slot.optimizer().SerializeState(&seed);
       w.PutU8(kQueryWarm);
-      w.PutU64(slot.optimizer->stats_epoch());
+      w.PutU64(slot.optimizer().stats_epoch());
       w.PutU64(seed.size());
       w.PutBytes(seed.data(), seed.size());
     } else {
@@ -523,15 +588,18 @@ void ReoptSession::SaveSnapshot(const std::string& path) {
       // exactly what its recovery owed it anyway).
       w.PutU8(kQueryCold);
     }
-    writer.AddSection(kQuerySection, std::move(payload));
+    for (const Handle& h : slot.handles) order.emplace_back(h.id, records.size());
+    records.push_back(std::move(payload));
   }
+  std::sort(order.begin(), order.end());
+  for (const auto& [id, record] : order) writer.AddSection(kQuerySection, records[record]);
   writer.WriteAtomic(path);
 }
 
 std::vector<QueryHandle> ReoptSession::LoadSnapshot(
     const std::string& path, const std::vector<DeclarativeOptimizer*>& optimizers) {
   IQRO_CHECK(!notifying_);
-  IQRO_CHECK(queries_.empty());
+  IQRO_CHECK(slots_.empty());
   // The reader checksums and frames every section before returning, and
   // the record parse below touches no session state: any rejection throws
   // with the world fully intact (callers fall back to from-scratch).
@@ -597,7 +665,11 @@ std::vector<QueryHandle> ReoptSession::LoadSnapshot(
     DeclarativeOptimizer* optimizer = optimizers[i];
     IQRO_CHECK(optimizer != nullptr);
     IQRO_CHECK(optimizer->registry() == registry_);
-    {
+    // A query whose memo an earlier record already restored shares it
+    // instead of restoring a copy (RegisterImpl joins the slot).
+    if (Slot* live = ShareableSlot(*optimizer); live != nullptr) {
+      optimizer->ShareStateWith(live->optimizer());
+    } else {
       auto stats_frozen = registry_->ReaderLock();
       bool restored = false;
       if (records[i].warm) {
@@ -672,24 +744,29 @@ size_t ReoptSession::Flush() {
   // torn-down memo has no digest to re-derive).
   int64_t evictions_this_flush = 0;
   int64_t rehydrations_this_flush = 0;
-  for (Slot& slot : queries_) {
+  const auto rediff_owed = [](const Slot& s) {
+    return std::any_of(s.handles.begin(), s.handles.end(),
+                       [](const Handle& h) { return h.rediff_pending; });
+  };
+  const size_t first_rehydration_event = service_events.size();
+  for (Slot& slot : slots_) {
     if (!slot.evicted) continue;
-    const RelSet root = slot.optimizer->RootRelations();
+    const RelSet root = slot.optimizer().RootRelations();
     const bool relevant =
         std::any_of(batch.changes.begin(), batch.changes.end(),
                     [root](const StatChange& c) { return RelIsSubset(c.scope, root); });
-    if (!relevant && !slot.rediff_pending) continue;
+    if (!relevant && !rediff_owed(slot)) continue;
     if (RehydrateSlot(slot, batch.epoch, &service_events, &strikes_this_flush)) {
       ++rehydrations_this_flush;
     }
   }
+  SortByQuery(&service_events, first_rehydration_event);
 
   // An unsettled baseline (a prior flush's delivery unwound before some
   // query's event, or a rehabilitation above) must be re-diffed by THIS
   // flush even when the batch coalesced to nothing — otherwise indefinite
   // net-zero churn would defer the dropped notification forever.
-  const bool rediff_needed = std::any_of(
-      queries_.begin(), queries_.end(), [](const Slot& s) { return s.rediff_pending; });
+  const bool rediff_needed = std::any_of(slots_.begin(), slots_.end(), rediff_owed);
   if (batch.changes.empty() && !rediff_needed && service_events.empty()) {
     // Either nothing was recorded, or the whole batch oscillated back to
     // its baseline and the coalescer absorbed it: no optimizer runs, no
@@ -720,13 +797,10 @@ size_t ReoptSession::Flush() {
 
   int64_t skipped_this_flush = 0;
   int64_t delivered = 0;
-  const int64_t queries_at_dispatch = static_cast<int64_t>(queries_.size());
+  const int64_t queries_at_dispatch = num_queries();
   // How many registered queries this flush will NOT dispatch because they
   // are quarantined or parked (the FlushReport snapshot).
-  const int64_t quarantined_at_dispatch =
-      static_cast<int64_t>(std::count_if(queries_.begin(), queries_.end(), [](const Slot& s) {
-        return s.state != QueryState::kHealthy;
-      }));
+  const int64_t quarantined_at_dispatch = num_quarantined() + num_parked();
   // The flush epilogue — metrics export and the policy's OnFlush history
   // feed — must run for every drained flush, whatever unwinds out of it
   // (a subscriber callback throwing during delivery). The exporter is
@@ -811,40 +885,48 @@ size_t ReoptSession::Flush() {
     bool armed = true;
     ~RediffOnUnwind() {
       if (!armed) return;
-      for (Slot& slot : session->queries_) {
-        // Evicted slots were not dispatched: their baseline is intact and
+      for (Slot& slot : session->slots_) {
+        // Evicted slots were not dispatched: their baselines are intact and
         // their torn-down memo could not satisfy a forced re-diff anyway.
-        if (slot.state == QueryState::kHealthy && !slot.evicted &&
-            slot.subscriber != nullptr) {
-          slot.rediff_pending = true;
+        if (slot.state != QueryState::kHealthy || slot.evicted) continue;
+        for (Handle& h : slot.handles) {
+          if (h.subscriber != nullptr) h.rediff_pending = true;
         }
       }
     }
   } rediff_guard{this};
 
   std::vector<PassResult> results;
-  results.reserve(queries_.size());
+  results.reserve(slots_.size());
   // Per-index failure capture: a throwing pass becomes a quarantine for
-  // THAT query after dispatch; it never unwinds the flush. (The drained
-  // batch is irrecoverable, so every other query must still receive its
-  // pass — otherwise the skipped queries would be stamped past deltas
-  // they never saw and diverge permanently.)
-  std::vector<std::exception_ptr> errors(queries_.size());
+  // THAT memo after dispatch; it never unwinds the flush. (The drained
+  // batch is irrecoverable, so every other memo must still receive its
+  // pass — otherwise the skipped memos would be stamped past deltas they
+  // never saw and diverge permanently.)
+  std::vector<std::exception_ptr> errors(slots_.size());
   {
     // Freeze the statistics values for the whole dispatch window: every
     // pass reads exactly the drained epoch's values; racing mutators block
     // here and land in the next batch.
     auto stats_frozen = registry_->ReaderLock();
-    for (size_t i = 0; i < queries_.size(); ++i) {
-      const Slot& slot = queries_[i];
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      const Slot& slot = slots_[i];
       if (slot.state != QueryState::kHealthy || slot.evicted) {
         results.push_back(PassResult{});
         continue;
       }
-      const bool want_digest = slot.subscriber != nullptr;
+      // One pass and at most one digest per memo, whatever its handle
+      // count; each subscribed handle diffs its own baseline below.
+      bool want_digest = false;
+      bool force_digest = false;
+      for (const Handle& h : slot.handles) {
+        if (h.subscriber == nullptr) continue;
+        want_digest = true;
+        force_digest = force_digest || h.rediff_pending;
+      }
       try {
-        results.push_back(RunPass(slot.optimizer, batch.changes, batch.epoch, want_digest,
-                                  want_digest && slot.rediff_pending));
+        results.push_back(
+            RunPass(&slot.optimizer(), batch.changes, batch.epoch, want_digest, force_digest));
       } catch (...) {
         errors[i] = std::current_exception();
         results.push_back(PassResult{});
@@ -876,12 +958,13 @@ size_t ReoptSession::Flush() {
     PlanChangeEvent event;
   };
   std::vector<PendingEvent> events;
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    Slot& slot = queries_[i];
+  const size_t first_dispatch_event = service_events.size();
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
     PassResult& r = results[i];
     if (errors[i] != nullptr) {
-      // Exactly this query failed: quarantine it; its peers notify
-      // normally below.
+      // Exactly this memo failed: quarantine it (every handle of it); its
+      // peers notify normally below.
       RecordStrike(slot, errors[i], batch.epoch, &service_events, &strikes_this_flush);
       continue;
     }
@@ -900,31 +983,35 @@ size_t ReoptSession::Flush() {
     } else {
       ++skipped_this_flush;
     }
-    if (slot.subscriber != nullptr && r.digest_computed) {
-      if (!slot.digest.SamePlan(r.digest)) {
+    if (!r.digest_computed) continue;
+    for (Handle& h : slot.handles) {
+      if (h.subscriber == nullptr) continue;
+      if (!h.digest.SamePlan(r.digest)) {
         PlanChangeEvent e;
-        e.query_id = slot.id;
-        e.optimizer = slot.optimizer;
+        e.query_id = h.id;
+        e.optimizer = h.optimizer;
         e.flush_epoch = batch.epoch;
         e.flush_index = metrics_.flushes;
-        e.old_cost = slot.digest.best_cost;
+        e.old_cost = h.digest.best_cost;
         e.new_cost = r.digest.best_cost;
-        e.diff = DiffPlanDigests(slot.digest, r.digest);
-        events.push_back({slot.id, slot.subscription_gen, std::move(r.digest), std::move(e)});
+        e.diff = DiffPlanDigests(h.digest, r.digest);
+        events.push_back({h.id, h.subscription_gen, r.digest, std::move(e)});
         // Cleared when the event settles; if delivery unwinds first, the
-        // flag makes the next flush re-derive this query's digest even
+        // flag makes the next flush re-derive the memo's digest even
         // when the batch cannot affect it (RunPass force_digest).
-        slot.rediff_pending = true;
+        h.rediff_pending = true;
       } else {
         // No event: the post-flush closure becomes the baseline now. For
-        // slots WITH an event the advance waits until the event settles
+        // handles WITH an event the advance waits until the event settles
         // in the delivery loop (see PendingEvent::new_digest). A pending
         // rediff that finds the plan back at the baseline is moot.
-        slot.digest = std::move(r.digest);
-        slot.rediff_pending = false;
+        h.digest = r.digest;
+        h.rediff_pending = false;
       }
     }
   }
+  SortByQuery(&service_events, first_dispatch_event);
+  SortByQuery(&events, 0);
   // Dispatch-phase strikes changed the quarantine set: refresh the
   // Poll-readable index before delivery can re-enter anything.
   RefreshQuarantineIndex();
@@ -955,27 +1042,27 @@ size_t ReoptSession::Flush() {
     } notify_guard{this};
     notifying_ = true;
     for (ServiceEvent& se : service_events) {
-      Slot* slot = FindSlot(se.query);  // slots are stable: unregisters defer
-      if (slot == nullptr || slot->subscriber == nullptr) continue;
-      if (slot->subscription_gen != se.computed_gen) continue;
+      Handle* h = Find(se.query).second;  // slots are stable: unregisters defer
+      if (h == nullptr || h->subscriber == nullptr) continue;
+      if (h->subscription_gen != se.computed_gen) continue;
       // At-most-once, never replayed: a throw here drops the remaining
       // failure events for good (query_state() stays authoritative) while
       // plan events stay unsettled and re-detect next flush.
       if (se.kind == ServiceEvent::Kind::kQuarantined) {
-        slot->subscriber->OnQueryQuarantined(se.quarantined);
+        h->subscriber->OnQueryQuarantined(se.quarantined);
       } else {
-        slot->subscriber->OnQueryRehabilitated(se.rehabilitated);
+        h->subscriber->OnQueryRehabilitated(se.rehabilitated);
       }
     }
     for (PendingEvent& pe : events) {
-      Slot* slot = FindSlot(pe.query);
-      if (slot == nullptr) continue;
-      if (slot->subscription_gen != pe.computed_gen) {
+      Handle* h = Find(pe.query).second;
+      if (h == nullptr) continue;
+      if (h->subscription_gen != pe.computed_gen) {
         // Subscription changed mid-notification: suppressed, and NOT
-        // settled — SetSubscriber already left the slot's digest right
+        // settled — SetSubscriber already left the handle's digest right
         // (cleared on detach, re-baselined on attach) and cleared the
         // rediff flag; re-installing this digest would leave a detached
-        // slot holding a dead one.
+        // handle holding a dead one.
         continue;
       }
       // Settle the event before firing it: the baseline advances exactly
@@ -983,15 +1070,15 @@ size_t ReoptSession::Flush() {
       // advance a later query past a change its consumer never saw. A
       // generation match implies the subscriber is still the non-null one
       // the event was computed for.
-      slot->digest = std::move(pe.new_digest);
-      slot->rediff_pending = false;  // settled
+      h->digest = std::move(pe.new_digest);
+      h->rediff_pending = false;  // settled
       // Counted before the callback runs: a subscriber that throws from
       // its OWN event has still consumed it (at-most-once for the thrower;
       // the settle above forecloses redelivery), so the metrics and the
       // FlushReport record the delivery attempt rather than undercounting.
       ++delivered;
       ++metrics_.plan_changes;
-      slot->subscriber->OnPlanChange(pe.event);
+      h->subscriber->OnPlanChange(pe.event);
     }
   }
   // Budget enforcement runs LAST — after delivery, so no subscriber

@@ -18,7 +18,7 @@
 //                     │ TakePendingBatch(): coalesced StatChanges,
 //                     │ net-zero churn already absorbed
 //                     ▼
-//        for each registered query whose relations overlap the batch:
+//        for each registered memo whose relations overlap the batch:
 //              DeclarativeOptimizer::ReoptimizeBatch(changes)
 //              — all dirty memo state seeded, then ONE fixpoint run
 //                     │
@@ -28,9 +28,26 @@
 //        FlushReport ──► MetricsExporter
 //
 // One flush therefore costs one registry drain plus at most one delta
-// fixpoint per *affected* optimizer, no matter how many raw mutations the
-// batch contained (see bench_batch_churn for the measured payoff vs
-// change-at-a-time Reoptimize()).
+// fixpoint and one digest per *affected* memo, no matter how many raw
+// mutations the batch contained (see bench_batch_churn for the measured
+// payoff vs change-at-a-time Reoptimize()) or how many queries share the
+// memo.
+//
+// ## One memo per distinct question
+//
+// Optimizers that ask the same question — same enumerator, registry,
+// options and cost parameters (DeclarativeOptimizer::CanShareStateWith) —
+// have identical fixpoints. Register() therefore attaches such an
+// optimizer to the live memo it can share (ShareStateWith) instead of
+// maintaining a copy: a slot is one memo with a list of handles. A flush
+// runs one pass and at most one digest per slot, and each subscribed
+// handle diffs its own baseline against that digest, so every handle gets
+// exactly the events an unshared optimizer would. Quarantine, backoff,
+// eviction, rehydration and the byte budget act per memo, and every
+// handle of the memo is reported. Releasing a handle that is not its
+// memo's last detaches its optimizer onto a private exact copy
+// (DetachState), so a caller-owned optimizer never aliases a live memo
+// after its release.
 //
 // ## The session surface
 //
@@ -50,8 +67,8 @@
 //
 // After each flush, a PlanChangeEvent fires exactly once per registered
 // query whose *canonical best plan* changed — computed by diffing the
-// query's winner-closure PlanDigest (core/plan_digest.h) across the flush,
-// never from the dirty set. A flush that re-derives half the memo but
+// query's winner-closure PlanDigest (core/plan_digest.h) across the flush
+// against the query's own baseline, never from the dirty set. A flush that re-derives half the memo but
 // lands on the same plan fires nothing; net-zero churn fires nothing.
 // Events fire on the flushing thread, in registration order, after every
 // pass completed and the registry reader lock is released; the event
@@ -76,11 +93,12 @@
 //
 // A flush pass that throws — an allocation failure, an injected fault
 // (common/fault_injection.h), or a WorkBudgetExceeded from
-// `per_query_work_budget` — is contained to its query. The failing
-// optimizer is left in the core's torn-down-but-consistent state
-// (optimized() == false), the query is marked kQuarantined and skipped by
-// subsequent dispatches, and every OTHER query's pass completes normally;
-// its subscriber (if any) gets one QueryQuarantinedEvent. The session then
+// `per_query_work_budget` — is contained to its memo. The failing memo is
+// left in the core's torn-down-but-consistent state (optimized() ==
+// false), every query on it is marked kQuarantined and skipped by
+// subsequent dispatches, and every OTHER memo's pass completes normally;
+// each subscriber of the memo's queries gets one QueryQuarantinedEvent,
+// and the session counts one quarantine. The session then
 // retries a from-scratch rebuild (DeclarativeOptimizer::RebuildFromScratch)
 // on a capped exponential backoff measured in *ticks* — one tick per
 // Flush() plus per Poll() that found no flush in flight, a deterministic
@@ -252,7 +270,10 @@ class ReoptSession final : public StatsSubscriber {
   [[nodiscard]] QueryHandle Register(DeclarativeOptimizer& optimizer,
                                      PlanSubscriber* subscriber = nullptr);
 
-  int num_queries() const { return static_cast<int>(queries_.size()); }
+  /// Registered queries (handles) and the distinct memos they share: a
+  /// registration whose optimizer can share a live memo joins it.
+  int num_queries() const;
+  int num_memos() const { return static_cast<int>(slots_.size()); }
 
   /// Failure-domain state of a registered query (owner-thread read; aborts
   /// on an unknown id — released queries have no state).
@@ -360,7 +381,8 @@ class ReoptSession final : public StatsSubscriber {
  private:
   friend class QueryHandle;
 
-  struct Slot {
+  /// One registration: the caller's optimizer and its notification state.
+  struct Handle {
     QueryId id = -1;
     DeclarativeOptimizer* optimizer = nullptr;
     /// Plan-change subscriber; null = no notifications, no digest work.
@@ -371,9 +393,9 @@ class ReoptSession final : public StatsSubscriber {
     /// pointer identity alone cannot see it).
     uint64_t subscription_gen = 0;
     /// True while a computed event has not settled (a throwing subscriber
-    /// unwound delivery before this slot's turn, or a rehabilitation
-    /// restored the optimizer against a pre-quarantine baseline): the
-    /// next flush re-derives the digest even if its batch cannot affect
+    /// unwound delivery before this handle's turn, or a rehabilitation
+    /// restored the memo against a pre-quarantine baseline): the next
+    /// flush re-derives the memo's digest even if its batch cannot affect
     /// the query, so the dropped/deferred change is re-detected rather
     /// than deferred until unrelated churn happens to touch it.
     bool rediff_pending = false;
@@ -383,6 +405,15 @@ class ReoptSession final : public StatsSubscriber {
     /// post-rehabilitation diff then describes the change relative to the
     /// last plan the subscriber actually saw.
     PlanDigest digest;
+  };
+
+  /// One memo and every handle whose optimizer reads it (docs/ARCHITECTURE.md
+  /// "Memo sharing"). Dispatch, the failure domain and the memo lifecycle
+  /// act per slot; notifications go to each handle.
+  struct Slot {
+    /// Registration order; never empty (releasing the last handle removes
+    /// the slot). Every handle's optimizer shares one fixpoint state.
+    std::vector<Handle> handles;
     // ---- failure domain ----
     QueryState state = QueryState::kHealthy;
     /// Consecutive failures (pass throws + failed rebuilds); reset by a
@@ -392,18 +423,25 @@ class ReoptSession final : public StatsSubscriber {
     /// slots only).
     int64_t eligible_at_tick = 0;
     // ---- memo lifecycle ----
-    /// True while the query's memo is spilled to `seed` (state stays
-    /// kHealthy — eviction is a residency decision, not a failure). The
-    /// slot is skipped by dispatch and rehydrated by the first flush whose
-    /// batch can affect it (or that owes it a re-diff).
+    /// True while the memo is spilled to `seed` (state stays kHealthy —
+    /// eviction is a residency decision, not a failure). The slot is
+    /// skipped by dispatch and rehydrated by the first flush whose batch
+    /// can affect it (or that owes one of its handles a re-diff).
     bool evicted = false;
     /// The SerializeState() seed and the stats epoch it was captured at
     /// (only meaningful while `evicted`; cleared on rehydration).
     std::string seed;
     uint64_t seed_epoch = 0;
-    /// Tick of the last flush whose batch affected this query — the LRU
-    /// key budget enforcement picks eviction victims by.
+    /// Tick of the last flush whose batch affected this memo, or of its
+    /// latest registration — the LRU key budget enforcement picks
+    /// eviction victims by.
     int64_t last_active_tick = 0;
+
+    /// The memo, through any handle (they all read the same state).
+    DeclarativeOptimizer& optimizer() const { return *handles.front().optimizer; }
+    bool resident() const {
+      return state == QueryState::kHealthy && !evicted && optimizer().optimized();
+    }
   };
 
   /// What one dispatched pass reports back to Flush for event computation.
@@ -431,10 +469,10 @@ class ReoptSession final : public StatsSubscriber {
     QueryRehabilitatedEvent rehabilitated;
   };
 
-  /// One per-query pass: prefilter, ReoptimizeBatch, digest, then the
+  /// One per-memo pass: prefilter, ReoptimizeBatch, digest, then the
   /// pass's round counters added to metrics_/last_flush_ (a pass that
   /// throws adds nothing). `force_digest` re-derives the digest even for a
-  /// prefiltered-away query (Slot::rediff_pending — an unsettled event
+  /// prefiltered-away memo (Handle::rediff_pending — an unsettled event
   /// from a prior flush).
   PassResult RunPass(DeclarativeOptimizer* optimizer, const std::vector<StatChange>& changes,
                      uint64_t epoch, bool want_digest, bool force_digest);
@@ -446,19 +484,26 @@ class ReoptSession final : public StatsSubscriber {
   /// Attaches/replaces/clears (nullptr) a slot's subscriber; captures the
   /// current plan as the event baseline on attach.
   void SetSubscriber(QueryId id, PlanSubscriber* subscriber);
-  Slot* FindSlot(QueryId id);
-  const Slot* FindSlot(QueryId id) const;
+  /// The slot holding `id` and its handle; {nullptr, nullptr} when unknown.
+  std::pair<Slot*, Handle*> Find(QueryId id);
+  const Slot* SlotOf(QueryId id) const;
+  /// The first resident slot whose memo `optimizer` can share, or null.
+  Slot* ShareableSlot(const DeclarativeOptimizer& optimizer);
+  /// Points every handle's summary calculator at the session's store while
+  /// two or more memos are registered, and detaches them otherwise.
+  void AttachSummaryCaches();
 
   /// Rebuilds every quarantined query whose backoff expired; appends the
   /// resulting service events and updates the per-flush strike/rehab
   /// counters. Flushing thread only, called at flush start.
   void AttemptRehabs(uint64_t epoch, std::vector<ServiceEvent>* events,
                      int64_t* strikes, int64_t* rehabs);
-  /// Quarantines `slot` for the failure in `err` (classify, tear down if
-  /// needed, schedule/park, emit the event). Bumps *strikes.
+  /// Quarantines `slot`'s memo for the failure in `err` (classify, tear
+  /// down if needed, schedule/park, emit one event per subscribed handle).
+  /// Bumps *strikes once.
   void RecordStrike(Slot& slot, const std::exception_ptr& err, uint64_t epoch,
                     std::vector<ServiceEvent>* events, int64_t* strikes);
-  /// Recomputes the Poll-readable quarantine atomics from queries_.
+  /// Recomputes the Poll-readable quarantine atomics from slots_.
   void RefreshQuarantineIndex();
   /// Spills `slot`'s memo to its seed and tears the optimizer down
   /// (requires healthy + optimized + not evicted).
@@ -469,9 +514,9 @@ class ReoptSession final : public StatsSubscriber {
   /// eviction healthy.
   bool RehydrateSlot(Slot& slot, uint64_t epoch, std::vector<ServiceEvent>* events,
                      int64_t* strikes);
-  /// Sum of EstimatedMemoBytes() over healthy, non-evicted queries.
+  /// Sum of EstimatedMemoBytes() over resident memos, each counted once.
   size_t ComputeResidentBytes() const;
-  /// Evicts least-recently-affected queries until the resident sum fits
+  /// Evicts least-recently-affected memos until the resident sum fits
   /// `memo_byte_budget` (no-op without a budget) and refreshes the
   /// resident_memo_bytes gauge either way.
   void EnforceMemoBudget(int64_t* evictions_this_flush);
@@ -489,9 +534,9 @@ class ReoptSession final : public StatsSubscriber {
   ReoptSessionMetrics metrics_;
   FlushOptStats last_flush_;
   /// Cross-query shared summary store (see summary_cache()). Declared
-  /// before queries_ so it outlives any attachment teardown.
+  /// before slots_ so it outlives any attachment teardown.
   SharedSummaryCache summary_cache_;
-  std::vector<Slot> queries_;
+  std::vector<Slot> slots_;
   QueryId next_id_ = 0;
   /// Liveness token handles hold: *alive_ flips false in the destructor so
   /// a handle outliving its session no-ops instead of touching freed
@@ -512,7 +557,7 @@ class ReoptSession final : public StatsSubscriber {
   std::atomic<int64_t> ticks_{0};
   /// Poll-readable quarantine index: count of kQuarantined slots and the
   /// earliest eligible_at_tick among them (INT64_MAX when none). Poll()
-  /// reads it without walking queries_ while a mutator-thread flush may be
+  /// reads it without walking slots_ while a mutator-thread flush may be
   /// refreshing it.
   std::atomic<int64_t> quarantined_count_{0};
   std::atomic<int64_t> next_rehab_tick_{std::numeric_limits<int64_t>::max()};

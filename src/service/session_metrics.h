@@ -13,20 +13,21 @@ struct ReoptSessionMetrics {
   int64_t flushes = 0;             // Flush() calls that dispatched >= 1 change
   int64_t empty_flushes = 0;       // batches absorbed entirely by coalescing
   int64_t changes_flushed = 0;     // coalesced StatChanges dispatched
-  int64_t reopt_passes = 0;        // per-optimizer ReoptimizeBatch fixpoints
-  int64_t queries_skipped = 0;     // registered queries untouched by a flush
+  int64_t reopt_passes = 0;        // per-memo ReoptimizeBatch fixpoints
+  int64_t queries_skipped = 0;     // registered memos untouched by a flush
   int64_t eps_seeded = 0;          // memo entries seeded across all passes
   int64_t plan_changes = 0;        // PlanChangeEvents delivered to subscribers
   // ---- failure domain (docs/ARCHITECTURE.md "Failure domains") ----
-  int64_t quarantines = 0;         // failed passes/rebuilds (strikes recorded)
-  int64_t rehabilitations = 0;     // quarantined queries restored by a rebuild
-  int64_t queries_parked = 0;      // queries that exhausted their strikes
+  int64_t quarantines = 0;         // failed passes/rebuilds (strikes, one per memo)
+  int64_t rehabilitations = 0;     // quarantined memos restored by a rebuild
+  int64_t queries_parked = 0;      // memos that exhausted their strikes
   // ---- memo lifecycle (docs/ARCHITECTURE.md "Memo lifecycle") ----
   int64_t evictions = 0;           // memos spilled to a serialized seed
   int64_t rehydrations = 0;        // evicted memos restored (seed or rebuild)
   /// Gauge, not a counter: estimated resident memo bytes across healthy
-  /// non-evicted queries, as of the end of the last flush that measured it
-  /// (every dispatched flush; also refreshed by EvictQuery/RehydrateQuery).
+  /// non-evicted memos (each counted once), as of the end of the last
+  /// flush that measured it (every dispatched flush; also refreshed by
+  /// EvictQuery/RehydrateQuery).
   int64_t resident_memo_bytes = 0;
 };
 

@@ -140,13 +140,19 @@ void StatsRegistry::SetJoinSelectivity(int edge_id, double sel) {
 }
 
 bool StatsRegistry::SetCardMultiplierLocked(RelSet scope, double factor) {
-  for (auto& [s, f] : card_mults_) {
-    if (s == scope) {
-      if (f == factor) return false;
-      const double before = f;
-      f = factor;
-      return RecordLocked(StatId::kCardMult, scope, before);
+  for (auto it = card_mults_.begin(); it != card_mults_.end(); ++it) {
+    if (it->first != scope) continue;
+    if (it->second == factor) return false;
+    const double before = it->second;
+    if (factor == 1.0) {
+      // Back at 1 is the same as absent: drop the entry, keeping the
+      // others in order. CardMultiplier multiplies the remaining factors in
+      // the same order, and a factor of 1 is exact, so no value moves.
+      card_mults_.erase(it);
+    } else {
+      it->second = factor;
     }
+    return RecordLocked(StatId::kCardMult, scope, before);
   }
   if (factor == 1.0) return false;  // absent scope already means factor 1
   card_mults_.emplace_back(scope, factor);

@@ -4,14 +4,15 @@
 
 namespace iqro {
 
-const Summary& SummaryCalculator::Get(RelSet s) const {
+Summary SummaryCalculator::Get(RelSet s) const {
   if (cached_epoch_ != registry_->epoch()) {
-    cache_.clear();
+    cache_.Clear();
     cached_epoch_ = registry_->epoch();
   }
-  auto it = cache_.find(s);
-  if (it != cache_.end()) return it->second;
-  return cache_.emplace(s, ComputeThroughShared(cached_epoch_, s)).first->second;
+  if (const Summary* hit = cache_.Find(s)) return *hit;
+  const Summary value = ComputeThroughShared(cached_epoch_, s);
+  cache_.TryEmplace(s, value);
+  return value;
 }
 
 Summary SummaryCalculator::ComputeThroughShared(uint64_t epoch, RelSet s) const {

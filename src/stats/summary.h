@@ -9,8 +9,7 @@
 #ifndef IQRO_STATS_SUMMARY_H_
 #define IQRO_STATS_SUMMARY_H_
 
-#include <unordered_map>
-
+#include "common/flat_map.h"
 #include "common/relset.h"
 #include "stats/stats_registry.h"
 
@@ -37,9 +36,8 @@ class SummarySharedCache {
 };
 
 /// Single-threaded: the epoch-keyed cache is unsynchronized, and each
-/// calculator is driven by the one thread that flushes its optimizer.
-/// unordered_map nodes are address-stable, so a returned reference survives
-/// later misses within the same epoch.
+/// calculator is driven by the one thread that flushes its optimizer. The
+/// cache is a flat table, so a new epoch clears it without freeing nodes.
 class SummaryCalculator {
  public:
   explicit SummaryCalculator(const StatsRegistry* registry) : registry_(registry) {}
@@ -47,7 +45,7 @@ class SummaryCalculator {
   /// Summary of the expression joining exactly the relations in `s`,
   /// with all local predicates applied (Fn_scansummary for singletons,
   /// Fn_nonscansummary otherwise). Memoized per registry epoch.
-  const Summary& Get(RelSet s) const;
+  Summary Get(RelSet s) const;
 
   const StatsRegistry& registry() const { return *registry_; }
 
@@ -66,7 +64,7 @@ class SummaryCalculator {
 
   const StatsRegistry* registry_;
   mutable uint64_t cached_epoch_ = 0;
-  mutable std::unordered_map<RelSet, Summary> cache_;
+  mutable FlatMap64<Summary> cache_;
   mutable SummarySharedCache* shared_ = nullptr;
 };
 

@@ -385,11 +385,17 @@ DiffResult RunStormScenario(const Scenario& sc, ScenarioClass cls, const DiffOpt
     // manual-eviction path when this boundary's batch coalesced away).
     for (const auto& q : live) session->RehydrateQuery(q->handle.id());
     if (memo_budget > 0) {
+      // Queries that share a memo count it once.
       int64_t expected_resident = 0;
+      std::vector<const DeclarativeOptimizer*> counted;
       for (const auto& q : live) {
-        if (session->query_state(q->handle.id()) == QueryState::kHealthy) {
-          expected_resident += static_cast<int64_t>(q->opt->EstimatedMemoBytes());
-        }
+        if (session->query_state(q->handle.id()) != QueryState::kHealthy) continue;
+        const bool seen = std::any_of(counted.begin(), counted.end(), [&q](const auto* c) {
+          return q->opt->SharesStateWith(*c);
+        });
+        if (seen) continue;
+        counted.push_back(q->opt.get());
+        expected_resident += static_cast<int64_t>(q->opt->EstimatedMemoBytes());
       }
       if (session->resident_memo_bytes() != expected_resident) {
         return fail(step, StrFormat("boundary %d: resident_memo_bytes accounting diverged: "

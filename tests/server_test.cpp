@@ -59,6 +59,7 @@ using server::ServerEvent;
 using server::ServerMessage;
 using server::ServiceError;
 using server::ShardedService;
+using server::ShardedServiceStats;
 using server::ShardedServiceOptions;
 using server::WireErrorCode;
 
@@ -665,6 +666,49 @@ TEST(ShardedServiceTest, SnapshotFanOutSurvivesRestart) {
   EXPECT_THROW(restored.LoadSnapshots(), ServiceError);
 }
 
+// Registrations that ask the same question in one world share one memo:
+// only the first of each option set is optimized, every flush runs one
+// pass per memo, each query still gets its own events, and Stats() and
+// /metrics report memos beside queries.
+TEST(ShardedServiceTest, DuplicateRegistrationsShareOneMemo) {
+  ShardedService svc;
+  CountingSink sink;
+  const std::vector<std::string> sets = {"all", "aggsel", "all", "all", "aggsel"};
+  std::vector<uint64_t> ids;
+  for (const std::string& set : sets) {
+    ids.push_back(svc.RegisterQuery(1, SmallCatalog(), SmallChainQuery(), set, &sink).query_id);
+  }
+  ShardedServiceStats stats = svc.Stats();
+  EXPECT_EQ(stats.queries, 5);
+  EXPECT_EQ(stats.memos, 2);
+  const std::string text = svc.MetricsText();
+  EXPECT_NE(text.find("iqro_service_queries 5"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE iqro_service_memos gauge\niqro_service_memos 2\n"),
+            std::string::npos);
+
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_EQ(svc.RecordStatBatch(1, FlipBatch(round)), 2u);
+    svc.Flush(1);
+  }
+  EXPECT_GT(sink.plan_changes(ids[0]), 0) << "the swings never flipped a plan";
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const size_t first = sets[i] == "all" ? 0 : 1;
+    EXPECT_EQ(svc.QueryCanonicalDump(ids[i]), svc.QueryCanonicalDump(ids[first]));
+    EXPECT_EQ(sink.plan_changes(ids[i]), sink.plan_changes(ids[first])) << "query " << i;
+  }
+
+  // Releasing the memo's first query leaves the others on it.
+  const std::string before = svc.QueryCanonicalDump(ids[2]);
+  EXPECT_TRUE(svc.ReleaseQuery(ids[0]));
+  stats = svc.Stats();
+  EXPECT_EQ(stats.queries, 4);
+  EXPECT_EQ(stats.memos, 2);
+  EXPECT_EQ(svc.QueryCanonicalDump(ids[2]), before);
+  ASSERT_EQ(svc.RecordStatBatch(1, FlipBatch(4)), 2u);
+  svc.Flush(1);
+  EXPECT_EQ(svc.QueryCanonicalDump(ids[2]), svc.QueryCanonicalDump(ids[3]));
+}
+
 // A manifest whose checksums hold but whose world specs cannot be built
 // (edited by hand, or written by a buggy build) fails the load with a
 // typed error instead of aborting a shard thread.
@@ -1159,6 +1203,19 @@ TEST(PrometheusTest, SessionTextRendersAllCounters) {
   const std::string bare = PrometheusSessionText(m, "");
   EXPECT_NE(bare.find("iqro_session_flushes_total 3"), std::string::npos);
   EXPECT_EQ(bare.find("{"), std::string::npos);
+}
+
+TEST(PrometheusTest, ServiceTextRendersMemosBesideQueries) {
+  ShardedService svc;
+  svc.RegisterQuery(3, SmallCatalog(), SmallChainQuery(), "all", nullptr);
+  svc.RegisterQuery(3, SmallCatalog(), SmallChainQuery(), "all", nullptr);
+  svc.RegisterQuery(3, SmallCatalog(), SmallChainQuery(), "nopruning", nullptr);
+  const std::string text = svc.MetricsText();
+  const size_t queries = text.find("iqro_service_queries 3\n");
+  const size_t memos = text.find("# TYPE iqro_service_memos gauge\niqro_service_memos 2\n");
+  ASSERT_NE(queries, std::string::npos);
+  ASSERT_NE(memos, std::string::npos);
+  EXPECT_LT(queries, memos);
 }
 
 }  // namespace

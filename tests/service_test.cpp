@@ -20,8 +20,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "bench_util/json_metrics_exporter.h"
 #include "common/fault_injection.h"
 #include "common/serialize.h"
 #include "core/declarative_optimizer.h"
@@ -47,6 +49,15 @@ std::string ScratchDump(TestWorld& world, OptimizerOptions options) {
                                &world.registry, options);
   scratch.Optimize();
   return scratch.CanonicalDumpState();
+}
+
+/// `options` as a distinct question: the same pruning and queue behaviour
+/// under another max_steps, so a session gives the optimizer a memo of its
+/// own rather than sharing an equal one. Tests that register identical
+/// optimizers as stand-ins for distinct queries use it.
+OptimizerOptions DistinctOptions(OptimizerOptions options, int k) {
+  options.max_steps -= static_cast<uint64_t>(k);
+  return options;
 }
 
 /// Collects every delivered event (copies — events are call-scoped).
@@ -267,7 +278,8 @@ TEST(ReoptSessionTest, SharedSummaryCacheServesSecondQuery) {
   CostModel cost_model2(&summaries2);
   DeclarativeOptimizer first(world->enumerator.get(), world->cost_model.get(),
                              &world->registry);
-  DeclarativeOptimizer second(world->enumerator.get(), &cost_model2, &world->registry);
+  DeclarativeOptimizer second(world->enumerator.get(), &cost_model2, &world->registry,
+                              DistinctOptions(OptimizerOptions::Default(), 1));
   first.Optimize();
   second.Optimize();
 
@@ -1178,7 +1190,8 @@ size_t FaultedFlush(ReoptSession& session) {
 TEST(QuarantineTest, FaultedQueryIsIsolatedAndPeersComplete) {
   auto world = ChainWorld();
   DeclarativeOptimizer a(world->enumerator.get(), world->cost_model.get(), &world->registry);
-  DeclarativeOptimizer b(world->enumerator.get(), world->cost_model.get(), &world->registry);
+  DeclarativeOptimizer b(world->enumerator.get(), world->cost_model.get(), &world->registry,
+                         DistinctOptions(OptimizerOptions::Default(), 1));
   a.Optimize();
   b.Optimize();
   ReoptSession session(&world->registry);
@@ -1591,7 +1604,8 @@ bool FileExists(const std::string& path) {
 TEST(MemoLifecycleTest, EvictedQueryRehydratesOnItsFirstRelevantFlush) {
   auto world = ChainWorld(6, 23);
   DeclarativeOptimizer a(world->enumerator.get(), world->cost_model.get(), &world->registry);
-  DeclarativeOptimizer b(world->enumerator.get(), world->cost_model.get(), &world->registry);
+  DeclarativeOptimizer b(world->enumerator.get(), world->cost_model.get(), &world->registry,
+                         DistinctOptions(OptimizerOptions::Default(), 1));
   a.Optimize();
   b.Optimize();
   ReoptSession session(&world->registry);
@@ -1761,7 +1775,7 @@ TEST(MemoLifecycleTest, ReRegisteredQueryIsNeverTheEvictionVictim) {
   for (int i = 0; i < 5; ++i) {
     opts.push_back(std::make_unique<DeclarativeOptimizer>(
         world->enumerator.get(), world->cost_model.get(), &world->registry,
-        OptimizerOptions::UseNoPruning()));
+        DistinctOptions(OptimizerOptions::UseNoPruning(), i)));
   }
   opts[0]->Optimize();
   const size_t m = opts[0]->EstimatedMemoBytes();
@@ -2030,6 +2044,223 @@ TEST(SnapshotTest, LoadRejectsCorruptFileAndFallsBackToColdStart) {
   EXPECT_GT(session.Flush(), 0u);
   opt.ValidateInvariants();
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
+}
+
+// ---------------------------------------------------------------------------
+// Memo sharing: one memo per distinct question
+// ---------------------------------------------------------------------------
+
+/// One query's plan-change stream, reduced to what both sessions of a
+/// sharing-vs-unshared comparison must agree on.
+class StreamSubscriber final : public PlanSubscriber {
+ public:
+  void OnPlanChange(const PlanChangeEvent& e) override {
+    events.push_back({e.flush_index, e.old_cost, e.new_cost, e.diff.changed_operators,
+                      e.diff.total_operators, e.diff.join_order_prefix, e.diff.join_order_len});
+  }
+  void OnQueryQuarantined(const QueryQuarantinedEvent& e) override {
+    quarantines.push_back(e.strikes);
+  }
+  void OnQueryRehabilitated(const QueryRehabilitatedEvent& e) override {
+    rehabs.push_back(e.strikes_cleared);
+  }
+  using Event = std::tuple<int64_t, double, double, int, int, int, int>;
+  std::vector<Event> events;
+  std::vector<int> quarantines;
+  std::vector<int> rehabs;
+};
+
+/// The option sets of the sharing tests: indices 0, 2 and 4 ask one
+/// question, 1 and 3 another, 5 a third.
+std::vector<OptimizerOptions> SharingOptions() {
+  const OptimizerOptions all = OptimizerOptions::Default();
+  const OptimizerOptions aggsel = OptimizerOptions::UseAggSel();
+  return {all, aggsel, all, aggsel, all, OptimizerOptions::UseNoPruning()};
+}
+
+/// A session over `world` with one subscribed optimizer per option set;
+/// `unshared` gives every optimizer a distinct question, so nothing shares.
+struct SharingFixture {
+  SharingFixture(TestWorld* world, bool unshared) {
+    session = std::make_unique<ReoptSession>(&world->registry);
+    const std::vector<OptimizerOptions> sets = SharingOptions();
+    for (size_t i = 0; i < sets.size(); ++i) {
+      const OptimizerOptions o = unshared ? DistinctOptions(sets[i], static_cast<int>(i)) : sets[i];
+      opts.push_back(std::make_unique<DeclarativeOptimizer>(
+          world->enumerator.get(), world->cost_model.get(), &world->registry, o));
+      opts.back()->Optimize();
+      subs.push_back(std::make_unique<StreamSubscriber>());
+    }
+    for (size_t i = 0; i < sets.size(); ++i) {
+      handles.push_back(session->Register(*opts[i], subs[i].get()));
+    }
+  }
+  std::vector<std::unique_ptr<DeclarativeOptimizer>> opts;
+  std::vector<std::unique_ptr<StreamSubscriber>> subs;
+  std::unique_ptr<ReoptSession> session;
+  std::vector<QueryHandle> handles;  // released before the session dies
+};
+
+/// Applies the same swing to both worlds (identically built).
+void Swing(TestWorld* a, TestWorld* b, int round) {
+  for (TestWorld* w : {a, b}) {
+    const int rel = round % w->registry.num_relations();
+    w->registry.SetBaseRows(rel, w->registry.base_rows(rel) * (round % 2 == 0 ? 37.0 : 1.0 / 29));
+    w->registry.SetScanCostMultiplier((round + 2) % w->registry.num_relations(),
+                                      round % 3 == 0 ? 4.0 : 0.5);
+  }
+}
+
+TEST(MemoSharingTest, OnePassPerDistinctMemoAndEveryHandleMatchesUnshared) {
+  auto world = ChainWorld(6, 23);
+  auto ref_world = ChainWorld(6, 23);
+  SharingFixture shared(world.get(), /*unshared=*/false);
+  SharingFixture unshared(ref_world.get(), /*unshared=*/true);
+  EXPECT_EQ(shared.session->num_queries(), 6);
+  EXPECT_EQ(shared.session->num_memos(), 3);
+  EXPECT_EQ(unshared.session->num_memos(), 6);
+  EXPECT_TRUE(shared.opts[0]->SharesStateWith(*shared.opts[4]));
+  EXPECT_TRUE(shared.opts[1]->SharesStateWith(*shared.opts[3]));
+  EXPECT_FALSE(shared.opts[0]->SharesStateWith(*shared.opts[1]));
+
+  for (int round = 0; round < 8; ++round) {
+    Swing(world.get(), ref_world.get(), round);
+    const int64_t passes0 = shared.session->metrics().reopt_passes;
+    ASSERT_GT(shared.session->Flush(), 0u);
+    ASSERT_GT(unshared.session->Flush(), 0u);
+    EXPECT_EQ(shared.session->metrics().reopt_passes - passes0, 3) << "round " << round;
+    EXPECT_EQ(shared.session->last_flush().passes, 3);
+    for (size_t i = 0; i < shared.opts.size(); ++i) {
+      EXPECT_EQ(shared.opts[i]->CanonicalDumpState(), unshared.opts[i]->CanonicalDumpState())
+          << "handle " << i << " round " << round;
+    }
+  }
+  for (size_t i = 0; i < shared.opts.size(); ++i) {
+    shared.opts[i]->ValidateInvariants();
+    EXPECT_EQ(shared.opts[i]->CanonicalDumpState(),
+              ScratchDump(*world, SharingOptions()[i]));
+    EXPECT_EQ(shared.subs[i]->events, unshared.subs[i]->events) << "handle " << i;
+  }
+  EXPECT_GT(shared.subs[0]->events.size(), 0u) << "the swings never moved a plan";
+  EXPECT_EQ(shared.session->metrics().plan_changes, unshared.session->metrics().plan_changes);
+}
+
+TEST(MemoSharingTest, ReleasedHandleKeepsAnExactPrivateCopy) {
+  auto world = ChainWorld(6, 23);
+  auto ref_world = ChainWorld(6, 23);
+  SharingFixture shared(world.get(), /*unshared=*/false);
+  SharingFixture unshared(ref_world.get(), /*unshared=*/true);
+  Swing(world.get(), ref_world.get(), 0);
+  shared.session->Flush();
+  unshared.session->Flush();
+
+  DeclarativeOptimizer& released = *shared.opts[0];
+  const std::string dump = released.DumpState();
+  const std::string canonical = released.CanonicalDumpState();
+  shared.handles[0].Release();
+  unshared.handles[0].Release();
+  EXPECT_EQ(shared.session->num_queries(), 5);
+  EXPECT_EQ(shared.session->num_memos(), 3);  // handles 2 and 4 keep the memo
+  EXPECT_FALSE(released.SharesStateWith(*shared.opts[2]));
+  EXPECT_TRUE(shared.opts[2]->SharesStateWith(*shared.opts[4]));
+  // The private copy is exact: the raw memo dump, not just the plan.
+  EXPECT_EQ(released.DumpState(), dump);
+  EXPECT_EQ(released.CanonicalDumpState(), canonical);
+  released.ValidateInvariants();
+
+  // Tearing the released optimizer down leaves the session's memo alone.
+  released.Invalidate();
+  EXPECT_TRUE(shared.opts[2]->optimized());
+  EXPECT_EQ(shared.opts[2]->CanonicalDumpState(), canonical);
+
+  for (int round = 1; round < 6; ++round) {
+    Swing(world.get(), ref_world.get(), round);
+    shared.session->Flush();
+    unshared.session->Flush();
+    for (size_t i = 1; i < shared.opts.size(); ++i) {
+      EXPECT_EQ(shared.opts[i]->CanonicalDumpState(), unshared.opts[i]->CanonicalDumpState())
+          << "handle " << i << " round " << round;
+      EXPECT_EQ(shared.subs[i]->events, unshared.subs[i]->events) << "handle " << i;
+    }
+  }
+  EXPECT_FALSE(released.optimized());
+  // Releasing a memo's last handle removes the memo.
+  shared.handles[5].Release();
+  EXPECT_EQ(shared.session->num_memos(), 2);
+}
+
+TEST(MemoSharingTest, FaultInASharedPassQuarantinesEveryHandleOnce) {
+  auto world = ChainWorld();
+  SharingFixture shared(world.get(), /*unshared=*/false);
+  FaultInjector::Instance().set_enabled(false);
+  FaultInjector::ArmSpec spec;
+  spec.site = "service.pass";  // the first memo's pass: handles 0, 2 and 4
+  ScopedFaultArm arm(spec);
+
+  world->registry.SetBaseRows(1, world->registry.base_rows(1) * 64);
+  FaultedFlush(*shared.session);
+  EXPECT_EQ(shared.session->metrics().quarantines, 1);  // one memo, one strike
+  EXPECT_EQ(shared.session->num_quarantined(), 3);
+  for (size_t i : {size_t{0}, size_t{2}, size_t{4}}) {
+    EXPECT_EQ(shared.handles[i].state(), QueryState::kQuarantined);
+    EXPECT_FALSE(shared.opts[i]->optimized());
+    EXPECT_EQ(shared.subs[i]->quarantines, std::vector<int>{1}) << "handle " << i;
+  }
+  for (size_t i : {size_t{1}, size_t{3}, size_t{5}}) {
+    EXPECT_EQ(shared.handles[i].state(), QueryState::kHealthy);
+    EXPECT_TRUE(shared.subs[i]->quarantines.empty());
+    EXPECT_EQ(shared.opts[i]->CanonicalDumpState(), ScratchDump(*world, SharingOptions()[i]));
+  }
+
+  // The backoff expired and the fault is spent: one rebuild restores all
+  // three handles, and each gets its rehabilitation and its plan change.
+  FaultedFlush(*shared.session);
+  EXPECT_EQ(shared.session->metrics().rehabilitations, 1);
+  EXPECT_EQ(shared.session->num_quarantined(), 0);
+  for (size_t i : {size_t{0}, size_t{2}, size_t{4}}) {
+    EXPECT_EQ(shared.handles[i].state(), QueryState::kHealthy);
+    EXPECT_EQ(shared.subs[i]->rehabs, std::vector<int>{1}) << "handle " << i;
+    ASSERT_EQ(shared.subs[i]->events.size(), 1u) << "handle " << i;
+    shared.opts[i]->ValidateInvariants();
+    EXPECT_EQ(shared.opts[i]->CanonicalDumpState(), ScratchDump(*world, SharingOptions()[i]));
+  }
+  EXPECT_TRUE(shared.opts[0]->SharesStateWith(*shared.opts[4]));
+}
+
+TEST(MemoSharingTest, ByteBudgetCountsASharedMemoOnce) {
+  auto world = ChainWorld(6, 23);
+  std::vector<std::unique_ptr<DeclarativeOptimizer>> opts;
+  for (int i = 0; i < 3; ++i) {
+    opts.push_back(std::make_unique<DeclarativeOptimizer>(
+        world->enumerator.get(), world->cost_model.get(), &world->registry));
+    opts.back()->Optimize();
+  }
+  const size_t m = opts[0]->EstimatedMemoBytes();
+  ReoptSessionOptions so;
+  so.memo_byte_budget = m + m / 2;  // one memo fits, a second copy would not
+  ReoptSession session(&world->registry, so);
+  std::vector<QueryHandle> handles;
+  for (auto& o : opts) handles.push_back(session.Register(*o));
+  EXPECT_EQ(session.num_memos(), 1);
+  EXPECT_EQ(session.resident_memo_bytes(), static_cast<int64_t>(opts[0]->EstimatedMemoBytes()));
+
+  world->registry.SetBaseRows(2, world->registry.base_rows(2) * 13);
+  EXPECT_GT(session.Flush(), 0u);
+  EXPECT_EQ(session.metrics().evictions, 0);  // three handles, one memo: under budget
+  EXPECT_EQ(session.resident_memo_bytes(), static_cast<int64_t>(opts[2]->EstimatedMemoBytes()));
+
+  // Evicting through any handle spills the one memo for all of them.
+  ASSERT_TRUE(session.EvictQuery(handles[1].id()));
+  EXPECT_EQ(session.num_evicted(), 3);
+  EXPECT_EQ(session.metrics().evictions, 1);
+  EXPECT_EQ(session.resident_memo_bytes(), 0);
+  world->registry.SetBaseRows(2, world->registry.base_rows(2) * 3);
+  EXPECT_GT(session.Flush(), 0u);
+  EXPECT_EQ(session.metrics().rehydrations, 1);
+  for (auto& o : opts) {
+    o->ValidateInvariants();
+    EXPECT_EQ(o->CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
+  }
 }
 
 }  // namespace
