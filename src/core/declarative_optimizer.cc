@@ -188,6 +188,11 @@ void DeclarativeOptimizer::Push(Task t) {
     return;
   }
   const size_t level = static_cast<size_t>(RelCount(t.ep->expr));
+  if (t.kind == Task::Kind::kBoundDirty) {
+    state_->bound_levels[level].push_back(t);
+    if (level < state_->bound_cursor) state_->bound_cursor = level;
+    return;
+  }
   state_->levels[level].push_back(t);
   if (level < state_->level_cursor) state_->level_cursor = level;
 }
@@ -196,6 +201,10 @@ RingBuffer<DeclarativeOptimizer::Task>* DeclarativeOptimizer::NextQueue() {
   if (!state_->by_level) return state_->queue.empty() ? nullptr : &state_->queue;
   for (; state_->level_cursor < state_->levels.size(); ++state_->level_cursor) {
     if (!state_->levels[state_->level_cursor].empty()) return &state_->levels[state_->level_cursor];
+  }
+  for (; state_->bound_cursor < state_->bound_levels.size(); ++state_->bound_cursor) {
+    RingBuffer<Task>& bucket = state_->bound_levels[state_->bound_cursor];
+    if (!bucket.empty()) return &bucket;
   }
   return nullptr;
 }
@@ -226,9 +235,9 @@ void DeclarativeOptimizer::ScheduleBestDirty(EPState* ep) {
     return;
   }
   // As for bounds: every change to the best aggregate schedules this
-  // check, so a batch pass skips it while the winning entry still equals
-  // the propagated one (RunBestDirty would return at once).
-  if (state_->by_level) {
+  // check, so it is skipped while the winning entry still equals the
+  // propagated one (RunBestDirty would return at once).
+  {
     const auto [best, idx] = ep->best_agg.MinEntry();
     const uint32_t best_idx = ep->best_agg.empty() ? kNoWinner : idx;
     if (best == ep->last_best && best_idx == ep->last_best_idx) return;
@@ -244,10 +253,10 @@ void DeclarativeOptimizer::ScheduleBoundDirty(EPState* ep) {
     return;
   }
   // Every change to a bound's inputs (the best aggregate, the parent
-  // contributions) schedules this check, so a batch pass can skip the
-  // task when the bound already equals its propagated value: RunBoundDirty
-  // would return at once. Initial optimization keeps its task stream.
-  if (state_->by_level && CurrentBound(*ep) == ep->last_bound) return;
+  // contributions) schedules this check, so the task is skipped when the
+  // bound already equals its propagated value: RunBoundDirty would return
+  // at once.
+  if (CurrentBound(*ep) == ep->last_bound) return;
   ep->bound_dirty = true;
   Push({Task::Kind::kBoundDirty, ep, 0});
 }
@@ -323,6 +332,8 @@ void DeclarativeOptimizer::State::Clear() {
   queue.clear();
   std::vector<RingBuffer<Task>>().swap(levels);
   level_cursor = 0;
+  std::vector<RingBuffer<Task>>().swap(bound_levels);
+  bound_cursor = 0;
   by_level = false;
   arena.Reset();
   scope_index.Clear();
@@ -406,7 +417,11 @@ int64_t DeclarativeOptimizer::ReoptimizeBatchImpl(const std::vector<StatChange>&
   if (state_->levels.empty()) {
     const size_t num_levels = static_cast<size_t>(RelCount(state_->root->expr)) + 1;
     state_->levels.reserve(num_levels);
-    for (size_t i = 0; i < num_levels; ++i) state_->levels.emplace_back(kLevelBucketCapacity);
+    state_->bound_levels.reserve(num_levels);
+    for (size_t i = 0; i < num_levels; ++i) {
+      state_->levels.emplace_back(kLevelBucketCapacity);
+      state_->bound_levels.emplace_back(kLevelBucketCapacity);
+    }
   }
   state_->by_level = true;
   int64_t seeded = 0;
@@ -458,7 +473,8 @@ int64_t DeclarativeOptimizer::ReoptimizeBatchImpl(const std::vector<StatChange>&
         scanned += state_->scope_index.ForEachWithKey(c.scope, consider);
       }
     }
-    std::sort(state_->seed_scratch.begin(), state_->seed_scratch.end(), SeedOrderLess);
+    std::sort(state_->seed_scratch.begin(), state_->seed_scratch.end(),
+              [](const EPState* a, const EPState* b) { return SeedOrderLess(a, b); });
     for (EPState* ep : state_->seed_scratch) seed_one(ep);
     state_->seed_scratch.clear();
   } else {
@@ -548,28 +564,6 @@ void DeclarativeOptimizer::RunEnumerate(EPState* ep) {
   for (const auto& [local, i] : order) ScheduleDrive(ep, i);
 }
 
-DeclarativeOptimizer::DriveInputs DeclarativeOptimizer::ReadDriveInputs(const EPState& ep,
-                                                                        AltState& a) const {
-  DriveInputs in;
-  in.nch = a.def.NumChildren();
-  in.local = CachedLocalCost(ep, a);
-  in.lc = in.nch >= 1 ? ChildEP(a, 0) : nullptr;
-  in.rc = in.nch == 2 ? ChildEP(a, 1) : nullptr;
-  // Cross-pair reads go through the child's *propagated* best (last_best),
-  // never the raw aggregate: change detection dedups against the
-  // propagated value, so reading it keeps "value seen" and "delta
-  // delivered" consistent under any task order. A child's best is usable
-  // even when its reference count is zero — collected state stays exact
-  // until a statistics change evicts it.
-  in.l_known = in.lc != nullptr && std::isfinite(in.lc->last_best);
-  in.r_known = in.rc != nullptr && std::isfinite(in.rc->last_best);
-  in.l_best = in.l_known ? in.lc->last_best : 0.0;
-  in.r_best = in.r_known ? in.rc->last_best : 0.0;
-  in.full = (in.nch == 0) || (in.nch == 1 && in.l_known) ||
-            (in.nch == 2 && in.l_known && in.r_known);
-  return in;
-}
-
 void DeclarativeOptimizer::RunDrive(EPState* ep, uint32_t alt_idx) {
   AltState& a = ep->alts[alt_idx];
   a.drive_queued = false;
@@ -578,8 +572,21 @@ void DeclarativeOptimizer::RunDrive(EPState* ep, uint32_t alt_idx) {
   // resurrection wakes it up first.
   if (ep->dormant) return;
 
-  const auto [nch, local, lc, rc, l_known, r_known, l_best, r_best, full] =
-      ReadDriveInputs(*ep, a);
+  const int nch = a.def.NumChildren();
+  const double local = CachedLocalCost(*ep, a);
+  EPState* lc = nch >= 1 ? ChildEP(a, 0) : nullptr;
+  EPState* rc = nch == 2 ? ChildEP(a, 1) : nullptr;
+  // Cross-pair reads go through the child's *propagated* best (last_best),
+  // never the raw aggregate: change detection dedups against the
+  // propagated value, so reading it keeps "value seen" and "delta
+  // delivered" consistent under any task order. A child's best is usable
+  // even when its reference count is zero — collected state stays exact
+  // until a statistics change evicts it.
+  const bool l_known = lc != nullptr && std::isfinite(lc->last_best);
+  const bool r_known = rc != nullptr && std::isfinite(rc->last_best);
+  const double l_best = l_known ? lc->last_best : 0.0;
+  const double r_best = r_known ? rc->last_best : 0.0;
+  const bool full = (nch == 0) || (nch == 1 && l_known) || (nch == 2 && l_known && r_known);
 
   // ---- PlanCost maintenance (R6-R8): derivable tuples only ----
   if (full) {
@@ -610,9 +617,10 @@ void DeclarativeOptimizer::RunDrive(EPState* ep, uint32_t alt_idx) {
   }
 
   // ---- Aggregate selection (§3.1) / recursive bounding (§3.3) gate ----
-  const double cert = full ? a.cost : local + l_best + r_best;
-  const GateDecision gate = DecideGate(a, alt_idx, Threshold(*ep), ep->best_agg.MinEntry(), local,
-                                      l_known, l_best, full, cert);
+  a.gate_full = full;
+  a.gate_cert = full ? a.cost : local + l_best + r_best;
+  a.gate_left = l_known ? local + l_best : kInf;
+  const GateDecision gate = DecideGate(a, alt_idx, Threshold(*ep), ep->best_agg.MinEntry());
   const bool viable = gate.viable;
   if (!a.ever_won && a.cost_known) {
     const auto min_entry = ep->best_agg.MinEntry();
@@ -656,10 +664,9 @@ void DeclarativeOptimizer::RunDrive(EPState* ep, uint32_t alt_idx) {
 }
 
 void DeclarativeOptimizer::RecheckDrives(EPState* ep, bool liveness_changed) {
-  if (!state_->by_level || !ep->enumerated) {
-    for (uint32_t i = 0; i < ep->alts.size(); ++i) ScheduleDrive(ep, i);
-    return;
-  }
+  // Enumeration drives every alternative, and a dormant pair's drives are
+  // no-ops until a demand or a resurrection re-drives it.
+  if (!ep->enumerated || ep->dormant) return;
   const double thr = Threshold(*ep);
   const auto min_entry = ep->best_agg.MinEntry();
   for (uint32_t i = 0; i < ep->alts.size(); ++i) {
@@ -668,26 +675,14 @@ void DeclarativeOptimizer::RecheckDrives(EPState* ep, bool liveness_changed) {
       ScheduleDrive(ep, i);
       continue;
     }
-    // Read the drive's inputs as RunDrive does. If the cost they give
-    // differs from what the last drive stored, the drive is owed anyway.
-    const auto [nch, local, lc, rc, l_known, r_known, l_best, r_best, full] =
-        ReadDriveInputs(*ep, a);
-    const bool cost_settled =
-        full ? a.cost_known && a.cost == CostModel::Sum(nch >= 1 ? l_best : 0.0,
-                                                         nch == 2 ? r_best : 0.0, local)
-             : !a.cost_known;
-    if (cost_settled) {
-      const double cert = full ? a.cost : local + l_best + r_best;
-      const GateDecision gate =
-          DecideGate(a, i, thr, min_entry, local, l_known, l_best, full, cert);
-      // A new winner is still driven, so it records ever_won; so is every
-      // alternative whose presence a liveness change may restore.
-      const bool presence_owed =
-          liveness_changed && (gate.viable || !options_.use_source_suppression);
-      if (gate.viable == a.last_viable && gate.right_gate == a.last_right_gate &&
-          !(gate.is_min && !a.ever_won) && !presence_owed) {
-        continue;
-      }
+    const GateDecision gate = DecideGate(a, i, thr, min_entry);
+    // A new winner is still driven, so it records ever_won; so is every
+    // alternative whose presence a liveness change may restore.
+    const bool presence_owed =
+        liveness_changed && (gate.viable || !options_.use_source_suppression);
+    if (gate.viable == a.last_viable && gate.right_gate == a.last_right_gate &&
+        !(gate.is_min && !a.ever_won) && !presence_owed) {
+      continue;
     }
     ScheduleDrive(ep, i);
   }
@@ -795,11 +790,14 @@ void DeclarativeOptimizer::RefUp(EPState* child) {
     child->ever_live = true;
     child->dormant = false;
     // Restore SearchSpace presence of a previously collected pair: its
-    // alternatives re-evaluate viability on the scheduled drives. In a
-    // batch pass an enumerated pair needs no enumeration task, which would
-    // only drive every alternative a second time.
-    if (!child->enumerated || !state_->by_level) ScheduleEnumerate(child);
-    if (child->enumerated) RecheckDrives(child, /*liveness_changed=*/true);
+    // alternatives re-evaluate viability on the scheduled drives. An
+    // enumerated pair needs no enumeration task, which would only drive
+    // every alternative a second time.
+    if (child->enumerated) {
+      RecheckDrives(child, /*liveness_changed=*/true);
+    } else {
+      ScheduleEnumerate(child);
+    }
   }
 }
 
@@ -829,7 +827,11 @@ void DeclarativeOptimizer::Evict(EPState* ep) {
   IQRO_CHECK(!Live(*ep));
   Touch(ep);
   ep->dormant = true;
-  for (AltState& a : ep->alts) a.cost_known = false;
+  // Evicted state is re-derived: no decision of its drives stands.
+  for (AltState& a : ep->alts) {
+    a.cost_known = false;
+    a.decided = false;
+  }
   state_->agg_entries -= static_cast<int64_t>(ep->best_agg.size());
   ep->best_agg.Clear();
   // The deletion of this pair's BestCost cascades to every dependent
@@ -903,9 +905,9 @@ void DeclarativeOptimizer::RemoveAltContributions(EPState* ep, uint32_t alt_idx)
 // ---------------------------------------------------------------------------
 
 namespace {
-// ExtremeAgg entry estimate: a sorted-vector entry plus a flat-map slot per
-// retained entry, at the tables' typical load factor.
-constexpr size_t kAggEntryBytes = 40;
+// ExtremeAgg entry estimate: one 16-byte sorted-vector entry per retained
+// entry, at the vectors' typical capacity overshoot.
+constexpr size_t kAggEntryBytes = 24;
 }  // namespace
 
 size_t DeclarativeOptimizer::PerEpVectorBytes() const {
@@ -934,8 +936,10 @@ size_t DeclarativeOptimizer::StructuralBytes() const {
                  state_->eps_in_order.capacity() * sizeof(EPState*) + state_->scope_index.bytes() +
                  state_->seed_scratch.capacity() * sizeof(EPState*) +
                  state_->reopt_order.capacity() * sizeof(EPState*) + state_->queue.capacity_bytes() +
-                 state_->levels.capacity() * sizeof(RingBuffer<Task>);
+                 (state_->levels.capacity() + state_->bound_levels.capacity()) *
+                     sizeof(RingBuffer<Task>);
   for (const RingBuffer<Task>& bucket : state_->levels) bytes += bucket.capacity_bytes();
+  for (const RingBuffer<Task>& bucket : state_->bound_levels) bytes += bucket.capacity_bytes();
   return bytes;
 }
 
@@ -1078,7 +1082,11 @@ PlanDigest DeclarativeOptimizer::ComputePlanDigest() const {
   // dump projects. The closure is the best plan's substructure, a few
   // dozen pairs, so a linear duplicate probe beats hashing.
   std::vector<const EPState*> reach;
-  if (root != nullptr && root->enumerated) reach.push_back(root);
+  if (root != nullptr && root->enumerated) {
+    // A binary plan over n relations has 2n - 1 operators, plus enforcers.
+    reach.reserve(4 * static_cast<size_t>(RelCount(root->expr)));
+    reach.push_back(root);
+  }
   for (size_t i = 0; i < reach.size(); ++i) {
     const EPState* ep = reach[i];
     if (ep->best_agg.empty()) continue;
@@ -1139,6 +1147,7 @@ PlanDigest DeclarativeOptimizer::ComputePlanDigest() const {
   // right), following winners from the root — the executor-facing "which
   // pipelined prefix survived" view of the same closure.
   if (root != nullptr && root->enumerated && !root->best_agg.empty()) {
+    digest.join_order.reserve(static_cast<size_t>(RelCount(root->expr)));
     auto walk = [this](auto&& self, const EPState* ep, std::vector<int>& out) -> void {
       if (ep == nullptr || !ep->enumerated || ep->best_agg.empty()) return;
       const AltState& win = ep->alts[ep->best_agg.MinEntry().second];
@@ -1434,6 +1443,7 @@ void DeclarativeOptimizer::ValidateInvariants() const {
   IQRO_CHECK(state_->queue.empty());  // only meaningful at fixpoint
   IQRO_CHECK(!state_->by_level);
   for (const RingBuffer<Task>& bucket : state_->levels) IQRO_CHECK(bucket.empty());
+  for (const RingBuffer<Task>& bucket : state_->bound_levels) IQRO_CHECK(bucket.empty());
   // The incremental aggregate-entry counter behind peak_memo_bytes must
   // agree with a fresh count over the memo.
   int64_t agg_entries = 0;
@@ -1495,6 +1505,22 @@ void DeclarativeOptimizer::ValidateInvariants() const {
           }
         }
         IQRO_CHECK(std::abs(a.cost - expect) <= 1e-9 * std::max(1.0, std::abs(expect)));
+      }
+      if (a.decided && !a.drive_queued && !registry_->HasPending()) {
+        // RecheckDrives decides on the gate inputs the last drive saw; at
+        // a fixpoint they are the current ones.
+        const int nch = a.def.NumChildren();
+        const double local = LocalCost(*ep, a.def);
+        const EPState* lc = nch >= 1 ? ChildEP(a, 0) : nullptr;
+        const EPState* rc = nch == 2 ? ChildEP(a, 1) : nullptr;
+        const bool l_known = lc != nullptr && std::isfinite(lc->last_best);
+        const bool r_known = rc != nullptr && std::isfinite(rc->last_best);
+        const double l_best = l_known ? lc->last_best : 0.0;
+        const double r_best = r_known ? rc->last_best : 0.0;
+        const bool full = (nch == 0) || (nch == 1 && l_known) || (nch == 2 && l_known && r_known);
+        IQRO_CHECK(a.gate_full == full);
+        IQRO_CHECK(a.gate_cert == (full ? a.cost : local + l_best + r_best));
+        IQRO_CHECK(a.gate_left == (l_known ? local + l_best : kInf));
       }
       if (!Live(*ep)) IQRO_CHECK(!a.active);  // collected pairs hold no rows
       if (Live(*ep) && options_.use_source_suppression && a.cost_known && !a.active) {

@@ -51,9 +51,11 @@
 //  * Tasks are 16-byte PODs in a growable power-of-two RingBuffer
 //    (common/ring_buffer.h) serving both queue disciplines — one ring for
 //    initial optimization, one per |expr| level while a ReoptimizeBatch
-//    pass drains bottom-up (levels). Duplicate tasks are suppressed at
-//    enqueue time by the intrusive queued bits on EPState/AltState
-//    (enumerate_queued, drive_queued, best_dirty, bound_dirty), so the
+//    pass drains bottom-up (levels; bound checks wait in a second set of
+//    level rings until nothing else is pending). Duplicate tasks are
+//    suppressed at enqueue time by the intrusive queued bits on
+//    EPState/AltState (enumerate_queued, drive_queued, best_dirty,
+//    bound_dirty), so the
 //    worklist never holds two live tasks for the same (kind, ep, alt) and
 //    pushes never allocate after warm-up.
 //  * OptMetrics tracks the data layer too: memo_probes/memo_hits,
@@ -252,6 +254,10 @@ class DeclarativeOptimizer {
   /// The registry this optimizer drains (never null; not owned).
   StatsRegistry* registry() const { return registry_; }
 
+  /// The summary calculator this optimizer prices plans through (its cost
+  /// model's; not owned).
+  const SummaryCalculator& summaries() const { return cost_model_->summaries(); }
+
   /// Registry epoch this optimizer's state reflects (0 before Optimize()):
   /// set on every (re)optimization entry. ReoptSession::Register compares
   /// it against StatsRegistry::drained_epoch() to reject an optimizer that
@@ -351,6 +357,14 @@ class DeclarativeOptimizer {
     bool decided = false;
     bool last_viable = false;
     bool last_right_gate = false;
+    // The gate inputs that drive decided on: its certain cost, its left
+    // prefix cost (local + left best; infinity while the left best is
+    // unknown) and whether every child's best was known. A drive's inputs
+    // schedule it when they change, so a re-check of an unqueued decided
+    // alternative reads them here instead of from its children.
+    bool gate_full = false;
+    double gate_cert = 0;
+    double gate_left = 0;
     double cost = 0;           // current PlanCost (valid iff cost_known)
     uint32_t touched_round = 0;
     EPState* child[2] = {nullptr, nullptr};  // resolved child pairs
@@ -450,31 +464,17 @@ class DeclarativeOptimizer {
   void Drain();
   void Push(Task t);
   /// The queue Drain() pops from next, or null when the worklist is empty:
-  /// the single ring, or during a batch the lowest non-empty level bucket.
+  /// the single ring, or during a batch the lowest non-empty level bucket,
+  /// and once those are all empty the lowest non-empty bound bucket.
   RingBuffer<Task>* NextQueue();
   void ScheduleEnumerate(EPState* ep);
   void ScheduleDrive(EPState* ep, uint32_t alt_idx);
   void ScheduleBestDirty(EPState* ep);
   void ScheduleBoundDirty(EPState* ep);
 
-  /// What a drive of an alternative reads: its local cost and its
-  /// children's propagated bests (`full`: every child's best is known).
-  struct DriveInputs {
-    int nch = 0;
-    double local = 0;
-    EPState* lc = nullptr;
-    EPState* rc = nullptr;
-    bool l_known = false;
-    bool r_known = false;
-    double l_best = 0;
-    double r_best = 0;
-    bool full = false;
-  };
-  DriveInputs ReadDriveInputs(const EPState& ep, AltState& a) const;
   /// RunDrive's threshold-dependent decisions for alternative `alt_idx`
-  /// under threshold `thr` and the group's current minimum entry, given
-  /// its cost inputs (`local`, the left child's propagated best, `full`:
-  /// every child known) and `cert`, its certain cost: survival under
+  /// under threshold `thr` and the group's current minimum entry, from the
+  /// gate inputs its last drive recorded (AltState::gate_*): survival under
   /// aggregate selection, the right child's exploration gate, and whether
   /// it is the minimum.
   struct GateDecision {
@@ -483,22 +483,20 @@ class DeclarativeOptimizer {
     bool is_min = false;
   };
   GateDecision DecideGate(const AltState& a, uint32_t alt_idx, double thr,
-                          std::pair<double, uint32_t> min_entry, double local, bool l_known,
-                          double l_best, bool full, double cert) const {
+                          std::pair<double, uint32_t> min_entry) const {
     GateDecision d;
     if (options_.use_agg_selection) {
       d.is_min = a.cost_known && min_entry.second == alt_idx && min_entry.first == a.cost;
-      d.viable = d.is_min || cert < thr;
+      d.viable = d.is_min || a.gate_cert < thr;
     }
-    d.right_gate = a.def.NumChildren() == 2 && (!options_.use_source_suppression ||
-                                                (l_known && local + l_best < thr) || full);
+    d.right_gate = a.def.NumChildren() == 2 &&
+                   (!options_.use_source_suppression || a.gate_left < thr || a.gate_full);
     return d;
   }
   /// A move of `ep`'s threshold or winner, or its return to liveness
-  /// (`liveness_changed`), re-checks its alternatives. Initial
-  /// optimization drives them all. A batch pass drives only those whose
-  /// drive the move can change: every other input of a drive (local cost,
-  /// children's bests) schedules it directly when it changes, so an
+  /// (`liveness_changed`), re-checks its alternatives. It drives only those
+  /// whose drive the move can change: every other input of a drive (local
+  /// cost, children's bests) schedules it directly when it changes, so an
   /// unqueued alternative's inputs are the ones its last drive saw, and the
   /// move matters only through the gate decisions — and, for a pair that
   /// came back to life, through the presence of its viable alternatives.
@@ -568,6 +566,13 @@ class DeclarativeOptimizer {
     // Optimize()d pays nothing for them.
     std::vector<RingBuffer<Task>> levels;
     size_t level_cursor = 0;  // no bucket below it holds a task
+    // The batch's bound checks, bucketed by level too and drained only
+    // once no other task is pending: a pair's bound then moves once its
+    // best and the costs below it have settled, not at every step of
+    // theirs. Bottom-up like the rest (draining them top-down reaches a
+    // different fixpoint on some scenarios; see CHANGES.md).
+    std::vector<RingBuffer<Task>> bound_levels;
+    size_t bound_cursor = 0;  // no bucket below it holds a task
     bool by_level = false;
     EPState* root = nullptr;
     bool optimized = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -11,9 +12,13 @@ namespace iqro {
 
 namespace {
 /// Equal as the dump renders them: bit-identical, or alike under %.6g.
+/// Two values that render alike differ by at most one unit in their sixth
+/// significant digit, about 1e-5 of their magnitude; farther apart they
+/// cannot, and are told apart without formatting either.
 bool SameRenderedCost(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b) ||
-         DoubleToString(a) == DoubleToString(b);
+  if (std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b)) return true;
+  if (std::abs(a - b) > 2e-5 * std::max(std::abs(a), std::abs(b))) return false;
+  return DoubleToString(a) == DoubleToString(b);
 }
 }  // namespace
 

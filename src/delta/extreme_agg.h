@@ -11,12 +11,13 @@
 // the deterministic tie-break the paper's distinct-cost assumption
 // (Proposition 5) stands in for.
 //
-// Storage is flat: a sorted vector of (value, id) entries plus a FlatMap64
-// from id to value. One aggregate lives inside every plan-table entry
-// (BestCost and Bound state), so the constant factor here is the fixpoint's
-// constant factor — groups are small (one entry per alternative / per parent
-// contribution), and a binary search plus a memmove beats a red-black tree
-// node allocation at every realistic group size.
+// Storage is one sorted vector of (value, id) entries. One aggregate lives
+// inside every plan-table entry (BestCost and Bound state), so the constant
+// factor here is the fixpoint's constant factor. Groups are small (one
+// entry per alternative / per parent contribution): finding an id by a
+// linear scan costs no more than the memmove a sorted insert pays anyway,
+// and it saves an id index per group. A changed value moves its entry in
+// place, shifting only the entries between its old and new positions.
 #ifndef IQRO_DELTA_EXTREME_AGG_H_
 #define IQRO_DELTA_EXTREME_AGG_H_
 
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/flat_map.h"
 #include "delta/delta.h"
 
 namespace iqro {
@@ -40,12 +40,12 @@ class ExtremeAgg {
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
 
-  bool Contains(Id id) const { return values_.Find(KeyOf(id)) != nullptr; }
+  bool Contains(Id id) const { return Find(id) != entries_.end(); }
 
   double ValueOf(Id id) const {
-    const double* v = values_.Find(KeyOf(id));
-    IQRO_DCHECK(v != nullptr);
-    return *v;
+    const auto it = Find(id);
+    IQRO_DCHECK(it != entries_.end());
+    return it->first;
   }
 
   /// Smallest (value, id) entry; infinity if empty.
@@ -66,54 +66,57 @@ class ExtremeAgg {
   /// Inserts or replaces the contribution of `id`. Returns true iff the
   /// group's min or max entry changed.
   bool Set(Id id, double value) {
-    auto [slot, inserted] = values_.TryEmplace(KeyOf(id), value);
-    Entry old_min = MinEntry();
-    Entry old_max = MaxEntry();
-    if (!inserted) {
-      if (*slot == value) return false;
-      EraseEntry(Entry{*slot, id});
-      *slot = value;
+    const Entry e{value, id};
+    const auto it = Find(id);
+    if (it == entries_.end()) {
+      const bool extreme = entries_.empty() || e < entries_.front() || entries_.back() < e;
+      entries_.insert(std::lower_bound(entries_.begin(), entries_.end(), e), e);
+      return extreme;
     }
-    InsertEntry(Entry{value, id});
-    return MinEntry() != old_min || MaxEntry() != old_max;
+    if (it->first == value) return false;
+    const Entry old_min = entries_.front();
+    const Entry old_max = entries_.back();
+    if (*it < e) {
+      // Moves right: the entries between shift left by one.
+      const auto pos = std::lower_bound(it + 1, entries_.end(), e);
+      std::rotate(it, it + 1, pos);
+      *(pos - 1) = e;
+    } else {
+      // Moves left: the entries between shift right by one.
+      const auto pos = std::lower_bound(entries_.begin(), it, e);
+      std::rotate(pos, it, it + 1);
+      *pos = e;
+    }
+    return entries_.front() != old_min || entries_.back() != old_max;
   }
 
   /// Removes the contribution of `id` if present. Returns true iff the
   /// group's min or max entry changed.
   bool Erase(Id id) {
-    const double* v = values_.Find(KeyOf(id));
-    if (v == nullptr) return false;
-    Entry old_min = MinEntry();
-    Entry old_max = MaxEntry();
-    EraseEntry(Entry{*v, id});
-    values_.Erase(KeyOf(id));
-    return MinEntry() != old_min || MaxEntry() != old_max;
+    const auto it = Find(id);
+    if (it == entries_.end()) return false;
+    const bool extreme = it == entries_.begin() || it + 1 == entries_.end();
+    entries_.erase(it);
+    return extreme;
   }
 
-  void Clear() {
-    entries_.clear();
-    values_.Clear();
-  }
+  void Clear() { entries_.clear(); }
 
   /// Ascending iteration over retained (value, id) entries.
   auto begin() const { return entries_.begin(); }
   auto end() const { return entries_.end(); }
 
  private:
-  static uint64_t KeyOf(Id id) { return static_cast<uint64_t>(id); }
-
-  void InsertEntry(const Entry& e) {
-    entries_.insert(std::lower_bound(entries_.begin(), entries_.end(), e), e);
+  typename std::vector<Entry>::iterator Find(Id id) {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [id](const Entry& e) { return e.second == id; });
+  }
+  typename std::vector<Entry>::const_iterator Find(Id id) const {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [id](const Entry& e) { return e.second == id; });
   }
 
-  void EraseEntry(const Entry& e) {
-    auto it = std::lower_bound(entries_.begin(), entries_.end(), e);
-    IQRO_DCHECK(it != entries_.end() && *it == e);
-    entries_.erase(it);
-  }
-
-  std::vector<Entry> entries_;  // sorted ascending by (value, id)
-  FlatMap64<double> values_;    // id -> current value
+  std::vector<Entry> entries_;  // sorted ascending by (value, id); ids unique
 };
 
 }  // namespace iqro

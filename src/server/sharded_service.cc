@@ -125,10 +125,10 @@ struct ShardedService::GroupQuery final : public PlanSubscriber {
 /// One world: its catalog spec (kept for snapshots), the built world
 /// (which owns the query), the one summary calculator and cost model every
 /// configuration prices plans with, the registered configurations and the
-/// session. Destruction order matters: the session dies first (detaching
-/// from the optimizers and unsubscribing from the registry; the handles
-/// then no-op instead of detaching memos nobody will read), then the
-/// configurations, then the cost model, then the world.
+/// session. Destruction order matters: the session dies first (leaving
+/// every optimizer a private state and unsubscribing from the registry;
+/// the handles then no-op), then the configurations, then the cost model,
+/// then the world.
 struct ShardedService::Group {
   uint64_t world_key = 0;
   uint64_t fingerprint = 0;
@@ -410,21 +410,12 @@ ShardedService::RegisterResult ShardedService::RegisterOnShard(
                        "world key reused with different catalog/query specs");
   }
   auto q = NewQuery(*group, options_name);
-  // One memo per distinct question: a configuration some live registration
-  // already asks shares that memo (the session joins it to the memo's
-  // slot), so only a new question pays for Optimize().
-  const auto peer = std::find_if(
-      group->queries.begin(), group->queries.end(), [&q](const auto& p) {
-        return p->optimizer->optimized() && p->optimizer->CanShareStateWith(*q->optimizer);
-      });
-  if (peer != group->queries.end()) {
-    q->optimizer->ShareStateWith(*(*peer)->optimizer);
-  } else {
-    q->optimizer->Optimize();
-  }
   q->sink = sink;
-  IndexQuery(shard_idx, *group, q.get());
+  // The session joins a configuration some live registration already asks
+  // to that memo and optimizes only a new question. Registered before it
+  // is indexed: a failed Optimize() leaves no index entry behind.
   q->handle = group->session->Register(*q->optimizer, q.get());
+  IndexQuery(shard_idx, *group, q.get());
   const RegisterResult result{q->id, shard_idx, q->optimizer->BestCost()};
   group->queries.push_back(std::move(q));
   return result;

@@ -38,10 +38,16 @@ ReoptSession::ReoptSession(StatsRegistry* registry, ReoptSessionOptions options)
 
 ReoptSession::~ReoptSession() {
   // Registered optimizers outlive the session, the summary store does not:
-  // detach every remaining calculator before it goes away. Optimizers that
-  // shared a memo keep sharing it; no session maintains it any more.
+  // detach every remaining calculator before it goes away. Nobody will
+  // maintain a shared memo any more, so every optimizer but the first of
+  // each memo leaves with a private exact copy: no two caller-owned
+  // optimizers stay aliased once their session is gone.
   for (Slot& slot : slots_) {
-    for (Handle& h : slot.handles) h.optimizer->AttachSharedSummaryCache(nullptr);
+    for (size_t i = 0; i < slot.handles.size(); ++i) {
+      DeclarativeOptimizer* optimizer = slot.handles[i].optimizer;
+      optimizer->AttachSharedSummaryCache(nullptr);
+      if (i > 0) optimizer->DetachState();
+    }
   }
   // Flip the handle liveness token next: a handle destroyed after this
   // point must no-op instead of calling back into a dying session.
@@ -57,19 +63,23 @@ ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer
   IQRO_CHECK(!notifying_);
   // The session dispatches drained change lists; an optimizer wired to a
   // different registry would be seeded with deltas its statistics never
-  // saw, and an un-optimized one has no state to maintain.
+  // saw.
   IQRO_CHECK(optimizer->registry() == registry_);
-  IQRO_CHECK(optimizer->optimized());
   // An optimizer whose fixpoint predates the last drain missed deltas that
   // are gone for good: future flushes would leave it silently stale
   // forever. Pending-but-undrained changes are fine (the next flush seeds
   // them), as is being *ahead* of the last drain.
-  IQRO_CHECK(optimizer->stats_epoch() >= registry_->drained_epoch());
+  IQRO_CHECK(!optimizer->optimized() || optimizer->stats_epoch() >= registry_->drained_epoch());
   // One memo per distinct question: an optimizer that can share a live
-  // memo drops its own state and joins that memo's slot. Both states are
-  // exact w.r.t. the statistics they were last brought to, and the next
-  // flush seeds whatever is pending into the shared one.
-  Slot* slot = ShareableSlot(*optimizer);
+  // memo drops its own state and joins that memo's slot; an un-optimized
+  // one that cannot is optimized here. Both under the reader lock: the
+  // share test reads the registry epoch and Optimize() the values.
+  Slot* slot = nullptr;
+  {
+    auto stats_frozen = registry_->ReaderLock();
+    slot = ShareableSlot(*optimizer);
+    if (slot == nullptr && !optimizer->optimized()) optimizer->Optimize();
+  }
   if (slot != nullptr) {
     optimizer->ShareStateWith(slot->optimizer());
   } else {
@@ -119,8 +129,19 @@ const ReoptSession::Slot* ReoptSession::SlotOf(QueryId id) const {
 }
 
 ReoptSession::Slot* ReoptSession::ShareableSlot(const DeclarativeOptimizer& optimizer) {
+  // A memo serves another handle only while it reflects the registry's
+  // current values, the ones an unshared optimizer was (or would be)
+  // optimized on: joining then changes neither the optimizer's plan nor
+  // its event baseline. A memo behind mutations recorded since its last
+  // pass, or an optimizer optimized before them, keeps a slot of its own;
+  // the next flush brings both current.
+  const uint64_t now = registry_->epoch();
+  if (optimizer.optimized() && optimizer.stats_epoch() != now) return nullptr;
   for (Slot& slot : slots_) {
-    if (slot.resident() && slot.optimizer().CanShareStateWith(optimizer)) return &slot;
+    if (slot.resident() && slot.optimizer().stats_epoch() == now &&
+        slot.optimizer().CanShareStateWith(optimizer)) {
+      return &slot;
+    }
   }
   return nullptr;
 }
@@ -128,10 +149,18 @@ ReoptSession::Slot* ReoptSession::ShareableSlot(const DeclarativeOptimizer& opti
 void ReoptSession::AttachSummaryCaches() {
   // Cross-memo summary sharing: point every registered calculator at the
   // session's epoch-keyed store (sound — same registry, checked at
-  // Register). Only attached from the second memo on: with one memo every
-  // pass runs through one calculator, so there is nobody to share with
-  // and the store's lock traffic would buy nothing.
-  SummarySharedCache* shared = slots_.size() >= 2 ? &summary_cache_ : nullptr;
+  // Register). A pass prices through its memo's first handle, so the store
+  // is attached only while those handles bring two or more calculators:
+  // memos priced through one calculator already share its local cache,
+  // and the store's probes would buy nothing.
+  std::vector<const SummaryCalculator*> calculators;
+  for (const Slot& slot : slots_) {
+    const SummaryCalculator* c = &slot.optimizer().summaries();
+    if (std::find(calculators.begin(), calculators.end(), c) == calculators.end()) {
+      calculators.push_back(c);
+    }
+  }
+  SummarySharedCache* shared = calculators.size() >= 2 ? &summary_cache_ : nullptr;
   for (Slot& slot : slots_) {
     for (Handle& h : slot.handles) h.optimizer->AttachSharedSummaryCache(shared);
   }
@@ -665,11 +694,9 @@ std::vector<QueryHandle> ReoptSession::LoadSnapshot(
     DeclarativeOptimizer* optimizer = optimizers[i];
     IQRO_CHECK(optimizer != nullptr);
     IQRO_CHECK(optimizer->registry() == registry_);
-    // A query whose memo an earlier record already restored shares it
-    // instead of restoring a copy (RegisterImpl joins the slot).
-    if (Slot* live = ShareableSlot(*optimizer); live != nullptr) {
-      optimizer->ShareStateWith(live->optimizer());
-    } else {
+    // A query whose memo an earlier record already restored joins it in
+    // RegisterImpl; any other restores its own seed first.
+    if (ShareableSlot(*optimizer) == nullptr) {
       auto stats_frozen = registry_->ReaderLock();
       bool restored = false;
       if (records[i].warm) {
@@ -949,12 +976,13 @@ size_t ReoptSession::Flush() {
     /// be destroyed, and any (re)attached one's baseline postdates the
     /// change this event describes.
     uint64_t computed_gen;
-    /// The post-flush baseline, moved into the slot when the event is
-    /// SETTLED (delivered or suppressed) — not before. A callback that
-    /// throws therefore leaves later queries' baselines untouched, so
-    /// their dropped events are re-detected (against the old baseline) at
-    /// the next flush that re-optimizes them, instead of being lost.
-    PlanDigest new_digest;
+    /// The post-flush baseline (the memo's digest in `results`), copied
+    /// into the handle when the event is SETTLED (delivered or suppressed)
+    /// — not before. A callback that throws therefore leaves later
+    /// queries' baselines untouched, so their dropped events are
+    /// re-detected (against the old baseline) at the next flush that
+    /// re-optimizes them, instead of being lost.
+    const PlanDigest* new_digest;
     PlanChangeEvent event;
   };
   std::vector<PendingEvent> events;
@@ -995,7 +1023,7 @@ size_t ReoptSession::Flush() {
         e.old_cost = h.digest.best_cost;
         e.new_cost = r.digest.best_cost;
         e.diff = DiffPlanDigests(h.digest, r.digest);
-        events.push_back({h.id, h.subscription_gen, r.digest, std::move(e)});
+        events.push_back({h.id, h.subscription_gen, &r.digest, std::move(e)});
         // Cleared when the event settles; if delivery unwinds first, the
         // flag makes the next flush re-derive the memo's digest even
         // when the batch cannot affect it (RunPass force_digest).
@@ -1070,7 +1098,7 @@ size_t ReoptSession::Flush() {
       // advance a later query past a change its consumer never saw. A
       // generation match implies the subscriber is still the non-null one
       // the event was computed for.
-      h->digest = std::move(pe.new_digest);
+      h->digest = *pe.new_digest;
       h->rediff_pending = false;  // settled
       // Counted before the callback runs: a subscriber that throws from
       // its OWN event has still consumed it (at-most-once for the thrower;

@@ -39,7 +39,12 @@
 // options and cost parameters (DeclarativeOptimizer::CanShareStateWith) —
 // have identical fixpoints. Register() therefore attaches such an
 // optimizer to the live memo it can share (ShareStateWith) instead of
-// maintaining a copy: a slot is one memo with a list of handles. A flush
+// maintaining a copy: a slot is one memo with a list of handles. It shares
+// only while the memo and the optimizer both reflect the registry's
+// current epoch, so joining never moves an optimizer's plan or its event
+// baseline; a registration made while changes are pending keeps a memo of
+// its own. An un-optimized optimizer is accepted too: it joins a memo it
+// can share, or is optimized at registration. A flush
 // runs one pass and at most one digest per slot, and each subscribed
 // handle diffs its own baseline against that digest, so every handle gets
 // exactly the events an unshared optimizer would. Quarantine, backoff,
@@ -47,7 +52,8 @@
 // handle of the memo is reported. Releasing a handle that is not its
 // memo's last detaches its optimizer onto a private exact copy
 // (DetachState), so a caller-owned optimizer never aliases a live memo
-// after its release.
+// after its release; the session's destructor does the same for every
+// optimizer but the first of each memo.
 //
 // ## The session surface
 //
@@ -119,8 +125,8 @@
 // subscribes to the registry on construction and unsubscribes in its
 // destructor. QueryHandles may outlive the session: a handle's destructor
 // detects the dead session (liveness token) and becomes a no-op.
-// Registered optimizers must already have run Optimize() and must drain
-// this session's registry (checked).
+// Registered optimizers must drain this session's registry (checked);
+// Register() optimizes one that has not run Optimize() and cannot share.
 //
 // ## Consistency contract
 //
@@ -259,12 +265,15 @@ class ReoptSession final : public StatsSubscriber {
   ReoptSession& operator=(const ReoptSession&) = delete;
 
   /// Registers a live query and returns its typed handle (move-only; its
-  /// destructor unregisters). `optimizer` must have run Optimize(), must
-  /// drain this session's registry, and must outlive its registration. Its
-  /// state must not predate the registry's last drain (checked via
-  /// stats_epoch(): the drained deltas are gone, so a late optimizer could
-  /// never catch up and would stay silently stale); pending-but-undrained
-  /// changes at registration time are fine — the next flush seeds them.
+  /// destructor unregisters). `optimizer` must drain this session's
+  /// registry and must outlive its registration. When it can share a live
+  /// memo that reflects the registry's current epoch it joins that memo;
+  /// otherwise it keeps its own, running Optimize() first if it has not.
+  /// An optimized `optimizer`'s state must not predate the registry's last
+  /// drain (checked via stats_epoch(): the drained deltas are gone, so a
+  /// late optimizer could never catch up and would stay silently stale);
+  /// pending-but-undrained changes at registration time are fine — the
+  /// next flush seeds them.
   /// `subscriber`, when non-null, is attached as by
   /// QueryHandle::Subscribe() with the current plan as the baseline.
   [[nodiscard]] QueryHandle Register(DeclarativeOptimizer& optimizer,
@@ -367,10 +376,11 @@ class ReoptSession final : public StatsSubscriber {
   /// above); zeroed at session construction.
   const FlushOptStats& last_flush() const { return last_flush_; }
 
-  /// The session's cross-query summary store: every registered query's
-  /// SummaryCalculator is attached to it at Register() time, so queries
-  /// with overlapping relation sets share epoch-keyed summary computation
-  /// (hit/miss counters follow the metrics() read rules).
+  /// The session's cross-query summary store: while the registered memos
+  /// price through two or more SummaryCalculators, every registered
+  /// query's calculator is attached to it, so queries with overlapping
+  /// relation sets share epoch-keyed summary computation (hit/miss
+  /// counters follow the metrics() read rules).
   const SharedSummaryCache& summary_cache() const { return summary_cache_; }
 
   /// StatsSubscriber: counts the mutation and evaluates the flush policy
@@ -487,10 +497,13 @@ class ReoptSession final : public StatsSubscriber {
   /// The slot holding `id` and its handle; {nullptr, nullptr} when unknown.
   std::pair<Slot*, Handle*> Find(QueryId id);
   const Slot* SlotOf(QueryId id) const;
-  /// The first resident slot whose memo `optimizer` can share, or null.
+  /// The first resident slot whose memo `optimizer` can share, or null:
+  /// the memo and (when optimized) `optimizer` must both reflect the
+  /// registry's current epoch. The one sharing rule of the session.
   Slot* ShareableSlot(const DeclarativeOptimizer& optimizer);
   /// Points every handle's summary calculator at the session's store while
-  /// two or more memos are registered, and detaches them otherwise.
+  /// the memos price through two or more calculators, and detaches them
+  /// otherwise.
   void AttachSummaryCaches();
 
   /// Rebuilds every quarantined query whose backoff expired; appends the

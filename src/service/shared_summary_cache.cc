@@ -1,38 +1,35 @@
 #include "service/shared_summary_cache.h"
 
-#include <mutex>
-
 namespace iqro {
 
+namespace {
+
+/// One writer: a plain load and store, no locked read-modify-write.
+void Bump(std::atomic<int64_t>* counter) {
+  counter->store(counter->load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 bool SharedSummaryCache::Lookup(uint64_t epoch, RelSet s, Summary* out) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (epoch_ == epoch) {
-      auto it = cache_.find(s);
-      if (it != cache_.end()) {
-        *out = it->second;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
+  if (epoch_ == epoch) {
+    if (const Summary* hit = cache_.Find(s)) {
+      *out = *hit;
+      Bump(&hits_);
+      return true;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  Bump(&misses_);
   return false;
 }
 
 void SharedSummaryCache::Insert(uint64_t epoch, RelSet s, const Summary& value) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
   if (epoch < epoch_) return;  // straggler from a superseded epoch: drop
   if (epoch > epoch_) {
-    cache_.clear();
+    cache_.Clear();
     epoch_ = epoch;
   }
-  cache_.try_emplace(s, value);  // first insert wins (identical values)
-}
-
-size_t SharedSummaryCache::size() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return cache_.size();
+  cache_.TryEmplace(s, value);  // first insert wins (identical values)
 }
 
 }  // namespace iqro

@@ -13,18 +13,18 @@
 //    dispatch window, so every pass of one flush agrees on the epoch.
 //    Values are returned by copy (Summary is two doubles), so there is no
 //    reference lifetime to protect, unlike the per-calculator cache.
-//  * Internally locked (shared_mutex: hit path is a shared lock + find);
-//    the session flushes on one thread, so the lock is uncontended.
-//  * Racing inserts of one (epoch, s) write identical values (a Summary is
-//    a pure function of registry state at that epoch); first insert wins.
+//  * Unsynchronized: a session flushes on one thread, and only its passes
+//    (and owner-thread calls made with no flush in flight: Register,
+//    rehydration, snapshot load) price plans. The hit/miss counters are
+//    relaxed atomics with one writer, so a monitor may read them at any
+//    time; their values are exact once quiesced.
 #ifndef IQRO_SERVICE_SHARED_SUMMARY_CACHE_H_
 #define IQRO_SERVICE_SHARED_SUMMARY_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <shared_mutex>
-#include <unordered_map>
 
+#include "common/flat_map.h"
 #include "common/relset.h"
 #include "stats/summary.h"
 
@@ -41,12 +41,11 @@ class SharedSummaryCache final : public SummarySharedCache {
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
   /// Entries stored for the current epoch.
-  size_t size() const;
+  size_t size() const { return cache_.size(); }
 
  private:
-  mutable std::shared_mutex mu_;
   uint64_t epoch_ = 0;
-  std::unordered_map<RelSet, Summary> cache_;
+  FlatMap64<Summary> cache_;
   mutable std::atomic<int64_t> hits_{0};
   mutable std::atomic<int64_t> misses_{0};
 };

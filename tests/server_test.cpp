@@ -709,6 +709,42 @@ TEST(ShardedServiceTest, DuplicateRegistrationsShareOneMemo) {
   EXPECT_EQ(svc.QueryCanonicalDump(ids[2]), svc.QueryCanonicalDump(ids[3]));
 }
 
+// With a count policy, mutations can sit pending when a duplicate
+// registers. The duplicate must not join the memo of the last drain: it
+// reports the cost of the current statistics and gets the events an
+// unshared registration gets. World 2 is the unshared reference: its
+// "all" configuration first registers after the same mutations.
+TEST(ShardedServiceTest, DuplicateRegisteredWithChangesPendingSeesCurrentStatistics) {
+  ShardedServiceOptions options;
+  options.auto_flush_count = 100;  // the batches below stay pending
+  ShardedService svc(options);
+  CountingSink sink;
+  const auto reg = [&](uint64_t world, const std::string& set) {
+    return svc.RegisterQuery(world, SmallCatalog(), SmallChainQuery(), set, &sink);
+  };
+  const auto first = reg(1, "all");
+  reg(2, "aggsel");
+  ASSERT_EQ(svc.RecordStatBatch(1, FlipBatch(0)), 2u);
+  ASSERT_EQ(svc.RecordStatBatch(2, FlipBatch(0)), 2u);
+  const auto dup = reg(1, "all");
+  const auto ref = reg(2, "all");
+  EXPECT_NE(first.best_cost, ref.best_cost) << "the batch never moved the cost";
+  EXPECT_EQ(dup.best_cost, ref.best_cost);
+  EXPECT_EQ(svc.QueryCanonicalDump(dup.query_id), svc.QueryCanonicalDump(ref.query_id));
+  EXPECT_EQ(svc.Stats().memos, 4);  // world 1's duplicate keeps a memo of its own
+
+  for (int round = 0; round < 3; ++round) {
+    svc.Flush(1);
+    svc.Flush(2);
+    EXPECT_EQ(svc.QueryCanonicalDump(dup.query_id), svc.QueryCanonicalDump(ref.query_id));
+    EXPECT_EQ(svc.QueryCanonicalDump(first.query_id), svc.QueryCanonicalDump(ref.query_id));
+    EXPECT_EQ(sink.plan_changes(dup.query_id), sink.plan_changes(ref.query_id))
+        << "round " << round;
+    ASSERT_EQ(svc.RecordStatBatch(1, FlipBatch(round + 1)), 2u);
+    ASSERT_EQ(svc.RecordStatBatch(2, FlipBatch(round + 1)), 2u);
+  }
+}
+
 // A manifest whose checksums hold but whose world specs cannot be built
 // (edited by hand, or written by a buggy build) fails the load with a
 // typed error instead of aborting a shard thread.

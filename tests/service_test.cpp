@@ -2263,5 +2263,135 @@ TEST(MemoSharingTest, ByteBudgetCountsASharedMemoOnce) {
   }
 }
 
+// A duplicate registered while changes are pending must not join a memo
+// that only reflects the last drain: its plan, its event baseline and its
+// events stay those of an unshared registration. A duplicate registered
+// right after it may join its memo, which does reflect the current values.
+TEST(MemoSharingTest, DuplicateRegisteredWithChangesPendingMatchesUnshared) {
+  auto world = ChainWorld(6, 23);
+  auto ref_world = ChainWorld(6, 23);
+  ReoptSession shared(&world->registry);
+  ReoptSession unshared(&ref_world->registry);
+  const OptimizerOptions all = OptimizerOptions::Default();
+  std::vector<std::unique_ptr<DeclarativeOptimizer>> opts;
+  std::vector<std::unique_ptr<DeclarativeOptimizer>> refs;
+  std::vector<std::unique_ptr<StreamSubscriber>> subs;
+  std::vector<std::unique_ptr<StreamSubscriber>> ref_subs;
+  std::vector<QueryHandle> handles;
+  // Registers one duplicate of `all` in each session; `optimize` runs
+  // Optimize() before Register (otherwise Register decides).
+  const auto add = [&](bool optimize) {
+    const int k = static_cast<int>(opts.size());
+    opts.push_back(std::make_unique<DeclarativeOptimizer>(
+        world->enumerator.get(), world->cost_model.get(), &world->registry, all));
+    refs.push_back(std::make_unique<DeclarativeOptimizer>(
+        ref_world->enumerator.get(), ref_world->cost_model.get(), &ref_world->registry,
+        DistinctOptions(all, k)));
+    if (optimize) opts.back()->Optimize();
+    refs.back()->Optimize();
+    subs.push_back(std::make_unique<StreamSubscriber>());
+    ref_subs.push_back(std::make_unique<StreamSubscriber>());
+    handles.push_back(shared.Register(*opts.back(), subs.back().get()));
+    handles.push_back(unshared.Register(*refs.back(), ref_subs.back().get()));
+  };
+  add(/*optimize=*/true);
+  Swing(world.get(), ref_world.get(), 0);
+  ASSERT_GT(shared.Flush(), 0u);
+  ASSERT_GT(unshared.Flush(), 0u);
+  const double drained_cost = opts[0]->BestCost();
+
+  // Changes pending: the first memo is behind them, the new optimizers
+  // are not, so neither duplicate may join it.
+  Swing(world.get(), ref_world.get(), 1);
+  add(/*optimize=*/true);
+  add(/*optimize=*/false);
+  EXPECT_EQ(shared.num_memos(), 2);
+  EXPECT_FALSE(opts[1]->SharesStateWith(*opts[0]));
+  EXPECT_TRUE(opts[2]->SharesStateWith(*opts[1]));  // both reflect the current values
+  EXPECT_TRUE(opts[2]->optimized());
+  EXPECT_NE(opts[1]->BestCost(), drained_cost) << "the swing never moved the cost";
+  for (size_t i = 0; i < opts.size(); ++i) {
+    EXPECT_EQ(opts[i]->BestCost(), refs[i]->BestCost()) << "handle " << i;
+    EXPECT_EQ(opts[i]->CanonicalDumpState(), refs[i]->CanonicalDumpState()) << "handle " << i;
+  }
+
+  for (int round = 1; round < 6; ++round) {
+    if (round > 1) Swing(world.get(), ref_world.get(), round);
+    ASSERT_GT(shared.Flush(), 0u);
+    ASSERT_GT(unshared.Flush(), 0u);
+    EXPECT_EQ(shared.last_flush().passes, 2) << "round " << round;
+    for (size_t i = 0; i < opts.size(); ++i) {
+      EXPECT_EQ(opts[i]->CanonicalDumpState(), refs[i]->CanonicalDumpState())
+          << "handle " << i << " round " << round;
+    }
+  }
+  EXPECT_GT(subs[0]->events.size(), 0u) << "the swings never moved a plan";
+  for (size_t i = 0; i < opts.size(); ++i) {
+    opts[i]->ValidateInvariants();
+    EXPECT_EQ(subs[i]->events, ref_subs[i]->events) << "handle " << i;
+  }
+}
+
+// Register() optimizes an un-optimized optimizer only when it cannot share.
+TEST(MemoSharingTest, RegisterOptimizesOnlyANewQuestion) {
+  auto world = ChainWorld(6, 23);
+  ReoptSession session(&world->registry);
+  const std::vector<OptimizerOptions> sets = SharingOptions();
+  std::vector<std::unique_ptr<DeclarativeOptimizer>> opts;
+  std::vector<QueryHandle> handles;
+  for (const OptimizerOptions& o : sets) {
+    opts.push_back(std::make_unique<DeclarativeOptimizer>(
+        world->enumerator.get(), world->cost_model.get(), &world->registry, o));
+    handles.push_back(session.Register(*opts.back()));
+  }
+  EXPECT_EQ(session.num_memos(), 3);
+  EXPECT_TRUE(opts[2]->SharesStateWith(*opts[0]));
+  EXPECT_TRUE(opts[4]->SharesStateWith(*opts[0]));
+  EXPECT_TRUE(opts[3]->SharesStateWith(*opts[1]));
+  // One initial optimization per memo: the shared state counted it once.
+  EXPECT_EQ(opts[0]->metrics().steps, [&] {
+    DeclarativeOptimizer fresh(world->enumerator.get(), world->cost_model.get(),
+                               &world->registry, sets[0]);
+    fresh.Optimize();
+    return fresh.metrics().steps;
+  }());
+  for (size_t i = 0; i < opts.size(); ++i) {
+    EXPECT_EQ(opts[i]->CanonicalDumpState(), ScratchDump(*world, sets[i])) << "handle " << i;
+  }
+}
+
+// Once the session is gone nobody maintains a shared memo: its optimizers
+// must not stay aliased to one another.
+TEST(MemoSharingTest, SessionDestructionLeavesEveryOptimizerPrivate) {
+  auto world = ChainWorld(6, 23);
+  std::vector<std::unique_ptr<DeclarativeOptimizer>> opts;
+  for (int i = 0; i < 3; ++i) {
+    opts.push_back(std::make_unique<DeclarativeOptimizer>(
+        world->enumerator.get(), world->cost_model.get(), &world->registry));
+    opts.back()->Optimize();
+  }
+  std::vector<QueryHandle> handles;  // outlive the session: they no-op
+  std::string dump;
+  {
+    ReoptSession session(&world->registry);
+    for (auto& o : opts) handles.push_back(session.Register(*o));
+    ASSERT_EQ(session.num_memos(), 1);
+    world->registry.SetBaseRows(2, world->registry.base_rows(2) * 13);
+    ASSERT_GT(session.Flush(), 0u);
+    dump = opts[0]->DumpState();
+  }
+  for (size_t i = 0; i < opts.size(); ++i) {
+    for (size_t j = i + 1; j < opts.size(); ++j) {
+      EXPECT_FALSE(opts[i]->SharesStateWith(*opts[j])) << i << " and " << j;
+    }
+    EXPECT_EQ(opts[i]->DumpState(), dump) << "optimizer " << i;
+  }
+  opts[1]->Invalidate();
+  EXPECT_TRUE(opts[0]->optimized());
+  EXPECT_TRUE(opts[2]->optimized());
+  EXPECT_EQ(opts[2]->DumpState(), dump);
+  for (QueryHandle& h : handles) EXPECT_FALSE(h.valid());
+}
+
 }  // namespace
 }  // namespace iqro::testing
