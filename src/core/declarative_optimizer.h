@@ -152,8 +152,7 @@ class DeclarativeOptimizer {
   ///
   /// `stats_epoch` is the registry epoch the drained batch reflects
   /// (StatsRegistry::DrainedBatch::epoch); 0 reads the registry's live
-  /// epoch, which is only equivalent when no mutator can run between the
-  /// drain and this call — i.e. on the single-threaded path.
+  /// epoch.
   ///
   /// `work_budget` > 0 caps this call's fixpoint task count
   /// (OptMetrics::round_steps); exceeding it throws WorkBudgetExceeded.

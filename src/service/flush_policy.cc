@@ -47,7 +47,7 @@ bool DeadlinePolicy::ShouldFlush(const FlushPolicyContext& ctx) {
 
 void DeadlinePolicy::OnFlush(size_t pending_after) {
   if (pending_after > 0) {
-    // Mutations raced this flush into the next epoch's batch: their wait
+    // Mutations made during this flush belong to the next batch: their wait
     // is already running, so the window restarts now rather than at the
     // next consultation (which, Poll()-driven, could be a full poll
     // interval away — silently stretching the staleness bound).

@@ -4,29 +4,29 @@
 // The simplest answer is a raw mutation count. Feedback loops that care
 // about latency want to bound the staleness *window* instead (a deadline).
 // This header makes the trigger a strategy object; the session evaluates
-// it on the
-// same re-entrancy-safe subscriber path the old counter used
-// (ReoptSession::OnStatsMutated), plus on demand via ReoptSession::Poll()
-// for time-based policies that must fire without a mutation arriving.
+// it on every recorded mutation (ReoptSession::OnStatsMutated) and on
+// demand via ReoptSession::Poll() for time-based policies that must fire
+// without a mutation arriving.
 //
 // ## Contract
 //
 //  * ShouldFlush() is consulted (a) after every value-changing recorded
-//    mutation, with the under-lock StatsMutationEvent snapshot mapped into
-//    the context, and (b) on every Poll(). Returning true asks the session
-//    to flush now; the session may still decline when another flush is in
-//    flight (the next mutation or Poll re-asks).
+//    mutation, with the StatsMutationEvent mapped into the context, and
+//    (b) on every Poll(). Returning true asks the session to flush now; the
+//    session declines while a flush is already in flight (a mutation made
+//    from a subscriber callback), and the next mutation or Poll re-asks.
 //  * OnFlush() is called at the end of every Flush() that drained the
 //    registry — including one whose batch coalesced to nothing — with the
-//    count of statistics already pending again (mutations that raced the
-//    flush into the next epoch's batch). This is the policy's reset hook.
-//  * Both methods are invoked under the session's policy mutex: calls are
-//    serialized across mutator threads and the owner thread, so policies
-//    need no internal locking. They must not call back into the session or
-//    the registry (that would deadlock on the policy mutex or the registry
-//    lock; the decision is pure), and must not throw — OnFlush runs from
-//    the flush epilogue's destructor, which fires even when a subscriber
-//    callback threw (the flush did drain; the policy's reset is owed).
+//    count of statistics already pending again (mutations made from
+//    subscriber callbacks during the flush, which belong to the next
+//    batch). This is the policy's reset hook.
+//  * Both methods run on the session's thread (one thread per world), so
+//    policies need no internal locking. They must not call back into the
+//    session or the registry: ShouldFlush runs inside a registry mutation
+//    and OnFlush inside a flush, so a call back would re-enter them (the
+//    decision is pure). They must not throw — OnFlush runs from the flush
+//    epilogue's destructor, which fires even when a subscriber callback
+//    threw (the flush did drain; the policy's reset is owed).
 //  * One policy instance serves one session. Sessions share ownership of
 //    the policy (shared_ptr) so ReoptSessionOptions stays copyable.
 //
@@ -60,8 +60,8 @@ struct FlushPolicyContext {
   /// (successful or absorbed). The CountPolicy input.
   int64_t mutations_since_flush = 0;
   /// Distinct statistics with a pending delta — the pending-scope mask
-  /// size. From the under-lock mutation snapshot (mutation path) or a
-  /// locked registry probe (Poll).
+  /// size. From the mutation's event (mutation path) or a registry probe
+  /// (Poll).
   size_t pending_stats = 0;
 };
 
@@ -73,9 +73,10 @@ class FlushPolicy {
   virtual bool ShouldFlush(const FlushPolicyContext& ctx) = 0;
 
   /// A flush drained the registry: `pending_after` is the distinct
-  /// statistics already pending again at flush end — mutations that raced
-  /// the flush and landed in the NEXT epoch's batch, which a time-based
-  /// policy must not silently disarm on. Default: stateless policies
+  /// statistics already pending again at flush end — mutations made from
+  /// subscriber callbacks during the flush, which belong to the NEXT
+  /// epoch's batch and which a time-based policy must not silently disarm
+  /// on. Default: stateless policies
   /// ignore it.
   virtual void OnFlush(size_t pending_after) { (void)pending_after; }
 };
@@ -106,7 +107,7 @@ class DeadlinePolicy final : public FlushPolicy {
   explicit DeadlinePolicy(std::chrono::milliseconds deadline,
                           const Clock* clock = Clock::Real());
   bool ShouldFlush(const FlushPolicyContext& ctx) override;
-  /// Disarms — unless mutations raced the flush and are already pending
+  /// Disarms — unless mutations made during the flush are already pending
   /// for the next batch (`pending_after > 0`), in which case the window
   /// re-arms immediately so their wait is bounded from now, not from
   /// whenever the next consultation happens to arrive.

@@ -22,9 +22,8 @@
 //
 // ## Delivery
 //
-// Events fire on the flushing thread, after every dispatched pass has
-// completed and the registry's reader lock has been released, in
-// registration order — exactly once per flush per changed query.
+// Events fire on the session's thread, after every dispatched pass has
+// completed, in registration order — exactly once per flush per changed query.
 // Reentrancy rules (what a callback may do) are specified in docs/API.md
 // and on ReoptSession.
 // ## Failure events

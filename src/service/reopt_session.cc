@@ -72,22 +72,17 @@ ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer
   IQRO_CHECK(!optimizer->optimized() || optimizer->stats_epoch() >= registry_->drained_epoch());
   // One memo per distinct question: an optimizer that can share a live
   // memo drops its own state and joins that memo's slot; an un-optimized
-  // one that cannot is optimized here. Both under the reader lock: the
-  // share test reads the registry epoch and Optimize() the values.
-  Slot* slot = nullptr;
-  {
-    auto stats_frozen = registry_->ReaderLock();
-    slot = ShareableSlot(*optimizer);
-    if (slot == nullptr && !optimizer->optimized()) optimizer->Optimize();
-  }
+  // one that cannot is optimized here.
+  Slot* slot = ShareableSlot(*optimizer);
   if (slot != nullptr) {
     optimizer->ShareStateWith(slot->optimizer());
   } else {
+    if (!optimizer->optimized()) optimizer->Optimize();
     slot = &slots_.emplace_back();
   }
   // Fresh registrations start "just touched" on the LRU clock: budget
   // enforcement prefers spilling genuinely dormant memos first.
-  slot->last_active_tick = ticks_.load(std::memory_order_relaxed);
+  slot->last_active_tick = ticks_;
   Handle h;
   h.id = next_id_;
   h.optimizer = optimizer;
@@ -228,7 +223,6 @@ void ReoptSession::UnregisterImpl(QueryId id) {
   // enforcement (and a release while over budget could evict a live peer
   // on the strength of bytes that no longer exist).
   metrics_.resident_memo_bytes = static_cast<int64_t>(ComputeResidentBytes());
-  RefreshQuarantineIndex();
 }
 
 void ReoptSession::SetSubscriber(QueryId id, PlanSubscriber* subscriber) {
@@ -363,7 +357,7 @@ void ReoptSession::RecordStrike(Slot& slot, const std::exception_ptr& err, uint6
       backoff *= 2;
     }
     backoff = std::min(backoff, options_.quarantine_backoff_cap_ticks);
-    slot.eligible_at_tick = ticks_.load(std::memory_order_relaxed) + backoff;
+    slot.eligible_at_tick = ticks_ + backoff;
   }
   for (const Handle& h : slot.handles) {
     if (h.subscriber == nullptr) continue;
@@ -386,20 +380,10 @@ void ReoptSession::RecordStrike(Slot& slot, const std::exception_ptr& err, uint6
 
 void ReoptSession::AttemptRehabs(uint64_t epoch, std::vector<ServiceEvent>* events,
                                  int64_t* strikes, int64_t* rehabs) {
-  const int64_t tick = ticks_.load(std::memory_order_relaxed);
-  if (quarantined_count_.load(std::memory_order_relaxed) == 0 ||
-      next_rehab_tick_.load(std::memory_order_relaxed) > tick) {
-    return;
-  }
   const size_t first_event = events->size();
   for (Slot& slot : slots_) {
-    if (slot.state != QueryState::kQuarantined || slot.eligible_at_tick > tick) continue;
+    if (slot.state != QueryState::kQuarantined || slot.eligible_at_tick > ticks_) continue;
     try {
-      // Same freeze the dispatch window uses: the rebuild reads the
-      // statistics values directly, so racing mutators must wait. Taken
-      // per rebuild so a long rebuild chain doesn't starve mutators of
-      // the whole window at once.
-      auto stats_frozen = registry_->ReaderLock();
       slot.optimizer().RebuildFromScratch();
       slot.state = QueryState::kHealthy;
       const int cleared = slot.strikes;
@@ -431,19 +415,6 @@ void ReoptSession::AttemptRehabs(uint64_t epoch, std::vector<ServiceEvent>* even
     }
   }
   SortByQuery(events, first_event);
-  RefreshQuarantineIndex();
-}
-
-void ReoptSession::RefreshQuarantineIndex() {
-  int64_t n = 0;
-  int64_t next = std::numeric_limits<int64_t>::max();
-  for (const Slot& s : slots_) {
-    if (s.state != QueryState::kQuarantined) continue;
-    ++n;
-    next = std::min(next, s.eligible_at_tick);
-  }
-  quarantined_count_.store(n, std::memory_order_relaxed);
-  next_rehab_tick_.store(next, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -468,11 +439,6 @@ bool ReoptSession::RehydrateSlot(Slot& slot, uint64_t epoch,
                                  std::vector<ServiceEvent>* events, int64_t* strikes) {
   DeclarativeOptimizer& memo = slot.optimizer();
   try {
-    // Same statistics freeze the rehab rebuilds use: the fallback rebuild
-    // reads the statistics values directly. (The seed restore itself reads
-    // only the payload, but holding the lock across both keeps the two
-    // paths indistinguishable to racing mutators.)
-    auto stats_frozen = registry_->ReaderLock();
     try {
       memo.RestoreState(slot.seed, slot.seed_epoch);
     } catch (const SerializeError&) {
@@ -485,7 +451,7 @@ bool ReoptSession::RehydrateSlot(Slot& slot, uint64_t epoch,
     slot.seed.clear();
     slot.seed.shrink_to_fit();
     slot.seed_epoch = 0;
-    slot.last_active_tick = ticks_.load(std::memory_order_relaxed);
+    slot.last_active_tick = ticks_;
     ++metrics_.rehydrations;
     return true;
   } catch (...) {
@@ -555,7 +521,6 @@ bool ReoptSession::RehydrateQuery(QueryId id) {
   std::vector<ServiceEvent> events;
   int64_t strikes = 0;
   const bool ok = RehydrateSlot(*slot, registry_->drained_epoch(), &events, &strikes);
-  if (strikes > 0) RefreshQuarantineIndex();
   metrics_.resident_memo_bytes = static_cast<int64_t>(ComputeResidentBytes());
   return ok;
 }
@@ -697,7 +662,6 @@ std::vector<QueryHandle> ReoptSession::LoadSnapshot(
     // A query whose memo an earlier record already restored joins it in
     // RegisterImpl; any other restores its own seed first.
     if (ShareableSlot(*optimizer) == nullptr) {
-      auto stats_frozen = registry_->ReaderLock();
       bool restored = false;
       if (records[i].warm) {
         try {
@@ -724,11 +688,11 @@ std::vector<QueryHandle> ReoptSession::LoadSnapshot(
 }
 
 size_t ReoptSession::Flush() {
-  // One flush at a time: a second caller (policy reentrancy, or a
-  // mutator-thread flush racing the owner's) backs off — whatever it
-  // wanted drained is either in the in-flight batch or stays pending for
-  // the next flush.
-  if (in_flush_.exchange(true)) return 0;
+  // No nested flush: a policy flush asked for from inside a subscriber
+  // callback backs off, and whatever the callback mutated stays pending
+  // for the next flush.
+  if (in_flush_) return 0;
+  in_flush_ = true;
   // Timed from here (drain through delivery and budget enforcement); the
   // epilogue stamps the elapsed wall time into the FlushReport.
   const auto flush_started = std::chrono::steady_clock::now();
@@ -737,20 +701,12 @@ size_t ReoptSession::Flush() {
   // later Flush() into a no-op.
   struct InFlushGuard {
     ReoptSession* s;
-    ~InFlushGuard() { s->in_flush_.store(false); }
+    ~InFlushGuard() { s->in_flush_ = false; }
   } in_flush_guard{this};
   // One tick of the retry clock per flush (quarantine backoffs count in
   // these).
-  ticks_.fetch_add(1, std::memory_order_relaxed);
-  {
-    // Reset the policy counter BEFORE the drain: a mutation recorded in
-    // the gap is then over-counted (worst case one spurious early flush,
-    // benign) rather than under-counted (its increment erased while its
-    // pending entry survives — with no later mutation a count policy
-    // would never re-fire and the change would sit pending forever).
-    std::lock_guard<std::mutex> lock(policy_mu_);
-    mutations_since_flush_ = 0;
-  }
+  ++ticks_;
+  mutations_since_flush_ = 0;
   StatsRegistry::DrainedBatch batch = registry_->TakePendingBatch();
 
   // Quarantined queries whose backoff expired rebuild from scratch before
@@ -854,18 +810,9 @@ size_t ReoptSession::Flush() {
       // exporter contract is one report per non-empty flush.
       if (s->options_.metrics_exporter != nullptr && changes > 0) {
         FlushReport report;
-        // Safe relaxed reads: the dispatch window is over, so no pass can
-        // still be feeding the store.
         report.summary_shared_hits = s->summary_cache_.hits();
         report.summary_shared_misses = s->summary_cache_.misses();
-        {
-          // metrics_.mutations_observed is written by mutator threads
-          // under policy_mu_ (concurrent Record() during a flush is
-          // supported), so the struct copy snapshots under the same mutex;
-          // every other field is flushing-thread only.
-          std::lock_guard<std::mutex> lock(s->policy_mu_);
-          report.session = s->metrics_;
-        }
+        report.session = s->metrics_;
         report.flush_index = report.session.flushes;
         report.flush_epoch = epoch;
         report.changes = changes;
@@ -931,40 +878,31 @@ size_t ReoptSession::Flush() {
   // pass — otherwise the skipped memos would be stamped past deltas they
   // never saw and diverge permanently.)
   std::vector<std::exception_ptr> errors(slots_.size());
-  {
-    // Freeze the statistics values for the whole dispatch window: every
-    // pass reads exactly the drained epoch's values; racing mutators block
-    // here and land in the next batch.
-    auto stats_frozen = registry_->ReaderLock();
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      const Slot& slot = slots_[i];
-      if (slot.state != QueryState::kHealthy || slot.evicted) {
-        results.push_back(PassResult{});
-        continue;
-      }
-      // One pass and at most one digest per memo, whatever its handle
-      // count; each subscribed handle diffs its own baseline below.
-      bool want_digest = false;
-      bool force_digest = false;
-      for (const Handle& h : slot.handles) {
-        if (h.subscriber == nullptr) continue;
-        want_digest = true;
-        force_digest = force_digest || h.rediff_pending;
-      }
-      try {
-        results.push_back(
-            RunPass(&slot.optimizer(), batch.changes, batch.epoch, want_digest, force_digest));
-      } catch (...) {
-        errors[i] = std::current_exception();
-        results.push_back(PassResult{});
-      }
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
+    if (slot.state != QueryState::kHealthy || slot.evicted) {
+      results.push_back(PassResult{});
+      continue;
+    }
+    // One pass and at most one digest per memo, whatever its handle count;
+    // each subscribed handle diffs its own baseline below.
+    bool want_digest = false;
+    bool force_digest = false;
+    for (const Handle& h : slot.handles) {
+      if (h.subscriber == nullptr) continue;
+      want_digest = true;
+      force_digest = force_digest || h.rediff_pending;
+    }
+    try {
+      results.push_back(
+          RunPass(&slot.optimizer(), batch.changes, batch.epoch, want_digest, force_digest));
+    } catch (...) {
+      errors[i] = std::current_exception();
+      results.push_back(PassResult{});
     }
   }
 
-  // Quarantine the failures and compute the events — outside the reader
-  // lock (subscriber callbacks may mutate statistics; a same-thread
-  // mutation while holding the shared lock would deadlock on the exclusive
-  // lock).
+  // Quarantine the failures and compute the events.
   struct PendingEvent {
     QueryId query;
     /// The subscription generation the event was computed for (the
@@ -1007,7 +945,7 @@ size_t ReoptSession::Flush() {
       continue;
     }
     if (r.affected) {
-      slot.last_active_tick = ticks_.load(std::memory_order_relaxed);
+      slot.last_active_tick = ticks_;
     } else {
       ++skipped_this_flush;
     }
@@ -1040,19 +978,16 @@ size_t ReoptSession::Flush() {
   }
   SortByQuery(&service_events, first_dispatch_event);
   SortByQuery(&events, 0);
-  // Dispatch-phase strikes changed the quarantine set: refresh the
-  // Poll-readable index before delivery can re-enter anything.
-  RefreshQuarantineIndex();
   // Every slot's baseline/rediff state is now consistent; delivery-phase
   // throws are handled by settle-before-fire, not by the unwind guard.
   rediff_guard.armed = false;
 
   // Deliver: failure-domain events first (a subscriber told its query was
   // quarantined must not learn it from a later plan event's absence), then
-  // plan changes — both in registration-order collection, at most once, on
-  // this thread. An event fires only if the subscription it was computed
-  // for is still attached (generation check); unregistration from inside a
-  // callback defers (notifying_).
+  // plan changes — both in registration-order collection, at most once. An
+  // event fires only if the subscription it was computed for is still
+  // attached (generation check); unregistration from inside a callback
+  // defers (notifying_).
   {
     // RAII on both pieces of notification state: a throwing callback must
     // not leave the session stuck in notifying mode (every later Register
@@ -1120,70 +1055,40 @@ size_t ReoptSession::Flush() {
 }
 
 void ReoptSession::PolicyOnFlush() {
-  if (options_.flush_policy == nullptr) return;  // no registry probe either
-  // Mutations that raced this flush are already pending for the next
-  // epoch; a time-based policy re-arms on them instead of disarming. The
-  // registry read happens BEFORE policy_mu_ — this class never holds the
-  // policy mutex while touching the registry, so the lock order stays
-  // acyclic with mutator threads (registry lock -> subscriber callback ->
-  // policy_mu_).
-  const size_t probed = registry_->PendingStatCount();
-  std::lock_guard<std::mutex> lock(policy_mu_);
-  // A mutation can land between the probe and this lock; its ShouldFlush
-  // backed off on in_flush_, so a pending_after of 0 here would disarm a
-  // deadline the mutation thinks is armed. mutations_since_flush_ (only
-  // written under this mutex, reset at flush start) sees every such
-  // mutation — the worst case of trusting it is a mutation that made the
-  // drained batch after the counter reset, i.e. a spurious re-arm and at
-  // most one early flush, the same benign class as the documented
-  // reset-before-drain over-count.
-  const size_t pending_after =
-      std::max(probed, mutations_since_flush_ > 0 ? size_t{1} : size_t{0});
-  options_.flush_policy->OnFlush(pending_after);
+  if (options_.flush_policy == nullptr) return;
+  // A mutation made from a subscriber callback during this flush is already
+  // pending for the next batch: a time-based policy re-arms on it instead
+  // of disarming.
+  options_.flush_policy->OnFlush(registry_->PendingStatCount());
 }
 
 size_t ReoptSession::MaybePolicyFlush(const StatsMutationEvent* event) {
-  bool fire = false;
-  // Poll() probe: no under-lock mutation snapshot to map, so read the
-  // registry up front — never while holding policy_mu_ (lock order, see
-  // PolicyOnFlush).
-  const size_t polled_pending =
-      event == nullptr && options_.flush_policy != nullptr ? registry_->PendingStatCount() : 0;
-  const size_t pending = event != nullptr ? event->pending_stats : polled_pending;
-  {
-    std::lock_guard<std::mutex> lock(policy_mu_);
-    if (event != nullptr) {
-      // Mutation path: count inside the same critical section the policy
-      // evaluates under — one lock acquisition per recorded mutation.
-      ++metrics_.mutations_observed;
-      ++mutations_since_flush_;
-    }
-    if (options_.flush_policy != nullptr) {
-      FlushPolicyContext ctx;
-      ctx.mutations_since_flush = mutations_since_flush_;
-      ctx.pending_stats = pending;
-      fire = options_.flush_policy->ShouldFlush(ctx);
-    }
+  if (event != nullptr) {
+    ++metrics_.mutations_observed;
+    ++mutations_since_flush_;
   }
-  // Flush() itself rejects reentrancy and cross-thread races via
-  // in_flush_; a rejected policy flush just means the policy fires again
-  // on the next mutation or Poll.
-  if (fire && !in_flush_.load()) return Flush();
-  return 0;
+  if (options_.flush_policy == nullptr) return 0;
+  FlushPolicyContext ctx;
+  ctx.mutations_since_flush = mutations_since_flush_;
+  ctx.pending_stats = event != nullptr ? event->pending_stats : registry_->PendingStatCount();
+  // Consulted even during a flush (a DeadlinePolicy arms on the first
+  // mutation); Flush() then declines, and the policy fires again on the
+  // next mutation or Poll.
+  return options_.flush_policy->ShouldFlush(ctx) ? Flush() : 0;
 }
 
 size_t ReoptSession::Poll() {
   // A poll while a flush runs has nothing to add: the flush ticks, rehabs,
   // and re-arms the policy itself.
-  if (in_flush_.load()) return 0;
-  const int64_t tick = ticks_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (quarantined_count_.load(std::memory_order_relaxed) > 0 &&
-      next_rehab_tick_.load(std::memory_order_relaxed) <= tick) {
-    // A quarantine backoff expired: flush regardless of the policy — the
-    // flush's rehab phase is the only place rebuilds run, and a parked
-    // policy must not strand a recoverable query.
-    return Flush();
-  }
+  if (in_flush_) return 0;
+  const int64_t tick = ++ticks_;
+  // A quarantine backoff expired: flush regardless of the policy — the
+  // flush's rehab phase is the only place rebuilds run, and a parked
+  // policy must not strand a recoverable query.
+  const bool rehab_due = std::any_of(slots_.begin(), slots_.end(), [tick](const Slot& s) {
+    return s.state == QueryState::kQuarantined && s.eligible_at_tick <= tick;
+  });
+  if (rehab_due) return Flush();
   return MaybePolicyFlush(nullptr);
 }
 

@@ -76,8 +76,7 @@
 // query's winner-closure PlanDigest (core/plan_digest.h) across the flush
 // against the query's own baseline, never from the dirty set. A flush that re-derives half the memo but
 // lands on the same plan fires nothing; net-zero churn fires nothing.
-// Events fire on the flushing thread, in registration order, after every
-// pass completed and the registry reader lock is released; the event
+// Events fire in registration order after every pass completed; the event
 // carries old/new BestCost, the operator/join-prefix diff, and the flush
 // epoch. Queries without a subscriber pay nothing (no digest is computed).
 // The differential harness proves the contract on the full scenario
@@ -151,42 +150,31 @@
 //
 // ## Threading model
 //
-// One flushing thread per session: Flush() drains one epoch-versioned
-// batch and runs the per-query ReoptimizeBatch() passes in registration
-// order on the calling thread, with the statistics values frozen for the
-// dispatch window by the registry's reader lock. Queries that share a
-// world share its split memo, PropTable and summary cache, all plain
-// single-threaded containers. Parallelism lives a layer up: reoptd runs
-// worlds in parallel on its shards, one session per world.
+// One thread per world: the registry and every session on it belong to
+// one thread, which makes every call — mutations, Register/Unregister/
+// Subscribe, Flush(), Poll(), the memo-lifecycle calls, the metrics reads
+// and the destructor. The session holds no lock and no atomic. Flush()
+// runs the per-memo ReoptimizeBatch() passes in registration order, and no
+// mutation can land between the drain and the last pass. A mutation made
+// from a subscriber callback during a flush stays pending for the next
+// one; a policy flush it asks for is declined (`in_flush_`). Queries that
+// share a world share its split memo, PropTable and summary cache, all
+// plain single-threaded containers. Parallelism lives a layer up: reoptd
+// runs worlds in parallel on its shards, one session per world, and
+// applies each world's mutations on the shard thread that polls and
+// flushes it.
 //
-// Mutator threads: statistics producers may Record() from other threads
-// while a flush runs. The registry's mutation lock serializes them against
-// the drain and the dispatch window: a racing mutation lands in the *next*
-// epoch's batch, never lost, never double-applied (tests/service_test.cpp,
-// MutatorThreadTest). Between the drain and the next flush it simply sits
-// pending — the same staleness window as always. FlushPolicy evaluation is
-// serialized under the session's policy mutex whatever thread mutates, and
-// a policy-triggered flush on a mutator thread excludes the owner's
-// Flush()/Poll() via `in_flush_`.
-//
-// The session owns no driver thread. Poll() and Flush() are owner-thread
-// calls from the application's driver loop (reoptd's shard loop polls
-// every idle session): Poll() is what makes DeadlinePolicy deadlines and
-// quarantine-backoff expirations fire without a mutation arriving.
-// Register/Unregister/Subscribe, the memo-lifecycle calls and session
-// destruction are owner-thread calls too, made with no flush in flight on
-// a *mutator* thread (the one exception: Unregister from inside a
-// subscriber callback, which defers). docs/ARCHITECTURE.md has the full
+// The session owns no driver thread. Poll() is what makes DeadlinePolicy
+// deadlines and quarantine-backoff expirations fire without a mutation
+// arriving; the application's driver loop calls it (reoptd's shard loop
+// polls every idle session). docs/ARCHITECTURE.md has the full
 // ownership/epoch lifecycle.
 #ifndef IQRO_SERVICE_REOPT_SESSION_H_
 #define IQRO_SERVICE_REOPT_SESSION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
-#include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -284,19 +272,18 @@ class ReoptSession final : public StatsSubscriber {
   int num_queries() const;
   int num_memos() const { return static_cast<int>(slots_.size()); }
 
-  /// Failure-domain state of a registered query (owner-thread read; aborts
-  /// on an unknown id — released queries have no state).
+  /// Failure-domain state of a registered query (aborts on an unknown id —
+  /// released queries have no state).
   QueryState query_state(QueryId id) const;
 
-  /// Registered queries currently quarantined (excluding parked) /
-  /// parked. Owner-thread reads, like query_state().
+  /// Registered queries currently quarantined (excluding parked) / parked.
   int num_quarantined() const;
   int num_parked() const;
 
   /// The deterministic retry clock: ticks advance once per Flush() and
   /// once per Poll() that found no flush already in flight. Exposed so
   /// tests and operators can reason about backoff schedules.
-  int64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
+  int64_t ticks() const { return ticks_; }
 
   /// True when mutations were recorded since the last flush (they may still
   /// coalesce to nothing — see StatsRegistry::HasPending).
@@ -304,19 +291,18 @@ class ReoptSession final : public StatsSubscriber {
 
   /// Drains the registry's coalesced pending batch, dispatches it as one
   /// ReoptimizeBatch() pass to every registered healthy optimizer whose
-  /// relation set the batch can affect, in registration order on the
-  /// calling thread, then fires events and the metrics export.
-  /// Quarantined queries due for retry are rebuilt first. Returns the
-  /// number of StatChanges dispatched; 0 when the batch coalesced away (or
-  /// nothing was pending, or another thread's flush is already in flight —
-  /// the racing batch belongs to that flush).
+  /// relation set the batch can affect, in registration order, then fires
+  /// events and the metrics export. Quarantined queries due for retry are
+  /// rebuilt first. Returns the number of StatChanges dispatched; 0 when
+  /// the batch coalesced away, nothing was pending, or a flush is already
+  /// in flight (a call from inside a subscriber callback).
   size_t Flush();
 
   /// Consults the flush policy and the quarantine retry schedule without a
-  /// mutation having arrived — the owner thread's driver-loop call for
-  /// time-based policies and backoff expiry (reoptd's shard loop calls it
-  /// on every idle session). Flushes and returns the dispatched change
-  /// count when either says so; otherwise 0.
+  /// mutation having arrived — the driver-loop call for time-based
+  /// policies and backoff expiry (reoptd's shard loop calls it on every
+  /// idle session). Flushes and returns the dispatched change count when
+  /// either says so; otherwise 0.
   size_t Poll();
 
   // ---- memo lifecycle (docs/ARCHITECTURE.md "Memo lifecycle") ----
@@ -324,7 +310,7 @@ class ReoptSession final : public StatsSubscriber {
   /// Spills a healthy query's memo to a serialized seed and tears it down
   /// (the budget enforcement path, exposed for manual control). Returns
   /// false — and does nothing — when the query is quarantined, parked, or
-  /// already evicted. Owner-thread call, like Register.
+  /// already evicted.
   bool EvictQuery(QueryId id);
 
   /// Restores an evicted query from its seed now instead of waiting for
@@ -346,7 +332,7 @@ class ReoptSession final : public StatsSubscriber {
   /// persist as cold records (their torn-down memo has nothing to save);
   /// evicted queries persist their stored seed. Throws SerializeError
   /// (kIo) on filesystem failure; a pre-existing snapshot at `path` is
-  /// never torn. Owner-thread call.
+  /// never torn.
   void SaveSnapshot(const std::string& path);
 
   /// Warm-starts an EMPTY session (num_queries() == 0) from a snapshot:
@@ -363,29 +349,21 @@ class ReoptSession final : public StatsSubscriber {
   std::vector<QueryHandle> LoadSnapshot(
       const std::string& path, const std::vector<DeclarativeOptimizer*>& optimizers);
 
-  /// Read metrics()/last_flush() only from a state where no flush can be
-  /// in flight and no mutator is recording: after your own *successful*
-  /// Flush() (one that drained, not one that returned 0 because another
-  /// thread's flush held `in_flush_` — backing off does not synchronize
-  /// with that flush's writes), or after every mutator thread has joined.
-  /// With a policy + a mutator thread, a flush may be running on *its*
-  /// thread at any moment — quiesce first.
+  /// Session counters since construction.
   const ReoptSessionMetrics& metrics() const { return metrics_; }
 
-  /// OptMetrics aggregate of the most recent non-empty flush (read rules
-  /// above); zeroed at session construction.
+  /// OptMetrics aggregate of the most recent non-empty flush; zeroed at
+  /// session construction.
   const FlushOptStats& last_flush() const { return last_flush_; }
 
   /// The session's cross-query summary store: while the registered memos
   /// price through two or more SummaryCalculators, every registered
   /// query's calculator is attached to it, so queries with overlapping
-  /// relation sets share epoch-keyed summary computation (hit/miss
-  /// counters follow the metrics() read rules).
+  /// relation sets share epoch-keyed summary computation.
   const SharedSummaryCache& summary_cache() const { return summary_cache_; }
 
   /// StatsSubscriber: counts the mutation and evaluates the flush policy
-  /// against the under-lock snapshot. May be invoked from any mutating
-  /// thread (no registry lock held).
+  /// against the registry's state after it.
   void OnStatsMutated(StatsRegistry& registry, const StatsMutationEvent& event) override;
 
  private:
@@ -508,7 +486,7 @@ class ReoptSession final : public StatsSubscriber {
 
   /// Rebuilds every quarantined query whose backoff expired; appends the
   /// resulting service events and updates the per-flush strike/rehab
-  /// counters. Flushing thread only, called at flush start.
+  /// counters. Called at flush start.
   void AttemptRehabs(uint64_t epoch, std::vector<ServiceEvent>* events,
                      int64_t* strikes, int64_t* rehabs);
   /// Quarantines `slot`'s memo for the failure in `err` (classify, tear
@@ -516,13 +494,11 @@ class ReoptSession final : public StatsSubscriber {
   /// Bumps *strikes once.
   void RecordStrike(Slot& slot, const std::exception_ptr& err, uint64_t epoch,
                     std::vector<ServiceEvent>* events, int64_t* strikes);
-  /// Recomputes the Poll-readable quarantine atomics from slots_.
-  void RefreshQuarantineIndex();
   /// Spills `slot`'s memo to its seed and tears the optimizer down
   /// (requires healthy + optimized + not evicted).
   void EvictSlot(Slot& slot);
-  /// Restores `slot` from its seed under the registry reader lock (rebuild
-  /// fallback when the seed is rejected). A failed rebuild records a
+  /// Restores `slot` from its seed (rebuild fallback when the seed is
+  /// rejected). A failed rebuild records a
   /// strike like any other failed rebuild. Returns true when the slot left
   /// eviction healthy.
   bool RehydrateSlot(Slot& slot, uint64_t epoch, std::vector<ServiceEvent>* events,
@@ -534,12 +510,11 @@ class ReoptSession final : public StatsSubscriber {
   /// resident_memo_bytes gauge either way.
   void EnforceMemoBudget(int64_t* evictions_this_flush);
 
-  /// Evaluates the policy under `policy_mu_` and flushes on demand.
-  /// `event` is null for Poll() probes.
+  /// Evaluates the policy and flushes on demand. `event` is null for
+  /// Poll() probes.
   size_t MaybePolicyFlush(const StatsMutationEvent* event);
-  /// The one OnFlush protocol (empty and dispatched flushes alike): read
-  /// the post-drain pending count, then hand it to the policy under
-  /// `policy_mu_`. Registry reads always happen BEFORE the policy mutex.
+  /// The one OnFlush protocol (empty and dispatched flushes alike): hands
+  /// the policy the count of statistics pending again at flush end.
   void PolicyOnFlush();
 
   StatsRegistry* registry_;
@@ -555,27 +530,16 @@ class ReoptSession final : public StatsSubscriber {
   /// a handle outliving its session no-ops instead of touching freed
   /// memory.
   std::shared_ptr<bool> alive_;
-  /// Guards the mutation-policy state OnStatsMutated/Poll touch from
-  /// mutator threads — including the FlushPolicy instance itself, whose
-  /// calls are serialized under this mutex (everything else in this class
-  /// is flushing-thread only).
-  std::mutex policy_mu_;
+  /// Value-changing mutations since the last flush began (the CountPolicy
+  /// input).
   int64_t mutations_since_flush_ = 0;
-  /// Mutual exclusion + reentrancy guard for Flush (policy-triggered
-  /// callbacks, racing mutator-thread flushes).
-  std::atomic<bool> in_flush_{false};
-  /// The retry clock (see ticks()). Atomic because a policy flush on a
-  /// mutator thread advances it while the owner's Poll() does too.
-  /// Relaxed: a lower-bound logical clock; backoffs are "at least N ticks".
-  std::atomic<int64_t> ticks_{0};
-  /// Poll-readable quarantine index: count of kQuarantined slots and the
-  /// earliest eligible_at_tick among them (INT64_MAX when none). Poll()
-  /// reads it without walking slots_ while a mutator-thread flush may be
-  /// refreshing it.
-  std::atomic<int64_t> quarantined_count_{0};
-  std::atomic<int64_t> next_rehab_tick_{std::numeric_limits<int64_t>::max()};
-  /// True while events are being delivered (flushing thread only):
-  /// Unregister defers, Register checks.
+  /// Reentrancy guard for Flush: a policy flush asked for from inside a
+  /// subscriber callback is declined.
+  bool in_flush_ = false;
+  /// The retry clock (see ticks()).
+  int64_t ticks_ = 0;
+  /// True while events are being delivered: Unregister defers, Register
+  /// checks.
   bool notifying_ = false;
   std::vector<QueryId> deferred_unregister_;
 };
@@ -583,8 +547,7 @@ class ReoptSession final : public StatsSubscriber {
 /// Move-only registration of one query in one ReoptSession. Destroying (or
 /// Release()ing) the handle unregisters the query — deferred to flush end
 /// when it happens inside a subscriber callback. A handle that outlives
-/// its session no-ops on destruction. Not thread-safe; use from the
-/// session's thread.
+/// its session no-ops on destruction. Use it on the session's thread.
 class QueryHandle {
  public:
   /// Invalid handle (valid() == false); assign a real one into it.

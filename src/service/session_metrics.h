@@ -32,10 +32,8 @@ struct ReoptSessionMetrics {
 };
 
 /// Aggregated OptMetrics deltas of the most recent non-empty flush, summed
-/// over every dispatched pass. Each pass adds its own round counters on
-/// the flushing thread — never written by two threads at once, since only
-/// the thread that won `in_flush_` writes it. Read it only when no flush can be in flight (see
-/// ReoptSession::metrics()).
+/// over every dispatched pass: each pass adds its own round counters once
+/// it has returned.
 struct FlushOptStats {
   int64_t passes = 0;          // ReoptimizeBatch fixpoints this flush
   int64_t eps_seeded = 0;      // memo entries seeded

@@ -2,24 +2,15 @@
 
 namespace iqro {
 
-namespace {
-
-/// One writer: a plain load and store, no locked read-modify-write.
-void Bump(std::atomic<int64_t>* counter) {
-  counter->store(counter->load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
 bool SharedSummaryCache::Lookup(uint64_t epoch, RelSet s, Summary* out) const {
   if (epoch_ == epoch) {
     if (const Summary* hit = cache_.Find(s)) {
       *out = *hit;
-      Bump(&hits_);
+      ++hits_;
       return true;
     }
   }
-  Bump(&misses_);
+  ++misses_;
   return false;
 }
 

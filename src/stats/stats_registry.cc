@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <mutex>
 
 #include "common/check.h"
 #include "common/serialize.h"
@@ -38,25 +37,20 @@ int StatsRegistry::AddEdge(RelSet endpoints, double selectivity) {
   return static_cast<int>(edges_.size()) - 1;
 }
 
-bool StatsRegistry::RecordLocked(StatId stat, uint64_t target, double value_before) {
+void StatsRegistry::Record(StatId stat, uint64_t target, double value_before) {
   ++epoch_;
-  if (!frozen_) return false;
+  if (!frozen_) return;
   ++coalesce_.recorded;
   // First mutation of this statistic in the batch captures the baseline;
   // later ones collapse into it (only the net delta ever reaches an
   // optimizer).
   if (!pending_.Record(StatKey(stat, target), value_before)) ++coalesce_.collapsed;
-  return true;
+  NotifySubscribers({epoch_, pending_.size()});
 }
 
 void StatsRegistry::NotifySubscribers(const StatsMutationEvent& event) {
-  // Outside the lock: a subscriber may flush (TakePendingBatch takes the
-  // lock itself) from inside the callback. Indexed loop: callbacks must
-  // not Subscribe/Unsubscribe (see header), but an index never dangles the
-  // way a vector iterator would. `event` was snapshotted under the lock
-  // that published the mutation, so every subscriber sees the consistent
-  // (epoch, pending size) pair of *this* mutation even when later mutators
-  // are already racing ahead.
+  // Indexed loop: callbacks must not Subscribe/Unsubscribe (see header),
+  // but an index never dangles the way a vector iterator would.
   //
   // Every subscriber is notified even when an earlier one throws (a
   // session's policy-triggered flush may propagate a PlanSubscriber
@@ -75,18 +69,11 @@ void StatsRegistry::NotifySubscribers(const StatsMutationEvent& event) {
 }
 
 void StatsRegistry::SetScalar(StatId stat, int target, std::vector<double>& slots, double value) {
-  bool notify;
-  StatsMutationEvent event;
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    double& v = slots[static_cast<size_t>(target)];
-    if (v == value) return;  // no-op
-    const double before = v;
-    v = value;
-    notify = RecordLocked(stat, static_cast<uint64_t>(target), before);
-    event = SnapshotEventLocked();
-  }
-  if (notify) NotifySubscribers(event);
+  double& v = slots[static_cast<size_t>(target)];
+  if (v == value) return;  // no-op
+  const double before = v;
+  v = value;
+  Record(stat, static_cast<uint64_t>(target), before);
 }
 
 double StatsRegistry::CurrentValue(StatId stat, uint64_t target) const {
@@ -125,24 +112,18 @@ void StatsRegistry::SetScanCostMultiplier(int rel, double mult) {
 
 void StatsRegistry::SetJoinSelectivity(int edge_id, double sel) {
   IQRO_CHECK(edge_id >= 0 && edge_id < num_edges());
-  bool notify;
-  StatsMutationEvent event;
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    double& v = edges_[static_cast<size_t>(edge_id)].selectivity;
-    if (v == sel) return;
-    const double before = v;
-    v = sel;
-    notify = RecordLocked(StatId::kJoinSel, static_cast<uint64_t>(edge_id), before);
-    event = SnapshotEventLocked();
-  }
-  if (notify) NotifySubscribers(event);
+  double& v = edges_[static_cast<size_t>(edge_id)].selectivity;
+  if (v == sel) return;
+  const double before = v;
+  v = sel;
+  Record(StatId::kJoinSel, static_cast<uint64_t>(edge_id), before);
 }
 
-bool StatsRegistry::SetCardMultiplierLocked(RelSet scope, double factor) {
+void StatsRegistry::SetCardMultiplier(RelSet scope, double factor) {
+  IQRO_CHECK(RelCount(scope) >= 1);
   for (auto it = card_mults_.begin(); it != card_mults_.end(); ++it) {
     if (it->first != scope) continue;
-    if (it->second == factor) return false;
+    if (it->second == factor) return;
     const double before = it->second;
     if (factor == 1.0) {
       // Back at 1 is the same as absent: drop the entry, keeping the
@@ -152,39 +133,16 @@ bool StatsRegistry::SetCardMultiplierLocked(RelSet scope, double factor) {
     } else {
       it->second = factor;
     }
-    return RecordLocked(StatId::kCardMult, scope, before);
+    Record(StatId::kCardMult, scope, before);
+    return;
   }
-  if (factor == 1.0) return false;  // absent scope already means factor 1
+  if (factor == 1.0) return;  // absent scope already means factor 1
   card_mults_.emplace_back(scope, factor);
-  return RecordLocked(StatId::kCardMult, scope, 1.0);
-}
-
-void StatsRegistry::SetCardMultiplier(RelSet scope, double factor) {
-  IQRO_CHECK(RelCount(scope) >= 1);
-  bool notify;
-  StatsMutationEvent event;
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    notify = SetCardMultiplierLocked(scope, factor);
-    event = SnapshotEventLocked();
-  }
-  if (notify) NotifySubscribers(event);
+  Record(StatId::kCardMult, scope, 1.0);
 }
 
 void StatsRegistry::ScaleCardMultiplier(RelSet scope, double factor) {
-  IQRO_CHECK(RelCount(scope) >= 1);
-  bool notify;
-  StatsMutationEvent event;
-  {
-    // One critical section for the whole read-modify-write: the read half
-    // (ScopeMultiplier walks card_mults_, which a racing mutator may
-    // reallocate) and the write half must see the same vector, and two
-    // racing Scales must compose rather than lose one factor.
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    notify = SetCardMultiplierLocked(scope, ScopeMultiplier(scope) * factor);
-    event = SnapshotEventLocked();
-  }
-  if (notify) NotifySubscribers(event);
+  SetCardMultiplier(scope, ScopeMultiplier(scope) * factor);
 }
 
 double StatsRegistry::ScopeMultiplier(RelSet scope) const {
@@ -203,7 +161,6 @@ double StatsRegistry::CardMultiplier(RelSet s) const {
 }
 
 StatsRegistry::DrainedBatch StatsRegistry::TakePendingBatch() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
   DrainedBatch batch;
   batch.had_pending = !pending_.empty();
   drained_epoch_ = epoch_;
@@ -255,7 +212,6 @@ constexpr uint8_t kStatsStateVersion = 1;
 }  // namespace
 
 void StatsRegistry::SerializeState(std::string* out) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
   ByteWriter w(out);
   w.PutU8(kStatsStateVersion);
   w.PutI32(num_relations_);
@@ -336,7 +292,6 @@ void StatsRegistry::RestoreState(const std::string& payload) {
                          "stats state: trailing bytes after the last section");
   }
 
-  std::unique_lock<std::shared_mutex> lock(mu_);
   IQRO_CHECK(subscribers_.empty());  // setup-time only, like Reset
   base_rows_ = std::move(base_rows);
   local_sel_ = std::move(local_sel);
@@ -363,9 +318,6 @@ void StatsRegistry::Unsubscribe(StatsSubscriber* subscriber) {
   subscribers_.erase(it);
 }
 
-bool StatsRegistry::DropOnePendingForTest() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  return pending_.PopBack();
-}
+bool StatsRegistry::DropOnePendingForTest() { return pending_.PopBack(); }
 
 }  // namespace iqro

@@ -37,41 +37,24 @@
 // service-layer ReoptSession uses to implement auto-flush policies; a
 // subscriber may call TakePending() (flush) from inside the callback.
 //
-// ## Ownership and thread-safety
+// ## Ownership and the one-thread rule
 //
 // The registry owns no optimizers and does not outlive-track subscribers:
 // a subscriber must Unsubscribe() before it is destroyed. Subscribe/
-// Unsubscribe and Reset/AddEdge are setup-time, single-threaded calls.
+// Unsubscribe and Reset/AddEdge are setup-time calls.
 //
-// Post-freeze, the registry is the one piece of engine state shared
-// between mutator threads and a flushing ReoptSession, so it carries the
-// mutation-side lock of the threading model (docs/ARCHITECTURE.md):
-//
-//  * Every mutator (SetBaseRows, ..., ScaleCardMultiplier) takes `mu_`
-//    exclusively: the value write, the epoch bump and the NetDeltaTable
-//    record are one atomic step. Subscribers are notified *after* the
-//    lock is released (on the mutating thread), so a callback may re-enter
-//    the registry — e.g. an auto-flush draining it — without deadlocking.
-//  * TakePendingBatch() takes `mu_` exclusively and snapshots the whole
-//    coalesced batch together with the epoch it reflects — an
-//    epoch-versioned snapshot of the NetDeltaTable. A Record() racing the
-//    drain serializes either before it (and is included) or after it (and
-//    lands in the *next* batch); nothing is lost or applied twice.
-//  * ReaderLock() takes `mu_` shared. A flush dispatcher holds it for the
-//    whole dispatch, so the ReoptimizeBatch() passes it runs read
-//    statistics values frozen at the drained epoch through the plain
-//    accessors (which stay lock-free — they are the cost model's hot
-//    path). Mutators block until the flush releases the lock.
-//
-// Outside a ReaderLock window, concurrent accessor reads racing a mutator
-// are undefined — the contract is "readers hold the reader lock or own the
-// registry's thread", not "every method is individually atomic".
+// A registry and the ReoptSessions on it belong to one thread: every
+// mutator, the drain, the accessors and the subscriber callbacks run on
+// it, so the class holds no lock (docs/ARCHITECTURE.md "Threading model").
+// reoptd applies each world's mutations on the shard thread that also
+// polls and flushes that world's session. Another thread may take the
+// registry over only across a synchronization point that orders it after
+// every earlier call, such as a thread join.
 #ifndef IQRO_STATS_STATS_REGISTRY_H_
 #define IQRO_STATS_STATS_REGISTRY_H_
 
 #include <cstdint>
-#include <mutex>
-#include <shared_mutex>
+#include <string>
 #include <vector>
 
 #include "common/relset.h"
@@ -97,12 +80,9 @@ struct JoinEdgeStats {
 
 class StatsRegistry;
 
-/// What one recorded mutation looked like from inside the registry lock —
-/// the consistent snapshot a flush policy evaluates against. Captured
-/// atomically with the value write and the pending record, then handed to
-/// subscribers after the lock is released: a policy reading these fields
-/// never races the NetDeltaTable the way a lock-free PendingStatCount()
-/// probe from the callback would.
+/// What one recorded mutation left behind: the state a flush policy
+/// evaluates against, taken right after the value write and the pending
+/// record.
 struct StatsMutationEvent {
   /// Registry epoch after this mutation.
   uint64_t epoch = 0;
@@ -116,11 +96,10 @@ struct StatsMutationEvent {
 class StatsSubscriber {
  public:
   virtual ~StatsSubscriber() = default;
-  /// Fired after each recorded mutation, on the mutating thread, with no
-  /// registry lock held (the new value and its pending entry are already
-  /// published; `event` is the under-lock snapshot of that publication).
-  /// Reentrant draining (TakePending) is allowed; mutating the registry or
-  /// (un)subscribing any subscriber from inside the callback is not.
+  /// Fired after each recorded mutation, once the new value and its
+  /// pending entry are in place. Reentrant draining (TakePending) is
+  /// allowed; mutating the registry or (un)subscribing any subscriber from
+  /// inside the callback is not.
   virtual void OnStatsMutated(StatsRegistry& registry, const StatsMutationEvent& event) = 0;
 };
 
@@ -191,9 +170,9 @@ class StatsRegistry {
   /// can never catch up through future deltas (see ReoptSession::Register).
   uint64_t drained_epoch() const { return drained_epoch_; }
 
-  /// One atomically drained batch: the coalesced change list plus the
-  /// registry epoch it reflects — what a flush dispatches and what every
-  /// dispatched optimizer stamps as its stats_epoch().
+  /// One drained batch: the coalesced change list plus the registry epoch
+  /// it reflects — what a flush dispatches and what every dispatched
+  /// optimizer stamps as its stats_epoch().
   struct DrainedBatch {
     std::vector<StatChange> changes;
     uint64_t epoch = 0;        // epoch at drain time (the batch's version)
@@ -204,9 +183,7 @@ class StatsRegistry {
   /// to net deltas: at most one StatChange per affected (kind, scope), and
   /// none for statistics whose value is back at its batch baseline. The
   /// order of the returned changes follows the order in which their
-  /// statistics first mutated (deterministic across replays). The whole
-  /// drain happens under the mutation lock: the change list and the
-  /// returned epoch are one consistent snapshot even with mutators racing.
+  /// statistics first mutated (deterministic across replays).
   ///
   /// With several optimizers sharing one registry, whoever calls this
   /// starves the others — multi-query setups must drain through a
@@ -217,28 +194,14 @@ class StatsRegistry {
   /// Convenience wrapper over TakePendingBatch() for single-query callers.
   std::vector<StatChange> TakePending() { return TakePendingBatch().changes; }
 
-  /// Shared (reader) lock over the statistics values. A flush dispatcher
-  /// holds this for its whole dispatch window so its passes observe
-  /// values frozen at the drained epoch; mutators block until release and
-  /// their changes land in the next batch. Single-threaded callers never
-  /// need it.
-  std::shared_lock<std::shared_mutex> ReaderLock() const {
-    return std::shared_lock<std::shared_mutex>(mu_);
-  }
-
   /// True when post-freeze mutations are recorded but not yet drained. May
   /// overreport relative to TakePending(): the whole batch can still
   /// coalesce to nothing.
   bool HasPending() const { return !pending_.empty(); }
 
   /// Number of distinct statistics with a recorded (possibly net-zero)
-  /// pending mutation. Takes the registry lock shared: it is a policy/
-  /// inspection probe (ReoptSession::Poll), never a fixpoint hot path, and
-  /// unlike the plain accessors it must be safe against racing mutators.
-  size_t PendingStatCount() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return pending_.size();
-  }
+  /// pending mutation.
+  size_t PendingStatCount() const { return pending_.size(); }
 
   const CoalesceStats& coalesce_stats() const { return coalesce_; }
 
@@ -247,17 +210,17 @@ class StatsRegistry {
   /// Appends an epoch-stamped serialization of every statistic value (base
   /// rows, selectivities, widths, scan/cardinality multipliers, join-edge
   /// selectivities) plus the epoch/drained-epoch pair to `out`
-  /// (common/serialize.h encoding). Takes the reader lock; pending
-  /// (undrained) mutations are NOT part of a registry's serialized state —
-  /// a snapshotting session drains them first, so the snapshot is exactly
-  /// "values at a drained epoch" and a warm-started service replays later
-  /// mutations through the normal NetDeltaTable path.
+  /// (common/serialize.h encoding). Pending (undrained) mutations are NOT
+  /// part of a registry's serialized state — a snapshotting session drains
+  /// them first, so the snapshot is exactly "values at a drained epoch" and
+  /// a warm-started service replays later mutations through the normal
+  /// NetDeltaTable path.
   void SerializeState(std::string* out) const;
 
   /// Restores a SerializeState() payload into this registry: values are
-  /// written directly under the exclusive lock (no epoch bumps, no pending
-  /// records, no subscriber notifications), the epoch pair is adopted, the
-  /// pending table is cleared and the registry is left frozen. The payload
+  /// written directly (no epoch bumps, no pending records, no subscriber
+  /// notifications), the epoch pair is adopted, the pending table is
+  /// cleared and the registry is left frozen. The payload
   /// must structurally match this registry (relation count, edge count and
   /// endpoints) — a mismatch throws SerializeError{kMismatch} with the
   /// registry's values unmodified. Setup-time only, like Reset: requires
@@ -291,28 +254,15 @@ class StatsRegistry {
     return (static_cast<uint64_t>(stat) << 32) | target;
   }
 
-  /// Bookkeeping half of a mutation (epoch bump + pending record). Caller
-  /// holds `mu_` exclusively. Returns true when subscribers must be
-  /// notified (post-freeze mutation), which the caller does after
-  /// unlocking.
-  bool RecordLocked(StatId stat, uint64_t target, double value_before);
-  /// Body of SetCardMultiplier under an already-held exclusive `mu_` —
-  /// also the write half of ScaleCardMultiplier's atomic read-modify-write.
-  /// Returns whether subscribers must be notified.
-  bool SetCardMultiplierLocked(RelSet scope, double factor);
-  /// Shared body of the per-relation scalar setters: lock, no-op check,
-  /// baseline capture, record, then unlocked subscriber notification.
+  /// Bookkeeping half of every value-changing mutation: bumps the epoch
+  /// and, once frozen, records the pending delta and notifies subscribers.
+  void Record(StatId stat, uint64_t target, double value_before);
+  /// Shared body of the per-relation scalar setters: no-op check, value
+  /// write, then Record.
   void SetScalar(StatId stat, int target, std::vector<double>& slots, double value);
-  /// Caller holds `mu_` exclusively; snapshots the post-mutation epoch and
-  /// pending size for the subscriber event.
-  StatsMutationEvent SnapshotEventLocked() const { return {epoch_, pending_.size()}; }
   void NotifySubscribers(const StatsMutationEvent& event);
   double CurrentValue(StatId stat, uint64_t target) const;
 
-  /// The mutation-side lock: exclusive for mutators and the drain, shared
-  /// for a flush's dispatch window (see the class comment). The plain value
-  /// accessors intentionally do not touch it.
-  mutable std::shared_mutex mu_;
   int num_relations_ = 0;
   std::vector<double> base_rows_;
   std::vector<double> local_sel_;

@@ -24,7 +24,7 @@ struct Summary {
 /// epoch-keyed summary computation for overlapping relation sets (a Summary
 /// is a pure function of registry state, so any calculator over the same
 /// registry computes the identical value). Abstract here so stats/ stays
-/// service-agnostic; the concrete locked implementation lives in
+/// service-agnostic; the concrete implementation lives in
 /// src/service/shared_summary_cache.h. Implementations must treat `epoch`
 /// as part of the key (stale-epoch lookups must miss).
 class SummarySharedCache {

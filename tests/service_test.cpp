@@ -6,12 +6,11 @@
 // (tests/differential_test.cpp, batch mode, including the notification
 // oracle); these tests pin the small contracts — net-zero absorption,
 // duplicate collapse, task dedup, multi-query dispatch, handle lifecycle,
-// subscriber exactness and reentrancy, policy triggers, unregistration,
-// mutator threads racing the owner's flush.
+// subscriber exactness and reentrancy, policy triggers (including a
+// policy flush declined inside a running flush), unregistration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -19,7 +18,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -225,6 +223,24 @@ TEST(ReoptSessionTest, MultiQueryFlushDrivesAllRegisteredOptimizers) {
   }
   // All exact configurations agree on the optimum.
   EXPECT_NEAR(all.BestCost(), nopruning.BestCost(), 1e-9 * std::max(1.0, all.BestCost()));
+
+  // A record between two flushes lands in the next batch: nothing is lost,
+  // nothing applies twice, and every write is observed exactly once.
+  const double rows0 = world->registry.base_rows(0);
+  for (int round = 1; round <= 3; ++round) {
+    world->registry.SetBaseRows(0, rows0 + round);
+    EXPECT_TRUE(session.HasPending());
+    EXPECT_EQ(session.Flush(), 1u);
+    EXPECT_FALSE(session.HasPending());
+    for (auto* opt : {&all, &aggsel, &nopruning}) {
+      opt->ValidateInvariants();
+      EXPECT_EQ(opt->CanonicalDumpState(), ScratchDump(*world, opt->options()))
+          << "round " << round;
+    }
+  }
+  EXPECT_EQ(world->registry.base_rows(0), rows0 + 3);
+  EXPECT_EQ(session.metrics().mutations_observed, 3 + 3);
+  EXPECT_EQ(session.metrics().flushes, 1 + 3);
 }
 
 // The tentpole property: seeding cost scales with the affected set, not the
@@ -1103,6 +1119,54 @@ TEST(FlushPolicyTest, DeadlineRearmsOnMutationsThatRacedTheFlush) {
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
 }
 
+// Under CountPolicy(1) every mutation asks for a flush, including one made
+// from a subscriber callback while the flush it triggered is delivering.
+// That request is declined: flushes never nest. The callback's change stays
+// pending, and the next Poll() flushes it.
+TEST(FlushPolicyTest, CallbackMutationUnderCountPolicyDoesNotNestAFlush) {
+  auto world = ChainWorld(6, 23);
+  DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
+                           &world->registry);
+  opt.Optimize();
+  ReoptSessionOptions so;
+  so.flush_policy = std::make_shared<CountPolicy>(1);
+  ReoptSession session(&world->registry, so);
+
+  class MutateOnceSubscriber final : public PlanSubscriber {
+   public:
+    MutateOnceSubscriber(StatsRegistry* registry, ReoptSession* session)
+        : registry_(registry), session_(session) {}
+    void OnPlanChange(const PlanChangeEvent& event) override {
+      (void)event;
+      if (mutated_) return;
+      mutated_ = true;
+      registry_->SetBaseRows(1, 777);
+      flushes_after_mutation = session_->metrics().flushes;
+    }
+    int64_t flushes_after_mutation = -1;
+
+   private:
+    StatsRegistry* registry_;
+    ReoptSession* session_;
+    bool mutated_ = false;
+  };
+  MutateOnceSubscriber subscriber(&world->registry, &session);
+  QueryHandle handle = session.Register(opt, &subscriber);
+
+  // The first mutation flushes; that flush's event mutates once more.
+  world->registry.SetBaseRows(0, world->registry.base_rows(0) * 1000);
+  EXPECT_EQ(subscriber.flushes_after_mutation, 1) << "the callback's flush request nested";
+  EXPECT_EQ(session.metrics().flushes, 1);
+  EXPECT_EQ(session.metrics().mutations_observed, 2);
+  EXPECT_TRUE(session.HasPending());  // the callback's change waits
+
+  EXPECT_GT(session.Poll(), 0u);
+  EXPECT_EQ(session.metrics().flushes, 2);
+  EXPECT_FALSE(session.HasPending());
+  opt.ValidateInvariants();
+  EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
+}
+
 // ---------------------------------------------------------------------------
 // Metrics export
 // ---------------------------------------------------------------------------
@@ -1381,52 +1445,33 @@ TEST(PollTest, IdlePollsRetryQuarantineBackoff) {
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
 }
 
-/// FakeClock is single-threaded by design; the poll storm below advances
-/// time on the mutator thread while the owner's Poll() loop reads it, so
-/// this variant keeps the instant in an atomic.
-class AtomicFakeClock final : public Clock {
- public:
-  std::chrono::steady_clock::time_point Now() const override {
-    return std::chrono::steady_clock::time_point{
-        std::chrono::nanoseconds(nanos_.load(std::memory_order_relaxed))};
-  }
-  void Advance(std::chrono::milliseconds d) {
-    nanos_.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(d).count(),
-                     std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<int64_t> nanos_{0};
-};
-
-/// Counts dispatched flushes from whichever thread runs them.
+/// Counts dispatched flushes.
 class CountingExporter final : public MetricsExporter {
  public:
   void OnFlushMetrics(const FlushReport& report) override {
     (void)report;
-    reports_.fetch_add(1, std::memory_order_relaxed);
+    ++reports_;
   }
-  int64_t reports() const { return reports_.load(std::memory_order_relaxed); }
+  int64_t reports() const { return reports_; }
 
  private:
-  std::atomic<int64_t> reports_{0};
+  int64_t reports_ = 0;
 };
 
-// Adversarial poll storm: the owner thread hammers Poll() in a tight
-// driver loop while a mutator thread pushes burst after burst through a
-// 50ms DeadlinePolicy on a hand-advanced clock. Per epoch the deadline
-// must fire EXACTLY one flush: no spurious fire inside the window however
-// many polls land there, no starvation once it expires, and no second
-// flush after it (the next epoch's mid-window check sees the count
-// unchanged). Every flush must come from a Poll() on the owner thread:
-// the mutations arrive inside fresh windows, so none may flush on the
-// mutator thread.
+// Adversarial poll storm: bursts of mutations open windows of a 50ms
+// DeadlinePolicy on a hand-advanced clock, and the driver loop hammers
+// Poll() between every clock step, mid-window and while the window ages
+// out. Per epoch the deadline must fire EXACTLY one flush: no spurious fire
+// inside the window however many polls land there, no starvation once it
+// expires, and no second flush after it (the next epoch's mid-window check
+// sees the count unchanged). Every flush must come from a Poll(): the
+// mutations arrive inside fresh windows, so none may flush on its own.
 TEST(PollTest, PollStormFiresExactlyOneFlushPerDeadlineEpoch) {
   auto world = ChainWorld(6, 23);
   DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
                            &world->registry);
   opt.Optimize();
-  AtomicFakeClock clock;
+  FakeClock clock;
   CountingExporter exporter;
   ReoptSessionOptions so;
   so.flush_policy = std::make_shared<DeadlinePolicy>(std::chrono::milliseconds(50), &clock);
@@ -1436,143 +1481,38 @@ TEST(PollTest, PollStormFiresExactlyOneFlushPerDeadlineEpoch) {
 
   const int kEpochs = 25;
   const double rows0 = world->registry.base_rows(0);
-  std::atomic<int64_t> polled_flushes{0};  // owner Polls that dispatched
-  std::atomic<bool> stop{false};
-  std::string failure;  // written by the mutator, read after join
-  std::thread mutator([&] {
-    auto wait_for_polls = [&](int64_t target) {
-      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (polled_flushes.load() < target && std::chrono::steady_clock::now() < give_up) {
-        clock.Advance(std::chrono::milliseconds(30));
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    };
-    for (int e = 0; e < kEpochs && failure.empty(); ++e) {
-      // Burst: three mutations open a window while the owner polls.
-      world->registry.SetBaseRows(0, rows0 * (2.0 + e));
-      world->registry.SetScanCostMultiplier(1 + (e % 4), 1.0 + 0.25 * (e + 1));
-      world->registry.SetLocalSelectivity(5, e % 2 == 0 ? 0.4 : 0.7);
-      clock.Advance(std::chrono::milliseconds(10));  // mid-window
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      if (exporter.reports() != e) {
-        failure = "fired inside the window, epoch " + std::to_string(e);
-        break;
-      }
-      // Age the window out; the Poll that sees it expired flushes once.
-      wait_for_polls(e + 1);
-      if (polled_flushes.load() != e + 1) {
-        failure = "flush starved at epoch " + std::to_string(e);
-      }
+  int64_t polled_flushes = 0;  // Polls that dispatched
+  const auto poll_storm = [&](int polls) {
+    for (int i = 0; i < polls; ++i) {
+      if (session.Poll() > 0) ++polled_flushes;
     }
-    // The last flush disarmed the policy: with nothing pending, an hour of
-    // fake time and thousands more polls fire nothing.
-    clock.Advance(std::chrono::hours(1));
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    stop.store(true);
-  });
-  while (!stop.load()) {
-    if (session.Poll() > 0) polled_flushes.fetch_add(1);
-    std::this_thread::yield();
+  };
+  for (int e = 0; e < kEpochs; ++e) {
+    // Burst: three mutations open a window.
+    world->registry.SetBaseRows(0, rows0 * (2.0 + e));
+    world->registry.SetScanCostMultiplier(1 + (e % 4), 1.0 + 0.25 * (e + 1));
+    world->registry.SetLocalSelectivity(5, e % 2 == 0 ? 0.4 : 0.7);
+    clock.Advance(std::chrono::milliseconds(10));  // mid-window
+    poll_storm(200);
+    ASSERT_EQ(exporter.reports(), e) << "fired inside the window, epoch " << e;
+    // Age the window out; the Poll that sees it expired flushes once, and
+    // the rest of the storm fires nothing more.
+    for (int step = 0; step < 100 && polled_flushes < e + 1; ++step) {
+      clock.Advance(std::chrono::milliseconds(30));
+      poll_storm(200);
+    }
+    ASSERT_EQ(polled_flushes, e + 1) << "flush starved at epoch " << e;
   }
-  mutator.join();
+  // The last flush disarmed the policy: with nothing pending, an hour of
+  // fake time and thousands more polls fire nothing.
+  clock.Advance(std::chrono::hours(1));
+  poll_storm(5000);
 
-  ASSERT_TRUE(failure.empty()) << failure;
-  EXPECT_EQ(polled_flushes.load(), kEpochs);
-  EXPECT_EQ(exporter.reports(), kEpochs);  // none ran on the mutator thread
+  EXPECT_EQ(polled_flushes, kEpochs);
+  EXPECT_EQ(exporter.reports(), kEpochs);  // no mutation flushed on its own
   EXPECT_EQ(session.metrics().flushes, kEpochs);
   EXPECT_EQ(session.metrics().empty_flushes, 0);  // every flush carried changes
   EXPECT_FALSE(session.HasPending());
-  opt.ValidateInvariants();
-  EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
-}
-
-// ---------------------------------------------------------------------------
-// Mutator threads: the registry lock against the owner's flush
-// ---------------------------------------------------------------------------
-//
-// A session flushes on one thread, but statistics producers may Record()
-// from others. These pin the registry-lock contract; the TSan CI job
-// repeats them, so their value is as much "TSan sees these interleavings
-// race-free" as the assertions themselves.
-
-// Record() racing Flush() from a second thread: every mutation either
-// makes the batch a flush drains or stays pending for the next one —
-// nothing is lost, nothing applies twice. After the mutator joins, one
-// final flush must land every optimizer exactly in its oracle state.
-TEST(MutatorThreadTest, RecordRacingFlushLandsInNextEpoch) {
-  auto world = ChainWorld(6, 17);
-  std::vector<std::unique_ptr<DeclarativeOptimizer>> opts;
-  for (const OptimizerOptions& o :
-       {OptimizerOptions::Default(), OptimizerOptions::UseAggSel(),
-        OptimizerOptions::UseAggSelRefCount(), OptimizerOptions::UseAggSelBounding(),
-        OptimizerOptions::UseNoPruning()}) {
-    opts.push_back(std::make_unique<DeclarativeOptimizer>(
-        world->enumerator.get(), world->cost_model.get(), &world->registry, o));
-    opts.back()->Optimize();
-  }
-  ReoptSessionOptions so;
-  // Exporter attached: the flush epilogue's metrics snapshot must be
-  // race-free against the concurrent mutator (TSan checks it here).
-  JsonMetricsExporter exporter;
-  so.metrics_exporter = &exporter;
-  ReoptSession session(&world->registry, so);
-  std::vector<QueryHandle> handles;
-  for (auto& o : opts) handles.push_back(session.Register(*o));
-
-  constexpr int kMutations = 200;
-  const double rows0 = world->registry.base_rows(0);
-  std::thread mutator([&world, rows0] {
-    for (int i = 1; i <= kMutations; ++i) {
-      // Strictly changing values: every call records (and bumps the epoch).
-      world->registry.SetBaseRows(0, rows0 + i);
-      if (i % 16 == 0) std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  });
-  // Flush continuously while the mutator runs: each flush drains whatever
-  // epoch-consistent batch exists at that instant.
-  int flushed_batches = 0;
-  for (int i = 0; i < 50; ++i) {
-    if (session.Flush() > 0) ++flushed_batches;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  mutator.join();
-  session.Flush();  // whatever raced past the last mid-stream flush
-  EXPECT_FALSE(world->registry.HasPending());
-
-  // No lost update: the registry's value is the mutator's last write, and
-  // every optimizer is at the fixpoint of exactly that value.
-  EXPECT_EQ(world->registry.base_rows(0), rows0 + kMutations);
-  // No double-apply/over-count: every one of the 200 distinct writes was
-  // observed exactly once.
-  EXPECT_EQ(session.metrics().mutations_observed, kMutations);
-  for (auto& o : opts) {
-    o->ValidateInvariants();
-    EXPECT_EQ(o->CanonicalDumpState(), ScratchDump(*world, o->options()));
-  }
-  // Sanity: the race was real — some batches were drained mid-stream.
-  EXPECT_GE(flushed_batches, 1);
-}
-
-// Auto-flush on a mutator thread: the threshold callback fires Flush() on
-// the *mutator's* thread, which runs the passes there.
-TEST(MutatorThreadTest, AutoFlushDispatchesFromMutatorThread) {
-  auto world = ChainWorld(6, 17);
-  DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
-                           &world->registry);
-  opt.Optimize();
-  ReoptSessionOptions so;
-  so.flush_policy = std::make_shared<CountPolicy>(4);
-  ReoptSession session(&world->registry, so);
-  QueryHandle handle = session.Register(opt);
-
-  std::thread mutator([&world] {
-    for (int i = 1; i <= 40; ++i) {
-      world->registry.SetBaseRows(1, 100.0 + i);
-    }
-  });
-  mutator.join();
-  session.Flush();  // tail below the last threshold
-  EXPECT_GE(session.metrics().flushes, 1);
   opt.ValidateInvariants();
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
 }
